@@ -210,6 +210,39 @@ class TestMemDep:
         md = MemoryDependenceAnalysis(apa)
         assert md.has_loop_carried_dependence(apa.loop_info.loops[0])
 
+    def test_loop_carried_follows_instruction_order_on_registry(self):
+        """``loop.blocks`` is a set; enumerating it would make the order of
+        dependences, and the source/sink orientation of store/store pairs,
+        vary with memory layout.  Pairs must follow instruction order: the
+        pair keys ascend, and a store earlier in the function is the
+        source."""
+        from repro.dataflow import ModuleIntervalAnalysis, PointsToAnalysis
+        from repro.model.estimator import FunctionContext
+        from repro.workloads import get_workload, workload_names
+
+        for name in workload_names():
+            workload = get_workload(name)
+            module = compile_source(workload.source, workload.name)
+            intervals = ModuleIntervalAnalysis(module)
+            points_to = PointsToAnalysis(module)
+            for func in module.defined_functions():
+                ctx = FunctionContext(
+                    func, points_to=points_to, intervals=intervals
+                )
+                position = {
+                    inst: i for i, inst in enumerate(func.instructions())
+                }
+                for loop in ctx.loop_info.loops:
+                    keys = []
+                    for dep in ctx.memdep.loop_carried(loop):
+                        src = position[dep.source.inst]
+                        snk = position[dep.sink.inst]
+                        first = min(src, snk)
+                        keys.append((first, max(src, snk)))
+                        if dep.sink.is_store:
+                            assert src == first, (name, loop.name, dep)
+                    assert keys == sorted(keys), (name, loop.name)
+
 
 class TestStreamExtractionAgreement:
     """``is_stream`` reuses the shared affine-subscript extraction
