@@ -29,7 +29,12 @@ from .scalar_evolution import (
     scev_mul_const,
     scev_sub,
 )
-from .access_patterns import AccessInfo, AccessPatternAnalysis
+from .access_patterns import (
+    AccessInfo,
+    AccessPatternAnalysis,
+    AffineSubscript,
+    SubscriptResolver,
+)
 from .banking import (
     CONFLICT_FREE,
     CONFLICTED,
@@ -43,7 +48,6 @@ from .banking import (
     probe_function,
 )
 from .dependence import (
-    AffineAccess,
     DependenceTester,
     DependenceVector,
     LatticeSet,
@@ -63,11 +67,12 @@ __all__ = [
     "CNC", "SCEV", "SCEVAddRec", "SCEVConstant", "SCEVCouldNotCompute",
     "SCEVScaled", "SCEVSum", "SCEVUnknown", "ScalarEvolution",
     "scev_add", "scev_mul", "scev_mul_const", "scev_sub",
-    "AccessInfo", "AccessPatternAnalysis",
+    "AccessInfo", "AccessPatternAnalysis", "AffineSubscript",
+    "SubscriptResolver",
     "CONFLICT_FREE", "CONFLICTED", "UNKNOWN",
     "BankingAnalysis", "BankingScheme", "BankingVerdict",
     "GroupAccess", "GroupProbe", "SchemeVerdict", "probe_function",
-    "AffineAccess", "DependenceTester", "DependenceVector",
+    "DependenceTester", "DependenceVector",
     "LatticeSet", "LevelEntry", "PairTestResult",
     "cfg_to_dot", "dfg_to_dot", "wpst_to_dot",
     "Dependence", "MemoryDependenceAnalysis",

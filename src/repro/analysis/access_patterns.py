@@ -13,7 +13,8 @@ For every load/store the analysis resolves
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Union
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple, Union
 
 from ..ir import (
     Alloca,
@@ -34,6 +35,9 @@ from .scalar_evolution import (
     SCEV,
     SCEVAddRec,
     SCEVConstant,
+    SCEVScaled,
+    SCEVSum,
+    SCEVUnknown,
     ScalarEvolution,
     scev_add,
     scev_mul_const,
@@ -58,6 +62,7 @@ class AccessInfo:
         self.offset = offset
         self.element_size = element_size
         self.loop_info = loop_info
+        self._peel: Optional[Tuple[List[Tuple[Loop, SCEV]], SCEV]] = None
 
     @property
     def is_load(self) -> bool:
@@ -66,6 +71,32 @@ class AccessInfo:
     @property
     def is_store(self) -> bool:
         return isinstance(self.inst, Store)
+
+    @property
+    def peel(self) -> Tuple[List[Tuple[Loop, SCEV]], SCEV]:
+        """The offset's addrec nest, peeled once: ``([(loop, step), ...],
+        residual)`` with levels outermost-first, steps as SCEVs (constant
+        or symbolic), and ``residual`` the part below the innermost level.
+        Uses no interval facts; :class:`SubscriptResolver` adds them."""
+        if self._peel is None:
+            levels = []
+            scev = self.offset
+            while isinstance(scev, SCEVAddRec):
+                levels.append((scev.loop, scev.step))
+                scev = scev.base
+            levels.reverse()  # peeling yields innermost-first
+            self._peel = (levels, scev)
+        return self._peel
+
+    def enclosing_loops(self) -> List[Loop]:
+        """The loops around the access, innermost-first."""
+        loops: List[Loop] = []
+        if self.loop_info is not None and self.inst.parent is not None:
+            loop = self.loop_info.innermost_loop(self.inst.parent)
+            while loop is not None:
+                loops.append(loop)
+                loop = loop.parent
+        return loops
 
     @property
     def is_stream(self) -> bool:
@@ -79,20 +110,12 @@ class AccessInfo:
         levels = self.affine_addrec_levels()
         if levels is None:
             return False
-        residual = self.offset
-        while isinstance(residual, SCEVAddRec):
-            residual = residual.base
-        if self.loop_info is not None and self.inst.parent is not None:
-            loop = self.loop_info.innermost_loop(self.inst.parent)
-            while loop is not None:
-                if not residual.is_invariant_in(loop):
-                    return False
-                if any(
-                    not step.is_invariant_in(loop) for _, step in levels
-                ):
-                    return False
-                loop = loop.parent
-        return True
+        residual = self.peel[1]
+        return all(
+            residual.is_invariant_in(loop)
+            and all(step.is_invariant_in(loop) for _, step in levels)
+            for loop in self.enclosing_loops()
+        )
 
     def stride_in(self, loop: Loop) -> Optional[int]:
         """Per-iteration byte stride of the address w.r.t. ``loop``.
@@ -112,37 +135,26 @@ class AccessInfo:
 
     def addrec_levels(self) -> Optional[List]:
         """The addrec nest as ``[(loop, byte_step), ...]`` outermost-first,
-        or None when the offset is not an affine recurrence nest."""
-        levels = []
-        scev = self.offset
-        while isinstance(scev, SCEVAddRec):
-            step = scev.constant_step
-            if step is None:
-                return None
-            levels.append((scev.loop, step))
-            scev = scev.base
-        if not scev.is_affine:
+        or None when the offset is not an affine recurrence nest with
+        constant steps."""
+        levels, residual = self.peel
+        if not residual.is_affine or not all(
+            isinstance(step, SCEVConstant) for _, step in levels
+        ):
             return None
-        levels.reverse()  # peeling yields innermost-first; report outermost-first
-        return levels
+        return [(loop, step.value) for loop, step in levels]
 
     def affine_addrec_levels(self) -> Optional[List]:
-        """The addrec nest as ``[(loop, step_scev)] `` outermost-first,
+        """The addrec nest as ``[(loop, step_scev)]`` outermost-first,
         allowing loop-invariant *symbolic* steps, or None when the offset is
-        not an affine recurrence nest.  The byte-stride of a level is
-        ``step_scev``'s value — constant, or resolvable through an interval
-        analysis (see :mod:`repro.analysis.dependence`)."""
-        levels = []
-        scev = self.offset
-        while isinstance(scev, SCEVAddRec):
-            if not scev.step.is_affine:
-                return None
-            levels.append((scev.loop, scev.step))
-            scev = scev.base
-        if not scev.is_affine:
+        not an affine recurrence nest.  :meth:`SubscriptResolver.of`
+        resolves the steps to byte coefficients."""
+        levels, residual = self.peel
+        if not residual.is_affine or not all(
+            step.is_affine for _, step in levels
+        ):
             return None
-        levels.reverse()
-        return levels
+        return list(levels)
 
     def footprint_in(self, loop: Loop, trip_count: int) -> Optional[int]:
         """Distinct elements touched while ``loop`` executes ``trip_count``
@@ -159,6 +171,125 @@ class AccessInfo:
         kind = "ld" if self.is_load else "st"
         base = self.base.name if self.base is not None else "?"
         return f"<{kind} {base} + {self.offset}>"
+
+
+@dataclass(eq=False)
+class AffineSubscript:
+    """One access's byte offset as ``residual + Σ coeffs[L]·i_L``.
+
+    ``coeffs`` maps each addrec loop, outermost-first, to its byte
+    coefficient, or to None when the step is symbolic and not proven
+    constant.  ``anchor`` is the residual's constant value (every loop
+    index at 0), None when it stays symbolic.  ``full`` marks the fragment
+    the dependence tester and the reuse analysis decide: every coefficient
+    resolved, and the residual invariant in each enclosing loop that has
+    no coefficient.  Banking only needs the unrolled loops' coefficients.
+    """
+
+    coeffs: Dict[Loop, Optional[int]]
+    residual: SCEV
+    anchor: Optional[int]
+    full: bool
+
+
+class SubscriptResolver:
+    """Affine subscripts, constants and trip bounds for one function.
+
+    ``intervals`` (a :class:`repro.dataflow.interval.IntervalAnalysis`)
+    resolves symbolic steps and offsets that are provably constant and
+    supplies static trip bounds; without it only literal constants resolve
+    and no trip bound is known.  One instance per function serves the
+    dependence tester, banking and reuse, so each access is resolved once.
+    """
+
+    def __init__(self, loop_info: LoopInfo, intervals=None):
+        self.loop_info = loop_info
+        self.intervals = intervals
+        self._subscripts: Dict[Instruction, Optional[AffineSubscript]] = {}
+        self._trips: Dict[Loop, Optional[int]] = {}
+
+    def of(self, info: AccessInfo) -> Optional[AffineSubscript]:
+        """The affine form of ``info``, or None for an unresolved base or
+        an offset outside the affine fragment."""
+        inst = info.inst
+        if inst not in self._subscripts:
+            self._subscripts[inst] = self._resolve(info)
+        return self._subscripts[inst]
+
+    def full(self, info: AccessInfo) -> Optional[AffineSubscript]:
+        """``of(info)`` when it is fully resolved, else None."""
+        subscript = self.of(info)
+        return subscript if subscript is not None and subscript.full else None
+
+    def trip(self, loop: Loop) -> Optional[int]:
+        """Interval-proven trip bound of ``loop``, if any."""
+        if loop not in self._trips:
+            self._trips[loop] = (
+                None if self.intervals is None
+                else self.intervals.static_trip_bound(loop)
+            )
+        return self._trips[loop]
+
+    def const(self, scev: SCEV) -> Optional[int]:
+        """Resolve a SCEV to a compile-time integer, consulting the interval
+        analysis for symbolic values proven constant (e.g. a seeded
+        argument)."""
+        if isinstance(scev, SCEVConstant):
+            return scev.value
+        if isinstance(scev, SCEVUnknown):
+            if self.intervals is not None:
+                iv = self.intervals.interval_of(scev.value)
+                if iv is not None and not iv.is_bottom and iv.is_constant:
+                    return iv.lo
+            return None
+        if isinstance(scev, SCEVScaled):
+            inner = self.const(scev.inner)
+            return None if inner is None else inner * scev.factor
+        if isinstance(scev, SCEVSum):
+            total = scev.constant
+            for term in scev.terms:
+                value = self.const(term)
+                if value is None:
+                    return None
+                total += value
+            return total
+        return None
+
+    def extent(self, info: AccessInfo) -> Optional[Tuple[int, int]]:
+        """Byte range ``[start, end)`` that ``info`` touches over every
+        iteration of its addrec loops, or None when the anchor, a
+        coefficient or a trip bound is unknown."""
+        subscript = self.of(info)
+        if subscript is None or subscript.anchor is None:
+            return None
+        start = subscript.anchor
+        end = start + info.element_size
+        for loop, coeff in subscript.coeffs.items():
+            trip = self.trip(loop)
+            if coeff is None or trip is None:
+                return None
+            span = coeff * max(0, trip - 1)
+            if span >= 0:
+                end += span
+            else:
+                start += span
+        return start, end
+
+    def _resolve(self, info: AccessInfo) -> Optional[AffineSubscript]:
+        if info.base is None or info.affine_addrec_levels() is None:
+            return None
+        levels, residual = info.peel
+        coeffs: Dict[Loop, Optional[int]] = {}
+        for loop, step in levels:
+            value, prior = self.const(step), coeffs.get(loop, 0)
+            coeffs[loop] = None if None in (value, prior) else prior + value
+        # The residual must be frozen across the whole nest around the
+        # access — otherwise it hides another induction.
+        full = None not in coeffs.values() and all(
+            loop in coeffs or residual.is_invariant_in(loop)
+            for loop in info.enclosing_loops()
+        )
+        return AffineSubscript(coeffs, residual, self.const(residual), full)
 
 
 def _walk_type_sizes(pointee) -> List[int]:

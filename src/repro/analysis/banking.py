@@ -40,14 +40,14 @@ always do.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from ..ir import GlobalVariable
 from ..telemetry import current as current_telemetry
-from .access_patterns import AccessInfo, AccessPatternAnalysis
-from .dependence import _const_value
-from .loops import Loop, LoopInfo
-from .scalar_evolution import SCEVAddRec
+from .access_patterns import AccessInfo, SubscriptResolver
+from .loops import Loop
 
 #: Verdict lattice values.
 CONFLICT_FREE = "conflict-free"
@@ -59,11 +59,8 @@ UNKNOWN = "unknown"
 #: few slots; the cap keeps the analysis O(1) per scheme).
 SLOT_ENUM_CAP = 64
 
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)
+#: Unroll factors :func:`probe_function` probes (where legal).
+PROBE_FACTORS = (2, 4, 8)
 
 
 @dataclass(frozen=True)
@@ -136,6 +133,15 @@ class BankingVerdict:
     def proven(self) -> bool:
         return self.best is not None
 
+    def block_bytes(self, banks: int) -> Optional[int]:
+        """Bytes per bank of a ``block`` scheme with ``banks`` banks: the
+        proven footprint split evenly in whole words, or None without a
+        proven footprint."""
+        if self.footprint_bytes is None:
+            return None
+        words = -(-self.footprint_bytes // self.word_bytes)
+        return self.word_bytes * max(1, -(-words // banks))
+
     def status_of(self, scheme: BankingScheme) -> str:
         for entry in self.schemes:
             if entry.scheme == scheme:
@@ -157,38 +163,36 @@ class BankingVerdict:
         }
 
 
+@dataclass
 class _Member:
     """Pre-resolved lane geometry of one group access."""
 
-    __slots__ = ("access", "is_store", "offsets", "anchor", "coeffs",
-                 "why_unknown")
+    access: GroupAccess
+    #: Sorted relative byte offsets of the lane replicas (duplicates
+    #: collapse for loads only), or None when a stride is unresolvable.
+    offsets: Optional[List[int]] = None
+    #: Constant residual offset anchoring the lanes inside the buffer
+    #: (all non-unrolled loops at iteration 0), or None.
+    anchor: Optional[int] = None
+    #: Signed byte coefficient per unrolled loop.
+    coeffs: Optional[Dict[Loop, int]] = None
+    why_unknown: Optional[str] = None
 
-    def __init__(self, access, is_store, offsets, anchor, coeffs,
-                 why_unknown):
-        self.access = access
-        self.is_store = is_store
-        #: Sorted relative byte offsets of the lane replicas (duplicates
-        #: collapse for loads only), or None when a stride is unresolvable.
-        self.offsets = offsets
-        #: Constant residual offset anchoring the lanes inside the buffer
-        #: (all non-unrolled loops at iteration 0), or None.
-        self.anchor = anchor
-        #: Signed byte coefficient per unrolled loop id.
-        self.coeffs = coeffs
-        self.why_unknown = why_unknown
+    @property
+    def is_store(self) -> bool:
+        return self.access.info.is_store
 
 
 class BankingAnalysis:
     """Decides :class:`BankingVerdict` for scratchpad groups.
 
-    ``intervals`` (a per-function interval analysis) resolves symbolic
-    strides and trip bounds; without it only literal-constant strides
-    decide.
+    ``resolver`` (the function's :class:`SubscriptResolver`) supplies each
+    access's coefficients, anchor and trip bounds; without interval facts
+    only literal-constant strides decide.
     """
 
-    def __init__(self, loop_info: LoopInfo, intervals=None):
-        self.loop_info = loop_info
-        self.intervals = intervals
+    def __init__(self, resolver: SubscriptResolver):
+        self.resolver = resolver
         self._cache: Dict = {}
 
     # Public API ------------------------------------------------------------------
@@ -213,11 +217,8 @@ class BankingAnalysis:
     ) -> BankingVerdict:
         """Decide every candidate scheme for one scratchpad group."""
         key = (
-            id(base),
-            tuple(
-                (id(m.info.inst), tuple((id(l), f) for l, f in m.unrolled))
-                for m in members
-            ),
+            base,
+            tuple((m.info.inst, m.unrolled) for m in members),
             footprint_bytes,
         )
         cached = self._cache.get(key)
@@ -227,7 +228,7 @@ class BankingAnalysis:
         lanes = max([m.lanes for m in members] or [1])
         word = 0
         for member in members:
-            word = _gcd(word, member.info.element_size)
+            word = math.gcd(word, member.info.element_size)
         word = max(1, word)
         if footprint_bytes is None:
             footprint_bytes = self._static_footprint(members)
@@ -238,9 +239,7 @@ class BankingAnalysis:
             footprint_bytes=footprint_bytes,
         )
         for scheme in self.candidate_schemes(lanes):
-            status, reason = self._scheme_status(
-                scheme, resolved, word, footprint_bytes
-            )
+            status, reason = self._scheme_status(scheme, resolved, verdict)
             verdict.schemes.append(SchemeVerdict(scheme, status, reason))
             if status == CONFLICT_FREE and verdict.best is None:
                 verdict.best = scheme
@@ -260,107 +259,59 @@ class BankingAnalysis:
     # Member geometry -------------------------------------------------------------
 
     def _resolve_member(self, member: GroupAccess) -> _Member:
-        info = member.info
-        is_store = info.is_store
+        subscript = self.resolver.of(member.info)
+        anchor = subscript.anchor if subscript is not None else None
         unrolled = [(l, f) for l, f in member.unrolled if f > 1]
         if not unrolled:
-            return _Member(member, is_store, [0], self._anchor(info), {},
-                           None)
-
-        coeffs: Dict[int, int] = {}
-        levels = info.affine_addrec_levels()
-        if levels is None:
-            return _Member(member, is_store, None, None, None,
-                           "non-affine subscript")
-        # The residual symbolic part (the nest's base after stripping every
-        # addrec) must be invariant in each unrolled loop: an indirect
-        # subscript like A[idx[i]] is affine *in the loaded symbol* with no
-        # addrec on the loop, and treating its coefficient as 0 would
-        # "prove" a broadcast that varies every iteration.
-        residual = info.offset
-        while isinstance(residual, SCEVAddRec):
-            residual = residual.base
-        for loop, factor in unrolled:
-            if not residual.is_invariant_in(loop):
-                return _Member(
-                    member, is_store, None, None, None,
-                    f"subscript varies non-affinely in loop {loop.name}",
-                )
-        by_loop = {}
-        for loop, step in levels:
-            by_loop[loop] = step
+            return _Member(member, [0], anchor, {})
+        if subscript is None:
+            return _Member(member, why_unknown="non-affine subscript")
+        # The residual symbolic part must be invariant in each unrolled
+        # loop: an indirect subscript like A[idx[i]] is affine *in the
+        # loaded symbol* with no addrec on the loop, and treating its
+        # coefficient as 0 would "prove" a broadcast that varies every
+        # iteration.
         for loop, _ in unrolled:
-            step = by_loop.get(loop)
-            if step is None:
-                # No addrec level on this loop: the affine nest varies only
-                # through other loops, so the coefficient is exactly 0.
-                coeffs[id(loop)] = 0
-                continue
-            value = _const_value(step, self.intervals)
+            if not subscript.residual.is_invariant_in(loop):
+                return _Member(member, why_unknown=(
+                    f"subscript varies non-affinely in loop {loop.name}"
+                ))
+        coeffs: Dict[Loop, int] = {}
+        for loop, _ in unrolled:
+            # No addrec level on this loop: the affine nest varies only
+            # through other loops, so the coefficient is exactly 0.  Only
+            # the unrolled loops need resolving.
+            value = subscript.coeffs.get(loop, 0)
             if value is None:
-                return _Member(member, is_store, None, None, None,
-                               f"unresolvable stride in loop {loop.name}")
-            coeffs[id(loop)] = value
+                return _Member(member, why_unknown=(
+                    f"unresolvable stride in loop {loop.name}"
+                ))
+            coeffs[loop] = value
 
         offsets = []
         for vector in itertools.product(*[range(f) for _, f in unrolled]):
             delta = 0
             for (loop, _), index in zip(unrolled, vector):
-                delta += index * coeffs[id(loop)]
+                delta += index * coeffs[loop]
             offsets.append(delta)
-        if not is_store:
+        if not member.info.is_store:
             offsets = sorted(set(offsets))  # equal-address loads broadcast
         else:
             offsets = sorted(offsets)
-        return _Member(member, is_store, offsets, self._anchor(info), coeffs,
-                       None)
-
-    def _anchor(self, info: AccessInfo) -> Optional[int]:
-        """Constant residual byte offset (all loop indices at 0)."""
-        scev = info.offset
-        while isinstance(scev, SCEVAddRec):
-            scev = scev.base
-        return _const_value(scev, self.intervals)
+        return _Member(member, offsets, anchor, coeffs)
 
     def _static_footprint(
         self, members: Sequence[GroupAccess]
     ) -> Optional[int]:
         """Interval-proven byte span of the whole group, or None."""
-        if self.intervals is None or not members:
+        if self.resolver.intervals is None or not members:
             return None
-        lo = hi = None
-        for member in members:
-            info = member.info
-            levels = info.affine_addrec_levels()
-            if levels is None:
-                return None
-            start = self._anchor(info)
-            if start is None:
-                return None
-            end = start + info.element_size
-            for loop, step in levels:
-                value = _const_value(step, self.intervals)
-                trip = self._trip(loop)
-                if value is None or trip is None:
-                    return None
-                span = value * max(0, trip - 1)
-                if span >= 0:
-                    end += span
-                else:
-                    start += span
-            lo = start if lo is None else min(lo, start)
-            hi = end if hi is None else max(hi, end)
-        if lo is None or hi is None or hi <= lo:
+        extents = [self.resolver.extent(member.info) for member in members]
+        if None in extents:
             return None
-        return hi - lo
-
-    def _trip(self, loop: Loop) -> Optional[int]:
-        if self.intervals is None:
-            return None
-        try:
-            return self.intervals.static_trip_bound(loop)
-        except AttributeError:
-            return None
+        lo = min(start for start, _ in extents)
+        hi = max(end for _, end in extents)
+        return hi - lo if hi > lo else None
 
     # Scheme decision -------------------------------------------------------------
 
@@ -368,20 +319,20 @@ class BankingAnalysis:
         self,
         scheme: BankingScheme,
         resolved: Sequence[_Member],
-        word: int,
-        footprint_bytes: Optional[int],
+        verdict: BankingVerdict,
     ) -> Tuple[str, str]:
         block_bytes = None
         if scheme.kind == "block":
-            if footprint_bytes is None:
+            block_bytes = verdict.block_bytes(scheme.banks)
+            if block_bytes is None:
                 return UNKNOWN, "block scheme needs a proven footprint"
-            words = -(-footprint_bytes // word)
-            block_bytes = word * max(1, -(-words // scheme.banks))
 
         statuses: List[Tuple[str, str]] = []
         for member in resolved:
             statuses.append(
-                self._member_status(scheme, member, word, block_bytes)
+                self._member_status(
+                    scheme, member, verdict.word_bytes, block_bytes
+                )
             )
         for status, reason in statuses:
             if status == CONFLICTED:
@@ -495,10 +446,10 @@ class BankingAnalysis:
         if len(unrolled) != 1 or member.coeffs is None:
             return shifts
         loop, factor = unrolled[0]
-        trip = self._trip(loop)
+        trip = self.resolver.trip(loop)
         if trip is None or trip < factor:
             return shifts
-        slot_step = member.coeffs.get(id(loop), 0) * factor
+        slot_step = member.coeffs.get(loop, 0) * factor
         slots = min(trip // factor, SLOT_ENUM_CAP)
         for k in range(1, slots):
             shifts.append(k * slot_step)
@@ -529,23 +480,19 @@ class GroupProbe:
         }
 
 
-def probe_function(
-    access: AccessPatternAnalysis,
-    loop_info: LoopInfo,
-    memdep,
-    intervals=None,
-    factors: Sequence[int] = (2, 4, 8),
-    bases=None,
-) -> List[GroupProbe]:
-    """Probe every innermost loop of a function: group its resolved-base
-    accesses and decide a :class:`BankingVerdict` for each unroll-legal
-    factor.  This is the standalone entry point the CLI, the bench
-    section, and the sanitizer share (the estimator drives
+def probe_function(memdep) -> List[GroupProbe]:
+    """Probe every innermost loop of ``memdep``'s function: group its
+    global-array accesses and decide a :class:`BankingVerdict` for each
+    unroll-legal factor in :data:`PROBE_FACTORS`.  Only global arrays are
+    probed, because their runtime base address is known and the sanitizer
+    can check the claims.  This is the standalone entry point the CLI, the
+    bench section, and the sanitizer share (the estimator drives
     :class:`BankingAnalysis` directly from its interface plans).
     """
     from ..hls.transform import legal_unroll_factors  # lazy: avoid a cycle
 
-    analysis = BankingAnalysis(loop_info, intervals=intervals)
+    access, loop_info = memdep.access, memdep.loop_info
+    analysis = BankingAnalysis(memdep.resolver)
     tele = current_telemetry()
     probes: List[GroupProbe] = []
     func_name = access.func.name
@@ -553,19 +500,17 @@ def probe_function(
         for loop in loop_info.loops:
             if not loop.is_innermost:
                 continue
-            trip = analysis._trip(loop)
+            trip = memdep.resolver.trip(loop)
             legal = [
                 f for f in legal_unroll_factors(memdep=memdep, loop=loop,
                                                 trip_count=trip)
-                if f > 1 and f in factors
+                if f > 1 and f in PROBE_FACTORS
             ]
             if not legal:
                 continue
             groups: Dict[object, List[AccessInfo]] = {}
             for info in access.accesses_in(loop.blocks):
-                if info.base is None:
-                    continue
-                if bases is not None and not isinstance(info.base, bases):
+                if not isinstance(info.base, GlobalVariable):
                     continue
                 if loop_info.innermost_loop(info.inst.parent) is not loop:
                     continue

@@ -35,7 +35,9 @@ orientation all three consumers need:
 * unroll by factor ``F`` is legal when the claimed distance ≥ ``F``,
 * the runtime sanitizer checks every *observed* distance ≥ the claim.
 
-Loop trip bounds come from the PR-3 interval analysis
+Subscripts, constants and loop trip bounds all come from the function's
+:class:`~repro.analysis.access_patterns.SubscriptResolver`, which reads
+the interval analysis
 (:meth:`repro.dataflow.interval.IntervalAnalysis.static_trip_bound`);
 unknown bounds degrade gracefully to unbounded lattices (the congruence
 still prunes).  Symbolic-but-constant strides (``A[i*n + j]`` with a
@@ -45,45 +47,12 @@ provably constant ``n``) are resolved through the same interval facts.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from ..telemetry import current as current_telemetry
-from .access_patterns import AccessInfo
-from .loops import Loop, LoopInfo
-from .scalar_evolution import (
-    SCEV,
-    SCEVAddRec,
-    SCEVConstant,
-    SCEVScaled,
-    SCEVSum,
-    SCEVUnknown,
-    scev_sub,
-)
-
-
-def _const_value(scev: SCEV, intervals=None) -> Optional[int]:
-    """Resolve a SCEV to a compile-time integer, consulting the interval
-    analysis for symbolic values proven constant (e.g. a seeded argument)."""
-    if isinstance(scev, SCEVConstant):
-        return scev.value
-    if isinstance(scev, SCEVUnknown):
-        if intervals is not None:
-            iv = intervals.interval_of(scev.value)
-            if iv is not None and not iv.is_bottom and iv.is_constant:
-                return iv.lo
-        return None
-    if isinstance(scev, SCEVScaled):
-        inner = _const_value(scev.inner, intervals)
-        return None if inner is None else inner * scev.factor
-    if isinstance(scev, SCEVSum):
-        total = scev.constant
-        for term in scev.terms:
-            value = _const_value(term, intervals)
-            if value is None:
-                return None
-            total += value
-        return total
-    return None
+from .access_patterns import AccessInfo, SubscriptResolver
+from .loops import Loop
+from .scalar_evolution import scev_sub
 
 
 def _floor_div(a: int, b: int) -> int:
@@ -177,18 +146,6 @@ class LatticeSet:
         return f"{tag}{{x ≡ {self.r} (mod {self.g}), {lo}..{hi}}}"
 
 
-class AffineAccess:
-    """Extracted affine subscript form of one access: per-loop byte
-    coefficients plus a residual offset invariant in every enclosing loop."""
-
-    __slots__ = ("info", "coeffs", "residual")
-
-    def __init__(self, info: AccessInfo, coeffs: Dict[Loop, int], residual: SCEV):
-        self.info = info
-        self.coeffs = coeffs
-        self.residual = residual
-
-
 class LevelEntry:
     """One dependence-vector component.
 
@@ -279,63 +236,14 @@ INDEPENDENT = PairTestResult(independent=True)
 class DependenceTester:
     """Affine dependence testing over one function's loop nest.
 
-    ``intervals`` (a :class:`repro.dataflow.interval.IntervalAnalysis`)
-    supplies proven loop trip bounds — the Banerjee ranges — and resolves
-    symbolic strides/offsets that are provably constant.  Without it the
-    engine still runs with unbounded lattices.
+    ``resolver`` (the function's :class:`SubscriptResolver`) supplies each
+    access's affine subscript, proven loop trip bounds — the Banerjee
+    ranges — and symbolic offsets that are provably constant.  Without
+    interval facts the engine still runs with unbounded lattices.
     """
 
-    def __init__(self, loop_info: LoopInfo, intervals=None):
-        self.loop_info = loop_info
-        self.intervals = intervals
-        self._affine_cache: Dict[int, Optional[AffineAccess]] = {}
-        self._trip_cache: Dict[int, Optional[int]] = {}
-
-    # Subscript extraction ----------------------------------------------------
-
-    def affine_access(self, info: AccessInfo) -> Optional[AffineAccess]:
-        """SCEV-derived affine form, or None outside the affine fragment."""
-        key = id(info.inst)
-        if key in self._affine_cache:
-            return self._affine_cache[key]
-        result = self._extract(info)
-        self._affine_cache[key] = result
-        return result
-
-    def _extract(self, info: AccessInfo) -> Optional[AffineAccess]:
-        if info.base is None:
-            return None
-        coeffs: Dict[Loop, int] = {}
-        scev = info.offset
-        while isinstance(scev, SCEVAddRec):
-            step = _const_value(scev.step, self.intervals)
-            if step is None:
-                return None
-            coeffs[scev.loop] = coeffs.get(scev.loop, 0) + step
-            scev = scev.base
-        residual = scev
-        if not residual.is_affine:
-            return None
-        # The residual must be frozen across the whole nest around the
-        # access — otherwise it hides another induction.
-        if info.inst.parent is not None:
-            loop = self.loop_info.innermost_loop(info.inst.parent)
-            while loop is not None:
-                if loop not in coeffs and not residual.is_invariant_in(loop):
-                    return None
-                loop = loop.parent
-        return AffineAccess(info, coeffs, residual)
-
-    # Loop facts --------------------------------------------------------------
-
-    def _trip(self, loop: Loop) -> Optional[int]:
-        key = id(loop)
-        if key not in self._trip_cache:
-            trip = None
-            if self.intervals is not None:
-                trip = self.intervals.static_trip_bound(loop)
-            self._trip_cache[key] = trip
-        return self._trip_cache[key]
+    def __init__(self, resolver: SubscriptResolver):
+        self.resolver = resolver
 
     # Pair testing ------------------------------------------------------------
 
@@ -365,11 +273,11 @@ class DependenceTester:
             return None
         if a.inst.parent not in query.blocks or b.inst.parent not in query.blocks:
             return None
-        fa = self.affine_access(a)
-        fb = self.affine_access(b)
+        fa = self.resolver.full(a)
+        fb = self.resolver.full(b)
         if fa is None or fb is None:
             return None
-        delta = _const_value(scev_sub(fa.residual, fb.residual), self.intervals)
+        delta = self.resolver.const(scev_sub(fa.residual, fb.residual))
         if delta is None:
             return None
 
@@ -391,7 +299,7 @@ class DependenceTester:
             in_b = b.inst.parent in level.blocks
             if (ca and not in_a) or (cb and not in_b):
                 return None  # recurrence observed past its loop's exit
-            term = LatticeSet.index_range(ca - cb, self._trip(level))
+            term = LatticeSet.index_range(ca - cb, self.resolver.trip(level))
             fixed = fixed.add(term)
             if fixed is None:
                 return INDEPENDENT
@@ -412,7 +320,7 @@ class DependenceTester:
                     continue
                 oa = fa.coeffs.get(other, 0)
                 ob = fb.coeffs.get(other, 0)
-                trip = self._trip(other)
+                trip = self.resolver.trip(other)
                 term = LatticeSet.index_range(oa, trip).add(
                     LatticeSet.index_range(-ob, trip)
                 )
@@ -424,12 +332,12 @@ class DependenceTester:
             if ca != cb:
                 # c_a·i − c_b·i' = c_a·m + (c_a − c_b)·i' with m = i − i';
                 # the i' range loses its correlation with m: inexact.
-                extra = LatticeSet.index_range(ca - cb, self._trip(level))
+                extra = LatticeSet.index_range(ca - cb, self.resolver.trip(level))
                 rest = rest.add(extra)
                 if rest is None:
                     return INDEPENDENT
                 level_exact = False
-            trip = self._trip(level)
+            trip = self.resolver.trip(level)
             m_bound = None if trip is None else max(0, trip - 1)
             zero, min_pos, min_neg = self._solve_level(
                 coeff, delta, rest, w_lo, w_hi, m_bound
@@ -458,7 +366,7 @@ class DependenceTester:
     def _common_levels(self, a: AccessInfo, b: AccessInfo, query: Loop) -> List[Loop]:
         """Loops enclosing both accesses, from ``query`` inward."""
         chain: List[Loop] = []
-        loop = self.loop_info.innermost_loop(a.inst.parent)
+        loop = self.resolver.loop_info.innermost_loop(a.inst.parent)
         while loop is not None:
             if loop is query or query.contains_loop(loop):
                 if b.inst.parent in loop.blocks:

@@ -56,14 +56,14 @@ the estimator prices via :class:`~repro.model.techlib.TechLibrary`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..ir import Call
+from ..ir import Call, GlobalVariable
 from ..telemetry import current as current_telemetry
-from .access_patterns import AccessInfo, AccessPatternAnalysis
-from .dependence import DependenceTester, _const_value
-from .loops import Loop, LoopInfo
+from .access_patterns import AccessInfo, SubscriptResolver
+from .loops import Loop
 from .scalar_evolution import scev_sub
 
 #: Verdict lattice values for a candidate pair.  There is deliberately no
@@ -80,12 +80,6 @@ FORWARD = "forward"  # load fed by an earlier store (store-to-load)
 #: the estimator will spend on one producer; provable reuse beyond this
 #: budget is reported by lint rule RU002 instead of silently dropped.
 MAX_REUSE_DEPTH = 64
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)
 
 
 def _name(info: AccessInfo) -> str:
@@ -207,17 +201,16 @@ def select_buffers(
 class ReuseAnalysis:
     """Decides :class:`ReuseVerdict` for scratchpad groups.
 
-    ``intervals`` (a per-function interval analysis) resolves symbolic
-    strides, offsets, and trip bounds; ``memdep`` supplies points-to
-    disjointness for stores on other base objects (without it every
-    foreign store degrades the group to unknown).
+    ``resolver`` (the function's :class:`SubscriptResolver`) supplies the
+    fully resolved subscripts, constant offset differences and trip
+    bounds; ``memdep`` supplies points-to disjointness for stores on other
+    base objects (without it every foreign store degrades the group to
+    unknown).
     """
 
-    def __init__(self, loop_info: LoopInfo, intervals=None, memdep=None):
-        self.loop_info = loop_info
-        self.intervals = intervals
+    def __init__(self, resolver: SubscriptResolver, memdep=None):
+        self.resolver = resolver
         self.memdep = memdep
-        self.tester = DependenceTester(loop_info, intervals)
         self._cache: Dict = {}
 
     # Public API ------------------------------------------------------------------
@@ -240,21 +233,21 @@ class ReuseAnalysis:
         if stores is None:
             stores = [m for m in members if m.is_store]
         key = (
-            id(base),
-            id(loop),
-            tuple(id(m.inst) for m in members),
-            tuple(id(s.inst) for s in stores),
+            base,
+            loop,
+            tuple(m.inst for m in members),
+            tuple(s.inst for s in stores),
         )
         cached = self._cache.get(key)
         if cached is not None:
             return cached
 
         verdict = ReuseVerdict(base=base, loop=loop)
-        trip = self._trip(loop)
+        trip = self.resolver.trip(loop)
         for consumer in members:
             if not consumer.is_load:
                 continue
-            fc = self.tester.affine_access(consumer)
+            fc = self.resolver.full(consumer)
             if fc is None:
                 verdict.unknown.append(ReuseCandidate(
                     None, consumer, UNKNOWN,
@@ -291,7 +284,7 @@ class ReuseAnalysis:
             return
         if producer.element_size != consumer.element_size:
             return  # not the same element granularity
-        fp = self.tester.affine_access(producer)
+        fp = self.resolver.full(producer)
         if fp is None:
             verdict.unknown.append(ReuseCandidate(
                 producer, consumer, UNKNOWN,
@@ -309,9 +302,7 @@ class ReuseAnalysis:
         coeff = fc.coeffs.get(loop, 0)
         if fp.coeffs.get(loop, 0) != coeff:
             return
-        delta = _const_value(
-            scev_sub(fp.residual, fc.residual), self.intervals
-        )
+        delta = self.resolver.const(scev_sub(fp.residual, fc.residual))
         if delta is None:
             verdict.unknown.append(ReuseCandidate(
                 producer, consumer, UNKNOWN,
@@ -389,7 +380,7 @@ class ReuseAnalysis:
     def _same_base_hit(
         self, loop, producer, consumer, fp, coeff, distance, store
     ) -> Optional[Tuple[str, str]]:
-        fs = self.tester.affine_access(store)
+        fs = self.resolver.full(store)
         if fs is None:
             return (UNKNOWN,
                     f"intervening store %{_name(store)} has a non-affine "
@@ -401,9 +392,7 @@ class ReuseAnalysis:
                 return (UNKNOWN,
                         f"store %{_name(store)} strides differently "
                         f"across the outer loops")
-        delta_s = _const_value(
-            scev_sub(fs.residual, fp.residual), self.intervals
-        )
+        delta_s = self.resolver.const(scev_sub(fs.residual, fp.residual))
         if delta_s is None:
             return (UNKNOWN,
                     f"offset of store %{_name(store)} is not a "
@@ -418,7 +407,7 @@ class ReuseAnalysis:
             # k ∈ [0, d]) is refuted by the GCD residue test; a feasible
             # congruence is only *may*-clobber, so it degrades, never
             # breaks.
-            g = _gcd(c_s - coeff, c_s)  # >= 1: the strides differ
+            g = math.gcd(c_s - coeff, c_s)  # >= 1: the strides differ
             for target in window:
                 if (target - delta_s) % g == 0:
                     return (UNKNOWN,
@@ -484,7 +473,7 @@ class ReuseAnalysis:
     def _always_executes(self, loop: Loop, info: AccessInfo) -> bool:
         """True when the access runs on every iteration: its block
         dominates every latch, so no back edge skips it."""
-        domtree = getattr(self.loop_info, "domtree", None)
+        domtree = getattr(self.resolver.loop_info, "domtree", None)
         if domtree is None or not loop.latches:
             return False
         block = info.inst.parent
@@ -500,14 +489,6 @@ class ReuseAnalysis:
         try:
             return block.index(first) < block.index(second)
         except ValueError:  # pragma: no cover - detached instruction
-            return None
-
-    def _trip(self, loop: Loop) -> Optional[int]:
-        if self.intervals is None:
-            return None
-        try:
-            return self.intervals.static_trip_bound(loop)
-        except AttributeError:
             return None
 
 
@@ -533,22 +514,19 @@ class ReuseProbe:
         }
 
 
-def probe_function(
-    access: AccessPatternAnalysis,
-    loop_info: LoopInfo,
-    memdep,
-    intervals=None,
-    bases=None,
-) -> List[ReuseProbe]:
-    """Probe every call-free innermost loop of a function: group its
-    resolved-base accesses and decide a :class:`ReuseVerdict` for each
-    group containing at least one load.  This is the standalone entry
-    point the CLI, the bench section, and the sanitizer share (the
-    estimator drives :class:`ReuseAnalysis` directly from its interface
-    plans).  Loops containing calls are skipped: callee stores could
-    clobber a buffered element invisibly to the scan.
+def probe_function(memdep) -> List[ReuseProbe]:
+    """Probe every call-free innermost loop of ``memdep``'s function: group
+    its global-array accesses and decide a :class:`ReuseVerdict` for each
+    group containing at least one load.  Only global arrays are probed,
+    because their runtime base address is known and the sanitizer can
+    check the claims.  This is the standalone entry point the CLI, the
+    bench section, and the sanitizer share (the estimator drives
+    :class:`ReuseAnalysis` directly from its interface plans).  Loops
+    containing calls are skipped: callee stores could clobber a buffered
+    element invisibly to the scan.
     """
-    analysis = ReuseAnalysis(loop_info, intervals=intervals, memdep=memdep)
+    access, loop_info = memdep.access, memdep.loop_info
+    analysis = ReuseAnalysis(memdep.resolver, memdep=memdep)
     tele = current_telemetry()
     probes: List[ReuseProbe] = []
     func_name = access.func.name
@@ -569,11 +547,8 @@ def probe_function(
             stores = [info for info in infos if info.is_store]
             groups: Dict[object, List[AccessInfo]] = {}
             for info in infos:
-                if info.base is None:
-                    continue
-                if bases is not None and not isinstance(info.base, bases):
-                    continue
-                groups.setdefault(info.base, []).append(info)
+                if isinstance(info.base, GlobalVariable):
+                    groups.setdefault(info.base, []).append(info)
             for base, members in groups.items():
                 if not any(m.is_load for m in members):
                     continue

@@ -347,25 +347,15 @@ class SanitizingInterpreter(Interpreter):
         # conflict-free for a (loop, group, unroll factor) becomes a
         # runtime-checkable claim.  Only global-variable groups are
         # checkable (their runtime base address is known).
-        for probe in probe_function(
-            apa, analysis.loop_info, md, intervals=analysis,
-            bases=(GlobalVariable,),
-        ):
+        for probe in probe_function(md):
             verdict = probe.verdict
-            if verdict.footprint_bytes is not None:
-                words = -(-verdict.footprint_bytes // verdict.word_bytes)
-            else:
-                words = None
             insts = [a.inst for a in probe.accesses]
             for sv in verdict.schemes:
+                block_bytes = None
                 if sv.scheme.kind == "block":
-                    if words is None:
+                    block_bytes = verdict.block_bytes(sv.scheme.banks)
+                    if block_bytes is None:
                         continue
-                    block_bytes = verdict.word_bytes * max(
-                        1, -(-words // sv.scheme.banks)
-                    )
-                else:
-                    block_bytes = None
                 args = (
                     probe.loop, probe.base, probe.factor, sv.scheme.kind,
                     sv.scheme.banks, verdict.word_bytes, block_bytes, insts,
@@ -379,10 +369,7 @@ class SanitizingInterpreter(Interpreter):
         # iteration i addresses what the producer addressed at i−d, no
         # intervening clobber) becomes a runtime-checkable claim.  Only
         # global-variable groups are checkable (known base address).
-        for probe in reuse_probes(
-            apa, analysis.loop_info, md, intervals=analysis,
-            bases=(GlobalVariable,),
-        ):
+        for probe in reuse_probes(md):
             for pair in probe.verdict.pairs:
                 claim = _ReuseClaim(
                     probe.loop, probe.base,

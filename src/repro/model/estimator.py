@@ -90,18 +90,19 @@ class FunctionContext:
         self.widths = (
             bitwidth.width_map(func) if bitwidth is not None else None
         )
+        #: The function's one affine-subscript resolver: the dependence
+        #: tester, banking and reuse all read each access's form from it.
+        self.resolver = self.memdep.resolver
         from ..analysis.banking import BankingAnalysis
 
         #: Scratchpad bank-conflict prover shared by every candidate config
         #: (verdicts are cached per group/lane structure).
-        self.banking = BankingAnalysis(self.loop_info, intervals=self.intervals)
+        self.banking = BankingAnalysis(self.resolver)
         from ..analysis.reuse import ReuseAnalysis
 
         #: Inter-iteration data-reuse prover (shift-register buffers);
         #: verdicts are cached per (base, loop, member) structure.
-        self.reuse = ReuseAnalysis(
-            self.loop_info, intervals=self.intervals, memdep=self.memdep
-        )
+        self.reuse = ReuseAnalysis(self.resolver, memdep=self.memdep)
         from ..analysis.cfg import reverse_postorder
 
         self.rpo_index = {b: i for i, b in enumerate(reverse_postorder(func))}
@@ -119,9 +120,7 @@ class FunctionContext:
 
     def static_trip_bound(self, loop: Loop) -> Optional[int]:
         """Interval-proven upper bound on the loop trip count, if any."""
-        if self.intervals is None:
-            return None
-        return self.intervals.static_trip_bound(loop)
+        return self.resolver.trip(loop)
 
     def ordered_blocks(self, blocks) -> List:
         return sorted(blocks, key=lambda b: self.rpo_index.get(b, 1 << 30))

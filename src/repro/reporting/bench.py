@@ -854,7 +854,6 @@ def spad_banking_stats(names: Sequence[str]) -> Dict[str, Dict]:
     from ..hls.pipeline import pipeline_loop
     from ..hls.scheduling import AccessTiming
     from ..hls.techlib import DEFAULT_TECHLIB
-    from ..ir import GlobalVariable
     from ..model.estimator import FunctionContext, loop_recurrences
 
     stats: Dict[str, Dict] = {}
@@ -868,11 +867,7 @@ def spad_banking_stats(names: Sequence[str]) -> Dict[str, Dict]:
             ctx = FunctionContext(
                 func, points_to=points_to, intervals=intervals
             )
-            probes = probe_function(
-                ctx.access, ctx.loop_info, ctx.memdep,
-                intervals=intervals.for_function(func),
-                bases=(GlobalVariable,),
-            )
+            probes = probe_function(ctx.memdep)
             by_loop: Dict = {}
             for probe in probes:
                 by_loop.setdefault(probe.loop, []).append(probe)
@@ -996,7 +991,7 @@ def reuse_buffers_stats(names: Sequence[str]) -> Dict[str, Dict]:
     from ..hls.pipeline import pipeline_loop
     from ..hls.scheduling import AccessTiming
     from ..hls.techlib import DEFAULT_TECHLIB, SPAD_LATENCY
-    from ..ir import GlobalVariable, Load, Store
+    from ..ir import Load, Store
     from ..model.estimator import FunctionContext, loop_recurrences
 
     stats: Dict[str, Dict] = {}
@@ -1011,11 +1006,7 @@ def reuse_buffers_stats(names: Sequence[str]) -> Dict[str, Dict]:
             ctx = FunctionContext(
                 func, points_to=points_to, intervals=intervals
             )
-            probes = reuse_probes(
-                ctx.access, ctx.loop_info, ctx.memdep,
-                intervals=intervals.for_function(func),
-                bases=(GlobalVariable,),
-            )
+            probes = reuse_probes(ctx.memdep)
             by_loop: Dict = {}
             for probe in probes:
                 by_loop.setdefault(probe.loop, []).append(probe)

@@ -18,7 +18,6 @@ from repro.analysis.banking import (
 )
 from repro.dataflow import ModuleIntervalAnalysis, PointsToAnalysis
 from repro.frontend import compile_source
-from repro.ir import GlobalVariable
 from repro.workloads import get_workload
 
 
@@ -37,11 +36,8 @@ def analyses_for(module, func_name):
 
 
 def probes_for(module, func_name):
-    access, intervals, md = analyses_for(module, func_name)
-    return probe_function(
-        access, access.loop_info, md, intervals=intervals,
-        bases=(GlobalVariable,),
-    )
+    _, _, md = analyses_for(module, func_name)
+    return probe_function(md)
 
 
 def workload_probes(name, func_name):
@@ -77,7 +73,7 @@ def status_of(verdict, label):
 
 class TestSchemeEnumeration:
     def test_powers_of_two_cyclic_and_block(self):
-        analysis = BankingAnalysis(loop_info=None)
+        analysis = BankingAnalysis(resolver=None)
         labels = [s.label for s in analysis.candidate_schemes(8)]
         assert labels == [
             "cyclic-1", "cyclic-2", "block-2", "cyclic-4", "block-4",
@@ -85,7 +81,7 @@ class TestSchemeEnumeration:
         ]
 
     def test_single_lane_only_trivial_scheme(self):
-        analysis = BankingAnalysis(loop_info=None)
+        analysis = BankingAnalysis(resolver=None)
         assert [s.label for s in analysis.candidate_schemes(1)] == ["cyclic-1"]
 
 
@@ -212,13 +208,13 @@ class TestBroadcastLanes:
         never produces this shape (the carried dependence makes the
         unroll illegal), so drive the verdict directly."""
         module = compile_source(BROADCAST_SOURCE, "bank", optimize=False)
-        access, intervals, _ = analyses_for(module, "sink")
+        access, _, md = analyses_for(module, "sink")
         loop = loop_named(access, "sl")
         store = next(
             info for info in access.accesses_in(loop.blocks)
             if info.is_store and getattr(info.base, "name", "") == "s"
         )
-        analysis = BankingAnalysis(access.loop_info, intervals=intervals)
+        analysis = BankingAnalysis(md.resolver)
         verdict = analysis.verdict(
             store.base, [GroupAccess(store, ((loop, 2),))]
         )
@@ -247,11 +243,8 @@ class TestNonAffineSerializes:
     @pytest.fixture(scope="class")
     def setup(self):
         module = build(NONAFFINE_SOURCE)
-        access, intervals, md = analyses_for(module, "gather")
-        probes = probe_function(
-            access, access.loop_info, md, intervals=intervals,
-            bases=(GlobalVariable,),
-        )
+        access, _, md = analyses_for(module, "gather")
+        probes = probe_function(md)
         return access, probes
 
     def test_not_a_stream(self, setup):
@@ -320,6 +313,26 @@ class TestLinearizedStream:
         assert p.verdict.proven
         assert p.verdict.best.label == "cyclic-4"
 
+    def test_partial_resolution_still_banks(self):
+        """Called with two row pitches, ``n`` is no longer a proven
+        constant: the outer coefficient of ``A[i*n + j]`` stays unresolved,
+        so the dependence tester has no form for the load.  Banking only
+        needs the unrolled inner loop's coefficient and still proves
+        cyclic-4."""
+        source = LINEARIZED_SOURCE.replace("lin(32);", "lin(16); lin(32);")
+        module = build(source)
+        access, _, md = analyses_for(module, "lin")
+        loop = loop_named(access, "inner")
+        load = next(
+            info for info in access.accesses_in(loop.blocks)
+            if getattr(info.base, "name", "") == "A"
+        )
+        assert load.is_stream
+        assert md.resolver.full(load) is None
+        assert None in md.resolver.of(load).coeffs.values()
+        p = find_probe(probe_function(md), "inner", "A", 4)
+        assert p.verdict.best.label == "cyclic-4"
+
 
 class TestProbeShape:
     def test_probe_sorted_and_deterministic(self):
@@ -360,13 +373,13 @@ class TestProbeShape:
 
     def test_verdict_cached_per_analysis(self):
         module = build(BROADCAST_SOURCE)
-        access, intervals, _ = analyses_for(module, "bcast")
+        access, _, md = analyses_for(module, "bcast")
         loop = loop_named(access, "bl")
         load = next(
             info for info in access.accesses_in(loop.blocks)
             if getattr(info.base, "name", "") == "s"
         )
-        analysis = BankingAnalysis(access.loop_info, intervals=intervals)
+        analysis = BankingAnalysis(md.resolver)
         members = [GroupAccess(load, ((loop, 4),))]
         assert analysis.verdict(load.base, members) is analysis.verdict(
             load.base, members
@@ -374,12 +387,12 @@ class TestProbeShape:
 
     def test_status_of_unlisted_scheme_is_unknown(self):
         module = build(BROADCAST_SOURCE)
-        access, intervals, _ = analyses_for(module, "bcast")
+        access, _, md = analyses_for(module, "bcast")
         loop = loop_named(access, "bl")
         load = next(
             info for info in access.accesses_in(loop.blocks)
             if getattr(info.base, "name", "") == "s"
         )
-        analysis = BankingAnalysis(access.loop_info, intervals=intervals)
+        analysis = BankingAnalysis(md.resolver)
         verdict = analysis.verdict(load.base, [GroupAccess(load, ((loop, 2),))])
         assert verdict.status_of(BankingScheme("cyclic", 64)) == UNKNOWN

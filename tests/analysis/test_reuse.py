@@ -19,7 +19,6 @@ from repro.analysis.reuse import (
 )
 from repro.dataflow import ModuleIntervalAnalysis, PointsToAnalysis
 from repro.frontend import compile_source
-from repro.ir import GlobalVariable
 from repro.workloads import get_workload
 
 
@@ -31,10 +30,7 @@ def probes_for(source, func_name, name="reuse"):
     md = MemoryDependenceAnalysis(
         access, points_to=PointsToAnalysis(module), intervals=intervals
     )
-    return probe_function(
-        access, access.loop_info, md, intervals=intervals,
-        bases=(GlobalVariable,),
-    )
+    return probe_function(md)
 
 
 def workload_probes(name, func_name):
@@ -254,10 +250,7 @@ class TestSelection:
         md = MemoryDependenceAnalysis(
             access, points_to=PointsToAnalysis(module)
         )
-        probes = probe_function(
-            access, access.loop_info, md, intervals=None,
-            bases=(GlobalVariable,),
-        )
+        probes = probe_function(md)
         verdict = probe_of(probes, "Q").verdict
         assert verdict.pairs  # proven address math but unproven trip
         assert all(p.trip is None for p in verdict.pairs)
