@@ -501,6 +501,12 @@ class TestProgramArgument:
     def test_unknown_name_exits_two(self, command, capsys):
         assert self._exit_status([command, "no-such-workload"], capsys) == 2
 
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_syntax_error_exits_two(self, command, tmp_path, capsys):
+        bad = tmp_path / "bad.c"
+        bad.write_text("int main( { return 0 }")
+        assert self._exit_status([command, str(bad)], capsys) == 2
+
     @pytest.mark.parametrize("command", [c for c in COMMANDS if c != "dump"])
     def test_unknown_workload_option_exits_two(self, command, capsys):
         argv = [command, "--workload", "no-such-workload"]
