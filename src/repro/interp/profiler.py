@@ -12,7 +12,7 @@ a run, and :class:`RegionProfile` aggregates them to any wPST region:
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from ..ir import BasicBlock, Call, Function, Module
 from ..analysis.loops import Loop
@@ -23,11 +23,17 @@ from .interpreter import Interpreter, ProfileCounters
 
 
 class RegionProfile:
-    """Aggregated profiling results for a module run."""
+    """Aggregated profiling results for a module run.
+
+    The counters are final once :func:`profile_module` returns (its
+    interpreter is gone and nothing else writes them), so entry counts are
+    memoized per region and per loop object.
+    """
 
     def __init__(self, counters: ProfileCounters, total_cycles: float):
         self.counters = counters
         self.total_cycles = total_cycles
+        self._entries: Dict[object, int] = {}
 
     # Block-level ------------------------------------------------------------
 
@@ -51,15 +57,7 @@ class RegionProfile:
 
     def region_count(self, region: Region) -> int:
         """Times the region was entered from outside it."""
-        entry = region.entry
-        count = sum(
-            self.edge_count(pred, entry)
-            for pred in entry.predecessors
-            if pred not in region.blocks
-        )
-        if entry.parent is not None and entry is entry.parent.entry:
-            count += self.function_entries(entry.parent)
-        return count
+        return self._entry_count(region, region.entry)
 
     def region_cycles(self, region: Region) -> float:
         """CPU cycles spent executing the region (callee-inclusive)."""
@@ -82,14 +80,22 @@ class RegionProfile:
     # Loop-level --------------------------------------------------------------------
 
     def loop_entries(self, loop: Loop) -> int:
-        header = loop.header
-        count = sum(
-            self.edge_count(pred, header)
-            for pred in header.predecessors
-            if pred not in loop.blocks
-        )
-        if header.parent is not None and header is header.parent.entry:
-            count += self.function_entries(header.parent)
+        """Times the loop was entered from outside it."""
+        return self._entry_count(loop, loop.header)
+
+    def _entry_count(self, owner, entry: BasicBlock) -> int:
+        """Edges into ``entry`` from outside ``owner.blocks``, plus the
+        function's entries when ``entry`` is the function entry block."""
+        count = self._entries.get(owner)
+        if count is None:
+            count = sum(
+                self.edge_count(pred, entry)
+                for pred in entry.predecessors
+                if pred not in owner.blocks
+            )
+            if entry.parent is not None and entry is entry.parent.entry:
+                count += self.function_entries(entry.parent)
+            self._entries[owner] = count
         return count
 
     def loop_iterations(self, loop: Loop) -> int:
