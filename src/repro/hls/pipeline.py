@@ -84,7 +84,14 @@ def pipeline_loop(
     port_counts: Optional[Dict[str, int]] = None,
     recurrences: Optional[List[Tuple[DFGNode, DFGNode, int]]] = None,
 ) -> PipelineResult:
-    """Compute the II and depth of a pipelined implementation of ``dfg``."""
+    """Compute the II and depth of a pipelined implementation of ``dfg``.
+
+    Like :func:`~repro.hls.scheduling.schedule_dfg`, the result depends on
+    ``access_timing`` and ``port_counts`` only through each memory node's
+    ``(latency, port, occupancy)`` and its port's multiplicity (port names
+    only group accesses); beyond those it reads ``dfg``, ``techlib`` and
+    ``recurrences``.  The estimator caches results on that dependency.
+    """
     ports = dict(port_counts or {})
     res = resource_mii(dfg, access_timing, ports)
     rec = recurrence_mii(dfg, techlib, access_timing, recurrences or [])

@@ -80,6 +80,14 @@ def schedule_dfg(
 
     ``access_timing`` supplies interface latency and port contention for each
     memory node (see :mod:`repro.model.interfaces`).
+
+    The schedule is a function of ``dfg``, ``techlib`` and, per memory node
+    in DFG order, the ``(latency, port, occupancy)`` of its timing with the
+    port's multiplicity in ``port_counts``.  Port names only group
+    contending accesses, so renaming ports consistently leaves the schedule
+    unchanged.  The estimator caches schedules on exactly this dependency
+    (``InterfacePlan.timing_signature``); reading anything else here breaks
+    that cache.
     """
     ports = PortTable(dict(port_counts or {}))
     schedule = Schedule()

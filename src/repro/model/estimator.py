@@ -26,15 +26,15 @@ from ..analysis.loops import Loop, LoopInfo
 from ..analysis.memdep import MemoryDependenceAnalysis
 from ..analysis.regions import Region
 from ..analysis.wpst import WPSTNode
-from ..ir import Call, Function, Instruction, Load, Module, Store
+from ..ir import BasicBlock, Call, Function, Instruction, Load, Module, Store
 from ..hls.datapath import (
     AreaBreakdown,
     pipelined_datapath_area,
     sequential_datapath_area,
 )
 from ..hls.dfg import DFG, DFGNode
-from ..hls.pipeline import pipeline_loop
-from ..hls.scheduling import schedule_dfg
+from ..hls.pipeline import PipelineResult, pipeline_loop
+from ..hls.scheduling import Schedule, schedule_dfg
 from ..hls.techlib import (
     ACCELERATOR_BASE_AREA_UM2,
     OFFLOAD_OVERHEAD_CYCLES,
@@ -230,6 +230,18 @@ class AcceleratorModel:
         self.rejected_configs: List[Tuple[AcceleratorConfig, list]] = []
         self._contexts: Dict[Function, FunctionContext] = {}
         self._estimate_cache: Dict[Tuple, List[AcceleratorEstimate]] = {}
+        #: Unit synthesis caches shared by every config of a run.  The base
+        #: DFG of each loop body and basic block; each pipelined unit's
+        #: ``(replicated DFG, PipelineResult, AreaBreakdown)`` by ``(loop,
+        #: replication, unroll, timing signature)``; each sequential unit's
+        #: ``(DFG, Schedule, AreaBreakdown)`` by ``(block, timing signature)``.
+        #: The signature (``InterfacePlan.timing_signature``) is all a
+        #: schedule reads of a plan, so a hit is exactly what synthesizing
+        #: again would give.  Estimates and their reports share these
+        #: objects, so nothing may mutate them.
+        self._unit_dfgs: Dict[object, DFG] = {}
+        self._pipelined_units: Dict[Tuple, Tuple] = {}
+        self._sequential_units: Dict[Tuple, Tuple] = {}
         # Module-level dataflow results shared by every function context:
         # points-to backs may_alias, interval windows clamp footprints,
         # bitwidth narrows datapath operators to their proven widths.
@@ -622,13 +634,21 @@ class AcceleratorModel:
     def estimate(
         self, config: AcceleratorConfig, ctx: FunctionContext
     ) -> Optional[AcceleratorEstimate]:
+        """Cycles and area of one configuration.
+
+        ``ctx`` is :meth:`context` of the region's function: the unit
+        caches behind this call are keyed by loop and block, so their DFGs
+        and schedules assume that context's alias, width and dependence
+        facts.
+        """
         region = config.region
         profile = self.profile
         techlib = self.techlib
         plan = config.plan
         invocations = profile.region_count(region)
-        timing = plan.access_timing
         ports = plan.port_counts()
+        interface_counts = plan.counts()
+        cached_units = len(self._pipelined_units) + len(self._sequential_units)
 
         cycles = 0.0
         area = AreaBreakdown()
@@ -643,19 +663,16 @@ class AcceleratorModel:
             if not loop_plan.pipelined:
                 continue
             loop = loop_plan.loop
-            blocks = ctx.ordered_blocks(loop.blocks)
-            dfg = DFG.from_blocks(
-                blocks, may_alias=ctx.may_alias, widths=ctx.widths
-            )
-            if not dfg.nodes:
-                continue
             # Unrolled outer loops replicate this inner pipeline into lanes.
             replication = loop_plan.unroll * self._lane_factor(
                 loop, config.loop_plans
             )
-            unrolled = dfg.replicate(replication)
-            recurrences = self._recurrences(loop, unrolled, ctx, loop_plan.unroll)
-            result = pipeline_loop(unrolled, techlib, timing, ports, recurrences)
+            unit = self._pipelined_unit(
+                loop, replication, loop_plan.unroll, plan, ports, ctx
+            )
+            if unit is None:
+                continue
+            unrolled, result, unit_area = unit
             entries = profile.loop_entries(loop)
             iterations = profile.loop_iterations(loop) / replication
             cycles += entries * result.depth
@@ -671,9 +688,7 @@ class AcceleratorModel:
                         warm = max(warm, a.reuse_distance)
             if warm:
                 cycles += entries * warm * SPAD_LATENCY
-            area = area + pipelined_datapath_area(
-                unrolled, result.ii, result.depth, techlib, result.schedule
-            )
+            area = area + unit_area
             pipelined_regions += 1
             pipelined_blocks.update(loop.blocks)
             units.append((f"pipe:{loop.name}", unrolled))
@@ -685,10 +700,8 @@ class AcceleratorModel:
                 ),
                 ii=result.ii,
                 depth=result.depth,
-                area=pipelined_datapath_area(
-                    unrolled, result.ii, result.depth, techlib, result.schedule
-                ),
-                interface_counts=plan.counts(),
+                area=unit_area,
+                interface_counts=interface_counts,
             ))
 
         # 2. Sequential basic blocks (everything not swallowed by a pipeline).
@@ -696,15 +709,13 @@ class AcceleratorModel:
             if block in pipelined_blocks:
                 continue
             count = profile.block_count(block)
-            dfg = DFG.from_blocks(
-                [block], may_alias=ctx.may_alias, widths=ctx.widths
-            )
-            if not dfg.nodes:
+            unit = self._sequential_unit(block, plan, ports, ctx)
+            if unit is None:
                 cycles += count  # control-only block: one FSM state
                 continue
-            schedule = schedule_dfg(dfg, techlib, timing, ports)
+            dfg, schedule, unit_area = unit
             cycles += count * schedule.length
-            area = area + sequential_datapath_area(dfg, schedule, techlib)
+            area = area + unit_area
             seq_blocks += 1
             units.append((f"bb:{block.name}", dfg))
             reports.append(SynthesisReport(
@@ -713,9 +724,19 @@ class AcceleratorModel:
                 latency_cycles=schedule.length,
                 ii=None,
                 depth=None,
-                area=sequential_datapath_area(dfg, schedule, techlib),
+                area=unit_area,
             ))
 
+        tele = current_telemetry()
+        if tele.enabled:
+            # One batched update per estimate: every unit is either
+            # synthesized now or taken from an earlier config's entry.
+            built = (
+                len(self._pipelined_units) + len(self._sequential_units)
+                - cached_units
+            )
+            tele.count("model.units_built", built)
+            tele.count("model.units_reused", len(units) - built)
         if seq_blocks == 0 and pipelined_regions == 0:
             return None
 
@@ -739,13 +760,88 @@ class AcceleratorModel:
             breakdown=area,
             seq_blocks=seq_blocks,
             pipelined_regions=pipelined_regions,
-            interface_counts=plan.counts(),
+            interface_counts=interface_counts,
             invocations=invocations,
             kernel_seconds=kernel_seconds,
             accel_seconds=accel_seconds,
             units=units,
             reports=reports,
         )
+
+    # Unit synthesis cache --------------------------------------------------------
+
+    def _unit_dfg(self, owner, blocks, ctx: FunctionContext) -> DFG:
+        """The base DFG of a loop body or a basic block, built once."""
+        dfg = self._unit_dfgs.get(owner)
+        if dfg is None:
+            dfg = self._unit_dfgs[owner] = DFG.from_blocks(
+                ctx.ordered_blocks(blocks),
+                may_alias=ctx.may_alias, widths=ctx.widths,
+            )
+        return dfg
+
+    def _pipelined_unit(
+        self,
+        loop: Loop,
+        replication: int,
+        unroll: int,
+        plan: InterfacePlan,
+        ports: Dict[str, int],
+        ctx: FunctionContext,
+    ) -> Optional[Tuple[DFG, PipelineResult, AreaBreakdown]]:
+        """The replicated body DFG, pipeline and area of ``loop``, or None
+        for an empty body.  Synthesized once per ``(loop, replication,
+        unroll, timing signature)``: the recurrence distances depend on
+        ``unroll`` and everything else ``pipeline_loop`` reads on the
+        signature, taken over the body's memory nodes because replicas
+        share their instruction's timing."""
+        dfg = self._unit_dfg(loop, loop.blocks, ctx)
+        if not dfg.nodes:
+            return None
+        key = (
+            loop, replication, unroll,
+            plan.timing_signature(dfg.memory_nodes(), ports),
+        )
+        unit = self._pipelined_units.get(key)
+        if unit is None:
+            unrolled = dfg.replicate(replication)
+            result = pipeline_loop(
+                unrolled, self.techlib, plan.access_timing, ports,
+                loop_recurrences(loop, unrolled, ctx, unroll),
+            )
+            unit = self._pipelined_units[key] = (
+                unrolled, result,
+                pipelined_datapath_area(
+                    unrolled, result.ii, result.depth, self.techlib,
+                    result.schedule,
+                ),
+            )
+        return unit
+
+    def _sequential_unit(
+        self,
+        block: BasicBlock,
+        plan: InterfacePlan,
+        ports: Dict[str, int],
+        ctx: FunctionContext,
+    ) -> Optional[Tuple[DFG, Schedule, AreaBreakdown]]:
+        """The DFG, schedule and area of ``block``, or None for a
+        control-only block.  Synthesized once per ``(block, timing
+        signature)``."""
+        dfg = self._unit_dfg(block, [block], ctx)
+        if not dfg.nodes:
+            return None
+        key = (block, plan.timing_signature(dfg.memory_nodes(), ports))
+        unit = self._sequential_units.get(key)
+        if unit is None:
+            schedule = schedule_dfg(
+                dfg, self.techlib, plan.access_timing, ports
+            )
+            unit = self._sequential_units[key] = (
+                dfg, schedule,
+                sequential_datapath_area(dfg, schedule, self.techlib),
+            )
+        return unit
 
     # Helpers -------------------------------------------------------------------------
 
@@ -781,11 +877,6 @@ class AcceleratorModel:
             for inst in block.instructions
             if isinstance(inst, (Load, Store))
         ]
-
-    def _recurrences(
-        self, loop: Loop, dfg: DFG, ctx: FunctionContext, unroll_factor: int = 1
-    ) -> List[Tuple[DFGNode, DFGNode, int]]:
-        return loop_recurrences(loop, dfg, ctx, unroll_factor)
 
     @staticmethod
     def _region_has_call(region: Region) -> bool:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..ir import Instruction, Load
 from ..hls.dfg import DFGNode
@@ -200,6 +200,31 @@ class InterfacePlan:
                     ports.get(key, 0), 2 * assignment.proven_partitions
                 )
         return ports
+
+    def timing_signature(
+        self, nodes: Iterable[DFGNode], port_counts: Dict[str, int]
+    ) -> Tuple:
+        """Everything the scheduler reads of this plan for one unit.
+
+        ``nodes`` are the unit's memory nodes in DFG order; ``port_counts``
+        is this plan's :meth:`port_counts`.  Per node the signature holds
+        ``(latency, port, occupancy)`` of its :meth:`access_timing`, with
+        ``port`` ``None`` for a private port, else the port's
+        first-appearance index within the unit paired with its
+        multiplicity.  Port names only group contending accesses, so plans
+        that number their scratchpad groups differently share a signature,
+        while a change in proven banking (a port's multiplicity) splits it.
+        """
+        index: Dict[str, int] = {}
+        signature = []
+        for node in nodes:
+            timing = self.access_timing(node)
+            port = timing.port
+            if port is not None:
+                port = (index.setdefault(port, len(index)),
+                        port_counts.get(port, 1))
+            signature.append((timing.latency, port, timing.occupancy))
+        return tuple(signature)
 
     # Area / transfer cost ------------------------------------------------------------
 

@@ -51,6 +51,7 @@ class TestPipelineSpans:
         assert any(k.startswith("dependence.tier.") for k in counters)
         assert counters["model.configs_generated"] > 0
         assert counters["model.candidates"] > 0
+        assert counters["model.units_built"] > 0
         assert counters["selection.vertices_evaluated"] > 0
         assert counters["merging.solutions"] > 0
         assert counters["interp.instructions"] > 0
@@ -79,6 +80,37 @@ class TestDeterminism:
         assert current() is NULL_TELEMETRY
         Cayman().run(FIG2_SOURCE, name="fig2")
         assert current() is NULL_TELEMETRY
+
+    def test_unit_counters_repeat_and_cover_every_unit(self, monkeypatch):
+        """``model.units_built`` + ``model.units_reused`` is the number of
+        synthesized units the estimates report, and both repeat exactly."""
+        from repro.model.estimator import AcceleratorModel
+        from repro.workloads.registry import get_workload
+
+        reported = []
+        estimate = AcceleratorModel.estimate
+
+        def counting_estimate(model, config, ctx):
+            result = estimate(model, config, ctx)
+            reported.append(0 if result is None else len(result.units))
+            return result
+
+        monkeypatch.setattr(AcceleratorModel, "estimate", counting_estimate)
+        workload = get_workload("atax")
+
+        def run():
+            reported.clear()
+            tele = Telemetry()
+            Cayman(telemetry=tele).run(workload.source, name=workload.name)
+            counters = tele.snapshot()["counters"]
+            built = counters["model.units_built"]
+            reused = counters["model.units_reused"]
+            assert built + reused == sum(reported)
+            return built, reused
+
+        first = run()
+        assert first == run()
+        assert min(first) > 0
 
     def test_ambient_context_is_picked_up(self):
         from repro.telemetry import use
