@@ -566,6 +566,33 @@ def _cmd_lint(args) -> int:
     return result.exit_code(strict=args.strict)
 
 
+#: The summary line ``repro bench`` prints per workload of each proof
+#: ablation section.
+_ABLATION_LINES = {
+    "area_narrowing": (
+        "narrow {name}: {type_area_um2:.0f} -> {proven_area_um2:.0f} um2 "
+        "(-{saving_pct:.1f}%), {narrowed_ops}/{int_ops} int ops narrowed, "
+        "latency {latency_type} -> {latency_proven}"
+    ),
+    "pipeline_ii": (
+        "pipeii {name}: II {ii_before_total} -> {ii_after_total} over "
+        "{pipelined_loops} pipelined loops ({improved_loops} improved, "
+        "equal area)"
+    ),
+    "spad_banking": (
+        "banks  {name}: II {ii_before_total} -> {ii_after_total} over "
+        "{probed_loops} probed loops ({proven_groups}/{groups} groups "
+        "proven, {serialized_groups} serialized, equal area)"
+    ),
+    "reuse_buffers": (
+        "reuse  {name}: ports {ports_before_total} -> {ports_after_total}, "
+        "II {ii_before_total} -> {ii_after_total} over {probed_loops} "
+        "probed loops ({pairs_proven} proven pairs, {buffered_consumers} "
+        "buffered, {register_bits} register bits)"
+    ),
+}
+
+
 def _cmd_bench(args) -> int:
     import time
 
@@ -573,28 +600,37 @@ def _cmd_bench(args) -> int:
         BenchCache,
         EvaluationEngine,
         FlowParams,
-        area_narrowing_stats,
+        ablation_stats,
         build_report,
         compare_reports,
         default_tag,
         interp_elision_stats,
         load_report,
-        pipeline_ii_stats,
-        reuse_buffers_stats,
-        spad_banking_stats,
         write_report,
     )
-    from .workloads import all_workloads
+    from .workloads import all_workloads, workload_names
 
+    # Check every input before the (long) evaluation starts.
     if args.benchmarks:
         names = list(args.benchmarks)
+        registered = workload_names()
+        for name in names:
+            if name not in registered:
+                _fail(f"unknown workload {name!r} (see `repro bench-list`)")
     else:
         workloads = all_workloads()
         if args.suite:
             workloads = [w for w in workloads if w.suite == args.suite]
             if not workloads:
-                raise SystemExit(f"error: no workloads in suite {args.suite!r}")
+                _fail(f"no workloads in suite {args.suite!r}")
         names = [w.name for w in workloads]
+    baseline = None
+    if args.compare_to:
+        try:
+            baseline = load_report(args.compare_to)
+        except (OSError, ValueError) as exc:
+            _fail(f"cannot read report {args.compare_to!r}: "
+                  f"{getattr(exc, 'strerror', None) or exc}")
 
     params = FlowParams(
         alpha=args.alpha,
@@ -614,41 +650,20 @@ def _cmd_bench(args) -> int:
     records = engine.evaluate(names, jobs=args.jobs, progress=progress)
     wall = time.perf_counter() - started
 
-    elision = None
+    # The probes run on a bounded prefix to keep full-suite runs fast.
+    sections = {}
     if not args.no_interp_bench:
-        # Before/after interpreter throughput with bounds-check elision,
-        # probed on a bounded prefix to keep full-suite runs fast.
-        elision = interp_elision_stats(names[: args.interp_bench_count])
-
-    narrowing = None
-    if not args.no_area_narrowing:
-        # Type-width vs proven-width datapath area at equal latency,
-        # bounded the same way as the elision probe.
-        narrowing = area_narrowing_stats(names[: args.area_narrowing_count])
-
-    pipeline_ii = None
-    if not args.no_pipeline_ii:
-        # Legacy windowed vs dependence-vector pipeline II at equal area,
-        # bounded the same way as the other probes.
-        pipeline_ii = pipeline_ii_stats(names[: args.pipeline_ii_count])
-
-    spad_banking = None
-    if not args.no_spad_banking:
-        # Assumed vs proven scratchpad banking pipeline II at equal area,
-        # bounded the same way as the other probes.
-        spad_banking = spad_banking_stats(names[: args.spad_banking_count])
-
-    reuse_buffers = None
-    if not args.no_reuse_buffers:
-        # Port pressure and II with vs without proven reuse buffers,
-        # bounded the same way as the other probes.
-        reuse_buffers = reuse_buffers_stats(names[: args.reuse_buffers_count])
+        # Before/after interpreter throughput with bounds-check elision.
+        sections["interp_elision"] = interp_elision_stats(
+            names[: args.interp_bench_count]
+        )
+    if args.ablation_count > 0:
+        # Each proof priced without and with it, at equal area.
+        sections.update(ablation_stats(names[: args.ablation_count]))
 
     tag = args.tag or default_tag(params)
     payload = build_report(
-        records, engine, tag=tag, wall_seconds=wall, interp_elision=elision,
-        area_narrowing=narrowing, pipeline_ii=pipeline_ii,
-        spad_banking=spad_banking, reuse_buffers=reuse_buffers,
+        records, engine, tag=tag, wall_seconds=wall, sections=sections,
     )
     path = write_report(payload, directory=args.output_dir)
 
@@ -658,56 +673,27 @@ def _cmd_bench(args) -> int:
         speedup = record.speedup("cayman", top_budget)
         print(f"{record.suite:14} {record.name:28} {marker:6} "
               f"cayman@{top_budget:.0%} {speedup:8.2f}x")
-    if elision:
-        for name, stat in elision.items():
-            before = stat["baseline_inst_per_s"]
-            after = stat["elided_inst_per_s"]
-            gain = (after / before - 1.0) * 100.0 if before else 0.0
-            print(f"interp {name}: {before / 1e3:.0f}k -> {after / 1e3:.0f}k "
-                  f"inst/s ({gain:+.0f}%), "
-                  f"{stat['elided']}/{stat['elided'] + stat['checked']} "
-                  f"accesses elided "
-                  f"({stat['proven_accesses']}/{stat['total_accesses']} "
-                  f"proven), compiled engine "
-                  f"{stat['engine_speedup']:.1f}x over reference")
-    if narrowing:
-        total_type = sum(s["type_area_um2"] for s in narrowing.values())
-        total_proven = sum(s["proven_area_um2"] for s in narrowing.values())
-        for name, stat in narrowing.items():
-            equal = "equal latency" if stat["latency_equal"] else (
-                f"latency {stat['latency_type']} -> {stat['latency_proven']}")
-            print(f"narrow {name}: {stat['type_area_um2']:.0f} -> "
-                  f"{stat['proven_area_um2']:.0f} um2 "
-                  f"(-{stat['saving_pct']:.1f}%), "
-                  f"{stat['narrowed_ops']}/{stat['int_ops']} int ops "
-                  f"narrowed, {equal}")
-        if total_type:
-            print(f"narrow aggregate: {total_type:.0f} -> {total_proven:.0f} "
-                  f"um2 datapath FU area "
-                  f"(-{100.0 * (1.0 - total_proven / total_type):.1f}%)")
-    if pipeline_ii:
-        for name, stat in pipeline_ii.items():
-            print(f"pipeii {name}: II {stat['ii_before_total']} -> "
-                  f"{stat['ii_after_total']} over {stat['pipelined_loops']} "
-                  f"pipelined loops ({stat['improved_loops']} improved, "
-                  f"equal area)")
-    if spad_banking:
-        for name, stat in spad_banking.items():
-            print(f"banks  {name}: II {stat['ii_before_total']} -> "
-                  f"{stat['ii_after_total']} over {stat['probed_loops']} "
-                  f"probed loops ({stat['proven_groups']}/{stat['groups']} "
-                  f"groups proven, {stat['serialized_groups']} serialized, "
-                  f"equal area)")
-    if reuse_buffers:
-        for name, stat in reuse_buffers.items():
-            print(f"reuse  {name}: ports "
-                  f"{stat['ports_before_total']} -> "
-                  f"{stat['ports_after_total']}, II "
-                  f"{stat['ii_before_total']} -> {stat['ii_after_total']} "
-                  f"over {stat['probed_loops']} probed loops "
-                  f"({stat['pairs_proven']} proven pairs, "
-                  f"{stat['buffered_consumers']} buffered, "
-                  f"{stat['register_bits']} register bits)")
+    for name, stat in sections.get("interp_elision", {}).items():
+        before = stat["baseline_inst_per_s"]
+        after = stat["elided_inst_per_s"]
+        gain = (after / before - 1.0) * 100.0 if before else 0.0
+        print(f"interp {name}: {before / 1e3:.0f}k -> {after / 1e3:.0f}k "
+              f"inst/s ({gain:+.0f}%), "
+              f"{stat['elided']}/{stat['elided'] + stat['checked']} "
+              f"accesses elided "
+              f"({stat['proven_accesses']}/{stat['total_accesses']} "
+              f"proven), compiled engine "
+              f"{stat['engine_speedup']:.1f}x over reference")
+    for section, line in _ABLATION_LINES.items():
+        for name, stat in sections.get(section, {}).items():
+            print(line.format(name=name, **stat))
+    narrowing = sections.get("area_narrowing", {}).values()
+    total_type = sum(s["type_area_um2"] for s in narrowing)
+    total_proven = sum(s["proven_area_um2"] for s in narrowing)
+    if total_type:
+        print(f"narrow aggregate: {total_type:.0f} -> {total_proven:.0f} "
+              f"um2 datapath FU area "
+              f"(-{100.0 * (1.0 - total_proven / total_type):.1f}%)")
     stats = engine.cache_stats()
     print(f"\n{len(records)} workloads in {wall:.2f}s "
           f"(jobs={args.jobs}, cache hits {stats['hits']}, "
@@ -715,8 +701,8 @@ def _cmd_bench(args) -> int:
     print(f"wrote {path}")
 
     status = 0
-    if args.compare_to:
-        problems = compare_reports(load_report(args.compare_to), payload)
+    if baseline is not None:
+        problems = compare_reports(baseline, payload)
         if problems:
             print(f"\ndeterminism check FAILED against {args.compare_to}:",
                   file=sys.stderr)
@@ -1044,31 +1030,12 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="N",
                        help="probe elision throughput on the first N "
                             "workloads (default 2)")
-    bench.add_argument("--no-area-narrowing", action="store_true",
-                       help="skip the datapath-narrowing area probe")
-    bench.add_argument("--area-narrowing-count", type=int, default=4,
+    bench.add_argument("--ablation-count", type=int, default=6,
                        metavar="N",
-                       help="probe type-width vs proven-width datapath "
-                            "area on the first N workloads (default 4)")
-    bench.add_argument("--no-pipeline-ii", action="store_true",
-                       help="skip the dependence-vector pipeline-II probe")
-    bench.add_argument("--pipeline-ii-count", type=int, default=6,
-                       metavar="N",
-                       help="probe windowed vs dependence-vector pipeline "
-                            "II on the first N workloads (default 6)")
-    bench.add_argument("--no-spad-banking", action="store_true",
-                       help="skip the scratchpad bank-conflict probe")
-    bench.add_argument("--spad-banking-count", type=int, default=6,
-                       metavar="N",
-                       help="probe assumed vs proven scratchpad banking "
-                            "II on the first N workloads (default 6)")
-    bench.add_argument("--no-reuse-buffers", action="store_true",
-                       help="skip the reuse shift-register buffer probe")
-    bench.add_argument("--reuse-buffers-count", type=int, default=6,
-                       metavar="N",
-                       help="probe port pressure and II with vs without "
-                            "proven reuse buffers on the first N workloads "
-                            "(default 6)")
+                       help="price each proof without and with it "
+                            "(area_narrowing, pipeline_ii, spad_banking, "
+                            "reuse_buffers) on the first N workloads "
+                            "(default 6; 0 skips)")
     bench.set_defaults(func=_cmd_bench)
 
     trace = sub.add_parser(

@@ -524,3 +524,52 @@ class TestProgramArgument:
     def test_trace_runs_a_positional_workload(self, capsys):
         assert main(["trace", "trisolv", "--no-lint"]) == 0
         assert "merging.solution" in capsys.readouterr().out
+
+
+class TestBenchInput:
+    """``repro bench`` checks its inputs before evaluating anything: a bad
+    one is a one-line error with exit status 2 and writes no report."""
+
+    @staticmethod
+    def _exit_status(argv, tmp_path, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["bench", "--no-cache", "--quiet",
+                  "--output-dir", str(tmp_path), *argv])
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1, err
+        assert err.startswith("error: ")
+        assert list(tmp_path.iterdir()) == []
+        return info.value.code
+
+    def test_unknown_workload_exits_two(self, tmp_path, capsys):
+        argv = ["trisolv", "nosuch-wl"]
+        assert self._exit_status(argv, tmp_path, capsys) == 2
+
+    def test_empty_suite_exits_two(self, tmp_path, capsys):
+        argv = ["--suite", "nosuch"]
+        assert self._exit_status(argv, tmp_path, capsys) == 2
+
+    def test_missing_compare_to_exits_two(self, tmp_path, capsys):
+        missing = str(tmp_path / "BENCH_missing.json")
+        argv = ["trisolv", "--compare-to", missing]
+        assert self._exit_status(argv, tmp_path, capsys) == 2
+
+    def test_ablation_count_bounds_and_skips_the_sections(self, tmp_path):
+        import json
+
+        from repro.reporting.bench import ABLATION_SECTIONS
+
+        def sections(count, tag):
+            argv = ["bench", "trisolv", "bicg", "--no-cache", "--quiet",
+                    "--no-interp-bench", "--output-dir", str(tmp_path),
+                    "--tag", tag, "--ablation-count", str(count)]
+            assert main(argv) == 0
+            with open(tmp_path / f"BENCH_{tag}.json") as handle:
+                report = json.load(handle)
+            return {s: sorted(report[s]) for s in ABLATION_SECTIONS
+                    if s in report}
+
+        assert sections(1, "one") == dict.fromkeys(
+            ABLATION_SECTIONS, ["trisolv"]
+        )
+        assert sections(0, "none") == {}

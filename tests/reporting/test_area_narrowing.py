@@ -3,20 +3,13 @@
 The acceptance bar for the bitwidth work: at least three PolyBench /
 MachSuite workloads must show strictly smaller estimated datapath area at
 equal schedule latency, and the ``area_narrowing`` section must be
-deterministic enough for ``--compare-to`` to exact-compare it.
+deterministic enough for ``--compare-to`` to exact-compare it (the report
+wiring is tested for every section in ``test_ablations.py``).
 """
-
-import json
 
 import pytest
 
-from repro.reporting.bench import (
-    EvaluationEngine,
-    FlowParams,
-    area_narrowing_stats,
-    build_report,
-    compare_reports,
-)
+from repro.reporting.bench import ablation_stats
 
 # trisolv/bicg/mvt are PolyBench, nw is MachSuite.
 NARROWING_NAMES = ["trisolv", "bicg", "mvt", "nw"]
@@ -24,7 +17,7 @@ NARROWING_NAMES = ["trisolv", "bicg", "mvt", "nw"]
 
 @pytest.fixture(scope="module")
 def stats():
-    return area_narrowing_stats(NARROWING_NAMES)
+    return ablation_stats(NARROWING_NAMES)["area_narrowing"]
 
 
 class TestAreaNarrowingStats:
@@ -45,35 +38,4 @@ class TestAreaNarrowingStats:
         assert 0.0 < entry["saving_pct"] < 100.0
 
     def test_deterministic_across_recomputation(self, stats):
-        assert area_narrowing_stats(NARROWING_NAMES) == stats
-
-
-class TestAreaNarrowingInReports:
-    @pytest.fixture(scope="class")
-    def payload(self, stats):
-        engine = EvaluationEngine(FlowParams())
-        return build_report([], engine, "t", 0.0, area_narrowing=stats)
-
-    def test_section_included(self, payload, stats):
-        assert payload["area_narrowing"] == stats
-
-    def test_omitted_when_not_supplied(self):
-        engine = EvaluationEngine(FlowParams())
-        payload = build_report([], engine, "t", 0.0)
-        assert "area_narrowing" not in payload
-
-    def test_compare_identical_after_json_roundtrip(self, payload):
-        roundtrip = json.loads(json.dumps(payload))
-        assert compare_reports(payload, roundtrip) == []
-
-    def test_compare_detects_perturbed_field(self, payload):
-        tampered = json.loads(json.dumps(payload))
-        tampered["area_narrowing"]["trisolv"]["proven_area_um2"] += 0.001
-        problems = compare_reports(payload, tampered)
-        assert any("area_narrowing/trisolv" in p for p in problems)
-
-    def test_compare_detects_missing_workload(self, payload):
-        shrunk = json.loads(json.dumps(payload))
-        del shrunk["area_narrowing"]["nw"]
-        problems = compare_reports(payload, shrunk)
-        assert any("area_narrowing/nw" in p for p in problems)
+        assert ablation_stats(NARROWING_NAMES)["area_narrowing"] == stats

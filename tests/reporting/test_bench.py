@@ -193,6 +193,24 @@ class TestReports:
         del shrunk["workloads"][NAMES[0]]
         assert compare_reports(payload, shrunk)
 
+    def test_compare_checks_only_exact_elision_counts(self, params):
+        stat = {"instructions": 10, "proven_accesses": 1,
+                "total_accesses": 2, "elided": 3, "checked": 4,
+                "elided_inst_per_s": 1.0e6}
+        left = build_report([], EvaluationEngine(params), "t", 1.0,
+                            sections={"interp_elision": {"w": stat}})
+        right = json.loads(json.dumps(left))
+        right["interp_elision"]["w"]["elided_inst_per_s"] = 2.0e6
+        assert compare_reports(left, right) == []
+        right["interp_elision"]["w"]["checked"] = 5
+        assert compare_reports(left, right) == [
+            "interp_elision/w: checked differs (4 vs 5)"
+        ]
+        del right["interp_elision"]["w"]
+        assert compare_reports(left, right) == [
+            "interp_elision/w: in only one report"
+        ]
+
     def test_default_tag_stable(self, params):
         assert default_tag(params) == default_tag(FlowParams())
         assert default_tag(params) != default_tag(FlowParams(alpha=1.3))

@@ -1,33 +1,20 @@
 """Tests for the ``reuse_buffers`` bench section: proven pairs translate
-into measured port/II drops, degraded workloads stay untouched,
-determinism, and the compare_reports wiring."""
+into measured port/II drops, degraded workloads stay untouched, and
+determinism (the report wiring is tested for every section in
+``test_ablations.py``)."""
 
-import copy
 import json
 
 import pytest
 
-from repro.reporting.bench import (
-    EvaluationEngine,
-    FlowParams,
-    build_report,
-    compare_reports,
-    reuse_buffers_stats,
-)
+from repro.reporting.bench import ablation_stats
 
 NAMES = ["stencil-reuse-3", "fwd-store-load", "reuse-breaker", "trisolv"]
 
 
 @pytest.fixture(scope="module")
 def section():
-    return reuse_buffers_stats(NAMES)
-
-
-def report_with(section=None):
-    return build_report(
-        [], engine=EvaluationEngine(FlowParams()), tag="t",
-        wall_seconds=0.0, reuse_buffers=section,
-    )
+    return ablation_stats(NAMES)["reuse_buffers"]
 
 
 class TestSemantics:
@@ -98,33 +85,7 @@ class TestSemantics:
 
 class TestDeterminism:
     def test_two_runs_identical(self, section):
-        again = reuse_buffers_stats(NAMES)
+        again = ablation_stats(NAMES)["reuse_buffers"]
         assert json.loads(json.dumps(section)) == json.loads(
             json.dumps(again)
         )
-
-    def test_json_round_trips(self, section):
-        assert json.loads(json.dumps(section)) == section
-
-
-class TestReportWiring:
-    def test_build_report_carries_section(self, section):
-        assert report_with(section)["reuse_buffers"] == section
-
-    def test_build_report_omits_when_disabled(self):
-        assert "reuse_buffers" not in report_with(None)
-
-    def test_compare_reports_flags_drift(self, section):
-        left = report_with(section)
-        right = copy.deepcopy(left)
-        assert compare_reports(left, right) == []
-        right["reuse_buffers"]["stencil-reuse-3"]["ports_after_total"] += 1
-        problems = compare_reports(left, right)
-        assert any("reuse_buffers/stencil-reuse-3" in p for p in problems)
-
-    def test_compare_reports_flags_missing_workload(self, section):
-        left = report_with(section)
-        right = copy.deepcopy(left)
-        del right["reuse_buffers"]["trisolv"]
-        problems = compare_reports(left, right)
-        assert any("reuse_buffers/trisolv" in p for p in problems)

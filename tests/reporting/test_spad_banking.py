@@ -1,32 +1,19 @@
 """Tests for the ``spad_banking`` bench section: equal-area before/after
-II semantics, determinism, and the compare_reports wiring."""
+II semantics and determinism (the report wiring is tested for every section
+in ``test_ablations.py``)."""
 
-import copy
 import json
 
 import pytest
 
-from repro.reporting.bench import (
-    EvaluationEngine,
-    FlowParams,
-    build_report,
-    compare_reports,
-    spad_banking_stats,
-)
+from repro.reporting.bench import ablation_stats
 
 NAMES = ["stride2-collider", "bank-transpose", "trisolv"]
 
 
 @pytest.fixture(scope="module")
 def section():
-    return spad_banking_stats(NAMES)
-
-
-def report_with(section=None):
-    return build_report(
-        [], engine=EvaluationEngine(FlowParams()), tag="t",
-        wall_seconds=0.0, spad_banking=section,
-    )
+    return ablation_stats(NAMES)["spad_banking"]
 
 
 class TestSemantics:
@@ -74,33 +61,7 @@ class TestSemantics:
 
 class TestDeterminism:
     def test_two_runs_identical(self, section):
-        again = spad_banking_stats(NAMES)
+        again = ablation_stats(NAMES)["spad_banking"]
         assert json.loads(json.dumps(section)) == json.loads(
             json.dumps(again)
         )
-
-    def test_json_round_trips(self, section):
-        assert json.loads(json.dumps(section)) == section
-
-
-class TestReportWiring:
-    def test_build_report_carries_section(self, section):
-        assert report_with(section)["spad_banking"] == section
-
-    def test_build_report_omits_when_disabled(self):
-        assert "spad_banking" not in report_with(None)
-
-    def test_compare_reports_flags_drift(self, section):
-        left = report_with(section)
-        right = copy.deepcopy(left)
-        assert compare_reports(left, right) == []
-        right["spad_banking"]["stride2-collider"]["ii_after_total"] += 1
-        problems = compare_reports(left, right)
-        assert any("spad_banking/stride2-collider" in p for p in problems)
-
-    def test_compare_reports_flags_missing_workload(self, section):
-        left = report_with(section)
-        right = copy.deepcopy(left)
-        del right["spad_banking"]["trisolv"]
-        problems = compare_reports(left, right)
-        assert any("spad_banking/trisolv" in p for p in problems)
