@@ -121,6 +121,8 @@ class Interpreter:
         self.checked_accesses = 0
         # Subclasses set this to receive _on_block_transition callbacks.
         self._trace_blocks = False
+        # Counter cells the compiled engine bumps per block (_compile_tally).
+        self._tally: Optional[List[int]] = None
         # Lazily built CompiledProgram per elision mode (compiled engine).
         self._programs: Dict[bool, object] = {}
         for var in module.globals.values():
@@ -264,6 +266,24 @@ class Interpreter:
         """Optional callable ``hook(address)`` invoked with the computed
         address before each Load/Store executes."""
         return None
+
+    def _compile_block_hook(self, func: Function, block):
+        """Optional callable ``hook(prev_block)`` invoked on each entry to
+        ``block`` (``prev_block`` is None at function entry).  The default
+        forwards to ``_on_block_transition`` when ``_trace_blocks`` is set."""
+        if not self._trace_blocks:
+            return None
+
+        def hook(prev_block):
+            self._on_block_transition(func, prev_block, block)
+
+        return hook
+
+    def _compile_tally(self, inst: Instruction) -> Tuple[int, ...]:
+        """Per-execution increments ``inst`` adds to each ``_tally`` cell.
+        The compiled engine sums them per block and adds the sums once per
+        block execution, the way it counts instructions."""
+        return ()
 
     def _run_reference(self, func: Function, args: List):
         env: Dict = {}

@@ -16,6 +16,8 @@ from repro.frontend import compile_source
 from repro.interp.sanitizer import SanitizingInterpreter
 from repro.workloads import get_workload
 
+from ..conftest import sanitize_both
+
 
 def observed_vs_claimed(interp):
     """[(claimed, observed)] for every observed conflict with a claim."""
@@ -63,8 +65,9 @@ int main() {{ init(96); {call} return 0; }}
 def test_observed_distance_at_least_claimed(case):
     source, distance = case
     module = compile_source(source, "depprop")
-    interp = SanitizingInterpreter(module, fail_fast=False)
-    interp.run("main")
+    runs = sanitize_both(module)
+    assert runs["reference"][0] == runs["compiled"][0], source
+    interp = runs["compiled"][1]
     assert interp.violations == [], f"{interp.violations}\n{source}"
     checked = observed_vs_claimed(interp)
     assert checked, f"no claimed conflict observed\n{source}"
@@ -82,10 +85,9 @@ def test_injected_overclaim_never_survives(case):
     runs at exactly its proven distance — the sanitizer must notice."""
     source, _ = case
     module = compile_source(source, "depprop-adv")
-    interp = SanitizingInterpreter(
-        module, fail_fast=False, inject_unsound_dependence=True
-    )
-    interp.run("main")
+    runs = sanitize_both(module, inject_unsound_dependence=True)
+    assert runs["reference"][0] == runs["compiled"][0], source
+    interp = runs["compiled"][1]
     assert any("dependence-distance" in v for v in interp.violations), source
 
 

@@ -64,3 +64,44 @@ def run_c(source: str, entry: str = "main", args=None, optimize: bool = True):
     interp = Interpreter(module)
     result = interp.run(entry, args or [])
     return result, interp
+
+
+def sanitized_output(interp, returned):
+    """What a sanitized run reports, as plain JSON-able values: the
+    report, notes, violations, observed dependence distances (keyed by
+    loop header and instruction positions) and the return value."""
+
+    def position(inst):
+        block = inst.parent
+        return f"{block.name}:{block.instructions.index(inst)}"
+
+    distances = sorted(
+        [loop.header.name, sorted(position(inst) for inst in pair), dist]
+        for (loop, pair), dist in interp.observed_distances.items()
+    )
+    return {
+        "report": interp.report(),
+        "notes": list(interp.notes),
+        "violations": list(interp.violations),
+        "observed_distances": distances,
+        "returned": returned,
+    }
+
+
+def sanitize_both(module, calls=(("main", ()),), **flags):
+    """Run ``calls`` (``(entry, args)`` pairs, in order) on one
+    ``SanitizingInterpreter`` per engine; returns ``{engine: (output,
+    interp)}`` with ``output`` as :func:`sanitized_output` after the last
+    call."""
+    from repro.interp.sanitizer import SanitizingInterpreter
+
+    runs = {}
+    for engine in ("reference", "compiled"):
+        interp = SanitizingInterpreter(
+            module, fail_fast=False, engine=engine, **flags
+        )
+        returned = None
+        for entry, args in calls:
+            returned = interp.run(entry, list(args))
+        runs[engine] = (sanitized_output(interp, returned), interp)
+    return runs

@@ -13,7 +13,8 @@ from hypothesis import given, settings, strategies as st
 from repro.dataflow import KnownBits, demanded_truncate
 from repro.frontend import compile_source
 from repro.interp import Interpreter, NarrowingInterpreter
-from repro.interp.sanitizer import SanitizingInterpreter
+
+from ..conftest import sanitize_both
 
 OPS = ("+", "-", "*", "&", "|", "^")
 SHIFTS = ("<<", ">>")
@@ -63,8 +64,9 @@ def integer_programs(draw):
 @settings(max_examples=40, deadline=None)
 def test_runtime_values_satisfy_claimed_masks(source):
     module = compile_source(source, "prop", optimize=False)
-    interp = SanitizingInterpreter(module, fail_fast=False)
-    interp.run("main")
+    runs = sanitize_both(module)
+    assert runs["reference"][0] == runs["compiled"][0], source
+    interp = runs["compiled"][1]
     # The sanitizer checks value & zeros == 0 and value & ones == ones on
     # every integer result, and re-executes every pure op with
     # demanded-truncated operands; neither direction may report anything.
