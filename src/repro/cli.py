@@ -195,7 +195,16 @@ def _cmd_exec(args) -> int:
     source = _read_program(args)
     name = args.source or args.workload
     module = compile_source(source, name, optimize=not args.no_opt)
-    entry_args = [int(a) for a in args.args]
+    func = module.functions.get(args.entry)
+    if func is None or func.is_declaration:
+        _fail(f"no function {args.entry!r} defined in {name!r}")
+    try:
+        entry_args = [int(a) for a in args.args]
+    except ValueError as exc:
+        _fail(f"--args takes integers: {exc}")
+    if len(entry_args) != len(func.arguments):
+        _fail(f"@{args.entry} takes {len(func.arguments)} argument(s), "
+              f"got {len(entry_args)}")
     started = time.perf_counter()
     if args.sanitize:
         from .interp.sanitizer import SanitizerError, SanitizingInterpreter

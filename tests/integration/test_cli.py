@@ -225,6 +225,24 @@ class TestExecCommand:
         out = capsys.readouterr().out
         assert "dependence-distance violation" in out
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--entry", "nosuch"], "no function 'nosuch'"),
+        (["--args", "abc"], "--args takes integers"),
+        (["--args", "1", "2"], "@main takes 0 argument(s), got 2"),
+    ])
+    @pytest.mark.parametrize("sanitize", [[], ["--sanitize"]])
+    def test_bad_entry_or_args_exit_two_with_one_line(
+        self, capsys, argv, message, sanitize
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(["exec", "--workload", "trisolv", *argv, *sanitize])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
+        assert message in lines[0]
+
 
 class TestDepsCommand:
     def test_workload_table(self, capsys):
