@@ -8,6 +8,8 @@ from repro.frontend import compile_source
 from repro.interp.sanitizer import SanitizerError, SanitizingInterpreter
 from repro.workloads import get_workload
 
+from ..conftest import sanitize_both
+
 
 def sanitize(name, **kwargs):
     workload = get_workload(name)
@@ -113,10 +115,13 @@ int main() { return kernel(4); }
 """,
             "gated",
         )
-        interp = SanitizingInterpreter(module, fail_fast=False)
-        interp.run("kernel", [8])  # seeded range is [4, 4]
+        # The seeded range is [4, 4].
+        runs = sanitize_both(module, [("kernel", [8])])
+        assert runs["reference"][0] == runs["compiled"][0]
+        interp = runs["compiled"][1]
         assert interp.violations == []
         assert interp.notes
+        assert interp.values_checked == interp.accesses_checked == 0
 
 
 class TestBankingClaims:
