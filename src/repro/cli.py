@@ -233,9 +233,9 @@ def _cmd_exec(args) -> int:
 
     bounds = None
     if not args.no_elide:
-        from .dataflow import BoundsAnalysis
+        from .analysis.facts import ModuleFacts
 
-        bounds = BoundsAnalysis(module)
+        bounds = ModuleFacts.of(module).bounds
     interp = Interpreter(module, bounds=bounds, engine=args.engine)
     result = interp.run(args.entry, entry_args)
     wall = time.perf_counter() - started
@@ -251,13 +251,13 @@ def _cmd_exec(args) -> int:
 
 
 def _cmd_bitwidth(args) -> int:
-    from .dataflow import ModuleBitwidthAnalysis
+    from .analysis.facts import ModuleFacts
     from .frontend import compile_source
 
     source = _read_program(args)
     name = args.source or args.workload
     module = compile_source(source, name, optimize=not args.no_opt)
-    analysis = ModuleBitwidthAnalysis(module)
+    analysis = ModuleFacts.of(module).bitwidth
     total = {
         "int_ops": 0, "narrowed_ops": 0, "type_bits": 0, "proven_bits": 0,
         "type_area_um2": 0.0, "proven_area_um2": 0.0,
@@ -313,16 +313,13 @@ def _json_envelope(tool: str, workload, data) -> str:
 
 
 def _cmd_deps(args) -> int:
-
-    from .dataflow import ModuleIntervalAnalysis, PointsToAnalysis
+    from .analysis.facts import ModuleFacts
     from .frontend import compile_source
-    from .model.estimator import FunctionContext
 
     source = _read_program(args)
     name = args.source or args.workload
     module = compile_source(source, name, optimize=not args.no_opt)
-    intervals = ModuleIntervalAnalysis(module)
-    points_to = PointsToAnalysis(module)
+    facts = ModuleFacts.of(module)
 
     def access_label(info):
         inst_name = info.inst.name or "?"
@@ -331,7 +328,7 @@ def _cmd_deps(args) -> int:
 
     report = {"program": name, "functions": []}
     for func in module.defined_functions():
-        ctx = FunctionContext(func, points_to=points_to, intervals=intervals)
+        ctx = facts.context(func)
         func_entry = {"name": func.name, "loops": []}
         for loop in sorted(ctx.loop_info.loops, key=lambda l: l.name):
             deps = []
@@ -414,19 +411,17 @@ def _cmd_deps(args) -> int:
 
 def _cmd_banks(args) -> int:
     from .analysis.banking import probe_function
-    from .dataflow import ModuleIntervalAnalysis, PointsToAnalysis
+    from .analysis.facts import ModuleFacts
     from .frontend import compile_source
-    from .model.estimator import FunctionContext
 
     source = _read_program(args)
     name = args.source or args.workload
     module = compile_source(source, name, optimize=not args.no_opt)
-    intervals = ModuleIntervalAnalysis(module)
-    points_to = PointsToAnalysis(module)
+    facts = ModuleFacts.of(module)
 
     report = {"program": name, "functions": []}
     for func in module.defined_functions():
-        ctx = FunctionContext(func, points_to=points_to, intervals=intervals)
+        ctx = facts.context(func)
         probes = probe_function(ctx.memdep)
         if not probes:
             continue
@@ -464,19 +459,17 @@ def _cmd_banks(args) -> int:
 
 def _cmd_reuse(args) -> int:
     from .analysis.reuse import probe_function
-    from .dataflow import ModuleIntervalAnalysis, PointsToAnalysis
+    from .analysis.facts import ModuleFacts
     from .frontend import compile_source
-    from .model.estimator import FunctionContext
 
     source = _read_program(args)
     name = args.source or args.workload
     module = compile_source(source, name, optimize=not args.no_opt)
-    intervals = ModuleIntervalAnalysis(module)
-    points_to = PointsToAnalysis(module)
+    facts = ModuleFacts.of(module)
 
     report = {"program": name, "functions": []}
     for func in module.defined_functions():
-        ctx = FunctionContext(func, points_to=points_to, intervals=intervals)
+        ctx = facts.context(func)
         probes = probe_function(ctx.memdep)
         if not probes:
             continue

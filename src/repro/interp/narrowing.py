@@ -23,7 +23,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from ..ir import Function, Instruction, Module
-from ..dataflow import ModuleBitwidthAnalysis, ModuleIntervalAnalysis
+from ..analysis.facts import ModuleFacts
 from .interpreter import Interpreter
 
 
@@ -51,8 +51,9 @@ class NarrowingInterpreter(Interpreter):
             module, memory_size, max_instructions, profile, bounds=None,
             engine=engine,
         )
-        self.intervals = ModuleIntervalAnalysis(module)
-        self.bitwidth = ModuleBitwidthAnalysis(module, self.intervals)
+        facts = ModuleFacts.of(module)
+        self.intervals = facts.intervals
+        self.bitwidth = facts.bitwidth
         #: inst → (proven width, zero-extend?) for every narrowable inst
         self._narrow: Dict[Instruction, Tuple[int, bool]] = {}
         #: results actually passed through a narrowing truncate+extend

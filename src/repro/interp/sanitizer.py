@@ -62,18 +62,11 @@ from ..ir import (
 )
 from ..analysis.access_patterns import AccessPatternAnalysis
 from ..analysis.banking import CONFLICT_FREE, CONFLICTED, probe_function
+from ..analysis.facts import ModuleFacts
 from ..analysis.loops import Loop
 from ..analysis.reuse import probe_function as reuse_probes
 from ..analysis.memdep import MemoryDependenceAnalysis
-from ..dataflow import (
-    BoundsAnalysis,
-    Interval,
-    KnownBits,
-    ModuleBitwidthAnalysis,
-    ModuleIntervalAnalysis,
-    PointsToAnalysis,
-    demanded_truncate,
-)
+from ..dataflow import Interval, KnownBits, demanded_truncate
 from .interpreter import Interpreter
 
 
@@ -228,10 +221,13 @@ class SanitizingInterpreter(Interpreter):
         self._claims_active = True
         self._trace_blocks = True
 
-        self.intervals = ModuleIntervalAnalysis(module)
-        self.pointsto = PointsToAnalysis(module)
-        self.bounds = BoundsAnalysis(module, self.intervals)
-        self.bitwidth = ModuleBitwidthAnalysis(module, self.intervals)
+        # The claims are the module's shared facts, the same objects the
+        # model and lint read; the injection modes below perturb copies.
+        facts = ModuleFacts.of(module)
+        self.intervals = facts.intervals
+        self.pointsto = facts.points_to
+        self.bounds = facts.bounds
+        self.bitwidth = facts.bitwidth
         # Never elide in sanitize mode: self.bounds stays analysis-only and
         # the base class keeps _elide_enabled False (we pass bounds=None up).
 

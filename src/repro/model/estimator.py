@@ -21,9 +21,9 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..analysis.access_patterns import AccessInfo, AccessPatternAnalysis
+from ..analysis.access_patterns import AccessInfo
+from ..analysis.facts import FunctionContext, ModuleFacts
 from ..analysis.loops import Loop, LoopInfo
-from ..analysis.memdep import MemoryDependenceAnalysis
 from ..analysis.regions import Region
 from ..analysis.wpst import WPSTNode
 from ..ir import BasicBlock, Call, Function, Instruction, Load, Module, Store
@@ -57,73 +57,6 @@ from .interfaces import InterfaceAssignment, InterfaceKind, InterfacePlan
 #: bench harness's persistent cache key, so bumping it invalidates every
 #: cached evaluation record.
 ESTIMATOR_VERSION = "6"
-
-
-class FunctionContext:
-    """Cached per-function analyses shared by all candidate evaluations.
-
-    ``points_to`` and ``intervals`` are the module-level dataflow results
-    (built once by the model): points-to sharpens ``may_alias`` beyond the
-    same-base test, and interval-proven access windows clamp scratchpad
-    footprint estimates.  ``bitwidth`` supplies proven datapath widths that
-    narrow every DFG node below its type width.
-    """
-
-    def __init__(self, func: Function, points_to=None, intervals=None,
-                 bitwidth=None, vector_distances: bool = True):
-        self.func = func
-        self.access = AccessPatternAnalysis(func)
-        self.loop_info: LoopInfo = self.access.loop_info
-        self.points_to = points_to
-        self.intervals = (
-            intervals.for_function(func) if intervals is not None else None
-        )
-        #: ``vector_distances=False`` falls back to the 1-D windowed distance
-        #: test (pre-dependence-vector behavior) — the "before" variant of
-        #: the bench ``pipeline_ii`` comparison.
-        self.memdep = MemoryDependenceAnalysis(
-            self.access, points_to=points_to, intervals=self.intervals,
-            vector_distances=vector_distances,
-        )
-        #: Instruction → proven width map for DFG construction (None keeps
-        #: type widths, e.g. when narrowing is disabled for A/B comparison).
-        self.widths = (
-            bitwidth.width_map(func) if bitwidth is not None else None
-        )
-        #: The function's one affine-subscript resolver: the dependence
-        #: tester, banking and reuse all read each access's form from it.
-        self.resolver = self.memdep.resolver
-        from ..analysis.banking import BankingAnalysis
-
-        #: Scratchpad bank-conflict prover shared by every candidate config
-        #: (verdicts are cached per group/lane structure).
-        self.banking = BankingAnalysis(self.resolver)
-        from ..analysis.reuse import ReuseAnalysis
-
-        #: Inter-iteration data-reuse prover (shift-register buffers);
-        #: verdicts are cached per (base, loop, member) structure.
-        self.reuse = ReuseAnalysis(self.resolver, memdep=self.memdep)
-        from ..analysis.cfg import reverse_postorder
-
-        self.rpo_index = {b: i for i, b in enumerate(reverse_postorder(func))}
-
-    def may_alias(self, first: Instruction, second: Instruction) -> bool:
-        a = self.access.info(first)
-        b = self.access.info(second)
-        if a.base is None or b.base is None:
-            return True
-        if a.base is b.base:
-            return True
-        if self.points_to is not None:
-            return self.points_to.may_alias(a.base, b.base)
-        return True
-
-    def static_trip_bound(self, loop: Loop) -> Optional[int]:
-        """Interval-proven upper bound on the loop trip count, if any."""
-        return self.resolver.trip(loop)
-
-    def ordered_blocks(self, blocks) -> List:
-        return sorted(blocks, key=lambda b: self.rpo_index.get(b, 1 << 30))
 
 
 def loop_recurrences(
@@ -228,7 +161,6 @@ class AcceleratorModel:
         #: Configurations rejected by the legality pre-filter, as
         #: ``(config, diagnostics)`` pairs — inspectable after a run.
         self.rejected_configs: List[Tuple[AcceleratorConfig, list]] = []
-        self._contexts: Dict[Function, FunctionContext] = {}
         self._estimate_cache: Dict[Tuple, List[AcceleratorEstimate]] = {}
         #: Unit synthesis caches shared by every config of a run.  The base
         #: DFG of each loop body and basic block; each pipelined unit's
@@ -242,32 +174,15 @@ class AcceleratorModel:
         self._unit_dfgs: Dict[object, DFG] = {}
         self._pipelined_units: Dict[Tuple, Tuple] = {}
         self._sequential_units: Dict[Tuple, Tuple] = {}
-        # Module-level dataflow results shared by every function context:
-        # points-to backs may_alias, interval windows clamp footprints,
-        # bitwidth narrows datapath operators to their proven widths.
-        from ..dataflow import (
-            BoundsAnalysis,
-            ModuleBitwidthAnalysis,
-            ModuleIntervalAnalysis,
-            PointsToAnalysis,
-        )
-
-        self._intervals = ModuleIntervalAnalysis(module)
-        self._points_to = PointsToAnalysis(module)
-        self._bounds = BoundsAnalysis(module, self._intervals)
-        self._bitwidth = ModuleBitwidthAnalysis(module, self._intervals)
+        #: The module's shared static facts: points-to backs may_alias,
+        #: interval windows clamp footprints, bitwidth narrows datapath
+        #: operators to their proven widths.
+        self.facts = ModuleFacts.of(module)
 
     # Context management ------------------------------------------------------
 
     def context(self, func: Function) -> FunctionContext:
-        if func not in self._contexts:
-            self._contexts[func] = FunctionContext(
-                func,
-                points_to=self._points_to,
-                intervals=self._intervals,
-                bitwidth=self._bitwidth if self.narrow_widths else None,
-            )
-        return self._contexts[func]
+        return self.facts.context(func)
 
     # Public API ---------------------------------------------------------------
 
@@ -615,7 +530,7 @@ class AcceleratorModel:
 
     def _window_bytes(self, access: AccessInfo) -> Optional[int]:
         """Size of the interval-proven byte window of the access."""
-        window = self._bounds.windows.get(access.inst)
+        window = self.facts.bounds.windows.get(access.inst)
         if window is None:
             return None
         off = window.offset
@@ -776,7 +691,8 @@ class AcceleratorModel:
         if dfg is None:
             dfg = self._unit_dfgs[owner] = DFG.from_blocks(
                 ctx.ordered_blocks(blocks),
-                may_alias=ctx.may_alias, widths=ctx.widths,
+                may_alias=ctx.may_alias,
+                widths=ctx.widths if self.narrow_widths else None,
             )
         return dfg
 
