@@ -8,7 +8,8 @@ install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
 
 test:
-	$(PYTHON) -m pytest tests/ -q
+	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) -m pytest -x -q
+	$(PYTHON) -m pytest perfbench/tests -q
 
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only -s
