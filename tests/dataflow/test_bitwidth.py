@@ -5,6 +5,7 @@ from repro.dataflow import (
     Interval,
     KnownBits,
     ModuleBitwidthAnalysis,
+    ModuleIntervalAnalysis,
     demanded_truncate,
 )
 from repro.frontend import compile_source
@@ -144,9 +145,13 @@ class TestFromInterval:
         assert got.constant_value() == 12
 
 
+def module_bitwidth(module):
+    return ModuleBitwidthAnalysis(module, ModuleIntervalAnalysis(module))
+
+
 def analysis_for(source, name="kernel"):
     module = compile_source(source, "t")
-    return ModuleBitwidthAnalysis(module).for_function(
+    return module_bitwidth(module).for_function(
         module.get_function(name)
     )
 
@@ -264,7 +269,7 @@ int kernel(int a) {
 int main() { return kernel(5); }
 """
         module = compile_source(source, "t", optimize=False)
-        analysis = ModuleBitwidthAnalysis(module).for_function(
+        analysis = module_bitwidth(module).for_function(
             module.get_function("kernel")
         )
         mul = next(
@@ -306,7 +311,7 @@ int main() { return kernel(64); }
 
     def test_width_map_covers_int_instructions(self):
         module = compile_source(self.SOURCE, "t")
-        bitwidth = ModuleBitwidthAnalysis(module)
+        bitwidth = module_bitwidth(module)
         func = module.get_function("kernel")
         widths = bitwidth.width_map(func)
         assert widths
@@ -315,7 +320,7 @@ int main() { return kernel(64); }
 
     def test_function_summary_reports_narrowing(self):
         module = compile_source(self.SOURCE, "t")
-        bitwidth = ModuleBitwidthAnalysis(module)
+        bitwidth = module_bitwidth(module)
         summary = bitwidth.function_summary(module.get_function("kernel"))
         assert summary["narrowed_ops"] > 0
         assert summary["proven_bits"] < summary["type_bits"]

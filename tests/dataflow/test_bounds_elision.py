@@ -4,13 +4,17 @@ elided execution."""
 
 import pytest
 
-from repro.dataflow import BoundsAnalysis
+from repro.dataflow import BoundsAnalysis, ModuleIntervalAnalysis
 from repro.frontend import compile_source
 from repro.interp import Interpreter
 from repro.workloads import get_workload
 
 # PolyBench workloads the interval analysis must substantially cover.
 POLYBENCH_PROOF_TARGETS = ["trisolv", "bicg", "atax", "mvt", "cholesky"]
+
+
+def bounds_of(module):
+    return BoundsAnalysis(module, ModuleIntervalAnalysis(module))
 
 
 def build(name):
@@ -23,7 +27,7 @@ class TestCoverage:
     @pytest.mark.parametrize("name", POLYBENCH_PROOF_TARGETS)
     def test_at_least_half_of_accesses_proven(self, name):
         _, module = build(name)
-        bounds = BoundsAnalysis(module)
+        bounds = bounds_of(module)
         proven, total = bounds.module_coverage()
         assert total > 0
         assert proven / total >= 0.5, (
@@ -32,7 +36,7 @@ class TestCoverage:
 
     def test_windows_are_superset_of_proofs(self):
         _, module = build("trisolv")
-        bounds = BoundsAnalysis(module)
+        bounds = bounds_of(module)
         assert set(bounds.proven) <= set(bounds.windows)
         for inst, window in bounds.proven.items():
             assert window.is_proven
@@ -45,7 +49,7 @@ class TestElision:
         workload, module = build(name)
         baseline = Interpreter(module)
         base_result = baseline.run(workload.entry)
-        elided = Interpreter(module, bounds=BoundsAnalysis(module))
+        elided = Interpreter(module, bounds=bounds_of(module))
         elided_result = elided.run(workload.entry)
         assert elided.elided_accesses > 0
         assert elided_result == base_result
@@ -56,7 +60,7 @@ class TestElision:
 
     def test_elision_accounting_consistent(self):
         workload, module = build("trisolv")
-        bounds = BoundsAnalysis(module)
+        bounds = bounds_of(module)
         interp = Interpreter(module, bounds=bounds)
         interp.run(workload.entry)
         assert interp.elided_accesses + interp.checked_accesses > 0
@@ -75,7 +79,7 @@ int main() { return kernel(0); }
 class TestOutOfBounds:
     def test_definite_oob_window_detected(self):
         module = compile_source(OOB_SOURCE, "t")
-        bounds = BoundsAnalysis(module)
+        bounds = bounds_of(module)
         oob = bounds.out_of_bounds()
         assert len(oob) == 1
         window = oob[0]
@@ -85,5 +89,5 @@ class TestOutOfBounds:
 
     def test_oob_access_never_proven_nor_elided(self):
         module = compile_source(OOB_SOURCE, "t")
-        bounds = BoundsAnalysis(module)
+        bounds = bounds_of(module)
         assert bounds.out_of_bounds()[0].inst not in bounds.proven

@@ -8,7 +8,7 @@ narrowing interpreter.
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.dataflow import BoundsAnalysis
+from repro.analysis.facts import ModuleFacts
 from repro.frontend import compile_source
 from repro.interp import Interpreter, InterpreterError, NarrowingInterpreter
 from repro.interp.sanitizer import SanitizingInterpreter
@@ -31,7 +31,7 @@ def run_both(name, *, profile=False, elide=True):
     two interpreters plus their results."""
     workload = get_workload(name)
     module = compile_source(workload.source, workload.name)
-    bounds = BoundsAnalysis(module) if elide else None
+    bounds = ModuleFacts.of(module).bounds if elide else None
     out = {}
     for engine in ("reference", "compiled"):
         interp = Interpreter(
