@@ -251,9 +251,9 @@ class DependenceTester:
         self, a: AccessInfo, b: AccessInfo, query: Loop
     ) -> Optional[PairTestResult]:
         """Test accesses ``a``/``b`` (both inside ``query``) for cross-
-        iteration conflicts of ``query``.  None = not applicable (fall back
-        to the conservative tests); otherwise a definite verdict whose
-        distances are sound lower bounds."""
+        iteration conflicts of ``query``.  None = undecided (the caller
+        keeps the pair carried with unknown distance); otherwise a definite
+        verdict whose distances are sound lower bounds."""
         verdict = self._test_pair(a, b, query)
         tele = current_telemetry()
         if tele.enabled:
@@ -284,6 +284,7 @@ class DependenceTester:
         common = self._common_levels(a, b, query)
         common_set = set(common)
         fixed = LatticeSet.singleton(0)
+        frozen_differs = False
         for level in set(fa.coeffs) | set(fb.coeffs):
             ca = fa.coeffs.get(level, 0)
             cb = fb.coeffs.get(level, 0)
@@ -292,8 +293,20 @@ class DependenceTester:
             if not (level is query or query.contains_loop(level)):
                 # Frozen while ``query`` runs: both instances observe the
                 # same (unknown) index, so equal coefficients cancel.
-                if ca != cb:
+                if ca == cb:
+                    continue
+                if not level.contains_loop(query):
                     return None
+                # An enclosing level with different coefficients shifts
+                # every instance pair by one (c_a − c_b)·i over the level's
+                # range.  That range forgets which execution of ``query``
+                # each shift belongs to, so only "independent" is proven.
+                frozen_differs = True
+                fixed = fixed.add(
+                    LatticeSet.index_range(ca - cb, self.resolver.trip(level))
+                )
+                if fixed is None:
+                    return INDEPENDENT
                 continue
             in_a = a.inst.parent in level.blocks
             in_b = b.inst.parent in level.blocks
@@ -354,6 +367,8 @@ class DependenceTester:
             return None
         if query_entry.distance is None:
             return INDEPENDENT  # same-iteration overlap only: not carried
+        if frozen_differs:
+            return None
         return PairTestResult(
             independent=False,
             distance=query_entry.distance,

@@ -53,21 +53,16 @@ class FunctionContext:
     """
 
     def __init__(self, func: Function, points_to=None, intervals=None,
-                 bitwidth=None, vector_distances: bool = True):
+                 bitwidth=None):
         self.func = func
         self.access = AccessPatternAnalysis(func)
         self.loop_info: LoopInfo = self.access.loop_info
-        self.points_to = points_to
         self.intervals = (
             intervals.for_function(func) if intervals is not None else None
         )
         self._bitwidth = bitwidth
-        #: ``vector_distances=False`` falls back to the 1-D windowed distance
-        #: test (pre-dependence-vector behavior) — the "before" variant of
-        #: the bench ``pipeline_ii`` comparison.
         self.memdep = MemoryDependenceAnalysis(
             self.access, points_to=points_to, intervals=self.intervals,
-            vector_distances=vector_distances,
         )
         #: The function's one affine-subscript resolver: the dependence
         #: tester, banking and reuse all read each access's form from it.
@@ -89,15 +84,11 @@ class FunctionContext:
         return self._bitwidth.width_map(self.func)
 
     def may_alias(self, first: Instruction, second: Instruction) -> bool:
-        a = self.access.info(first)
-        b = self.access.info(second)
-        if a.base is None or b.base is None:
-            return True
-        if a.base is b.base:
-            return True
-        if self.points_to is not None:
-            return self.points_to.may_alias(a.base, b.base)
-        return True
+        """False only when the dependence analysis proves the two accesses'
+        bases disjoint."""
+        return self.memdep.bases_may_overlap(
+            self.access.info(first), self.access.info(second)
+        ) is not False
 
     def static_trip_bound(self, loop: Loop) -> Optional[int]:
         """Interval-proven upper bound on the loop trip count, if any."""

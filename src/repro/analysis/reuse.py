@@ -364,7 +364,7 @@ class ReuseAnalysis:
             if store.base is not producer.base:
                 overlap = None
                 if self.memdep is not None:
-                    overlap = self.memdep._bases_may_overlap(store, producer)
+                    overlap = self.memdep.bases_may_overlap(store, producer)
                 if overlap is False:
                     continue  # provably disjoint objects
                 return (UNKNOWN,

@@ -460,7 +460,7 @@ class SanitizingInterpreter(Interpreter):
                     bases.append(info.base)
         for i, base_a in enumerate(bases):
             for base_b in bases[i + 1:]:
-                overlap = md._bases_may_overlap(infos[base_a], infos[base_b])
+                overlap = md.bases_may_overlap(infos[base_a], infos[base_b])
                 if overlap is False:
                     self._disjoint_claims.append((base_a, base_b))
 

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..analysis.banking import probe_function as probe_banking
-from ..analysis.facts import FunctionContext, ModuleFacts
+from ..analysis.facts import ModuleFacts
 from ..analysis.loops import Loop
 from ..analysis.reuse import probe_function as probe_reuse
 from ..analysis.reuse import select_buffers
@@ -785,28 +785,21 @@ def _narrowing_summary(rows: List[Dict], functions) -> Dict:
 
 
 def _innermost_probe(fn: _Function) -> Dict:
-    """Every innermost loop, with a context using the legacy 1-D windowed
-    dependence test and the same loop in it (that context builds separate
-    Loop objects over the same blocks)."""
-    legacy = FunctionContext(
-        fn.func, points_to=fn.facts.points_to, intervals=fn.facts.intervals,
-        vector_distances=False,
-    )
-    by_blocks = {frozenset(l.blocks): l for l in legacy.loop_info.loops}
+    """Every innermost loop."""
     return {
-        loop: (legacy, by_blocks[frozenset(loop.blocks)])
-        for loop in fn.ctx.loop_info.loops if loop.is_innermost
+        loop: None for loop in fn.ctx.loop_info.loops if loop.is_innermost
     }
 
 
-def _dependence_sides(fn: _Function, loop, legacy, dfg):
-    """The legacy dependence test before and the affine dependence-vector
-    engine after.  A recurrence of latency L at proven distance d only
-    forces II ≥ ceil(L / d), so proven distances > 1 lower the II."""
-    legacy_ctx, legacy_loop = legacy
+def _dependence_sides(fn: _Function, loop, _state, dfg):
+    """Dependence proofs off before (every recurrence at distance 1) and
+    the proven distances after.  A recurrence of latency L at proven
+    distance d only forces II ≥ ceil(L / d), so proven distances > 1
+    lower the II."""
+    recurrences = loop_recurrences(loop, dfg, fn.ctx)
     return {}, _Side(
-        recurrences=loop_recurrences(legacy_loop, dfg, legacy_ctx)
-    ), _Side(recurrences=loop_recurrences(loop, dfg, fn.ctx))
+        recurrences=[(load, store, 1) for load, store, _ in recurrences]
+    ), _Side(recurrences=recurrences)
 
 
 def _banking_sides(fn: _Function, loop, probes, dfg):

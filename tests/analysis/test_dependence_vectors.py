@@ -1,6 +1,7 @@
 """Affine dependence-vector tests: residue-lattice sets, the per-level
-solver, SCEV affinity of linearized subscripts, and the memdep wiring
-(proven distances, vectors, descending-loop regressions)."""
+solver, SCEV affinity of linearized subscripts, frozen outer levels, and
+the memdep wiring (proven distances, vectors, descending-loop and
+symbolic-lag regressions)."""
 
 import pytest
 
@@ -14,9 +15,10 @@ from repro.analysis import (
 from repro.dataflow import ModuleIntervalAnalysis, PointsToAnalysis
 from repro.frontend import compile_source
 
+from ..conftest import sanitize_both
 
-def build(source, name, func_name, vector_distances=True, with_intervals=True,
-          optimize=True):
+
+def build(source, name, func_name, with_intervals=True, optimize=True):
     module = compile_source(source, name, optimize=optimize)
     func = module.get_function(func_name)
     access = AccessPatternAnalysis(func)
@@ -27,7 +29,6 @@ def build(source, name, func_name, vector_distances=True, with_intervals=True,
         access,
         points_to=PointsToAnalysis(module),
         intervals=intervals,
-        vector_distances=vector_distances,
     )
     return func, access, md
 
@@ -230,20 +231,22 @@ class TestDescendingLoops:
     taking the absolute value; descending (negative-stride) loops must get
     the same distances as their ascending mirrors."""
 
-    @pytest.mark.parametrize("vectors", [True, False])
-    def test_descending_distance(self, vectors):
+    @pytest.mark.parametrize("with_intervals", [True, False])
+    def test_descending_distance(self, with_intervals):
+        # The distance comes from the subscripts' strides alone; interval
+        # facts only bound trip counts and must not change it.
         func, access, md = build(
-            DESCENDING, f"desc-{vectors}", "kern", vector_distances=vectors
+            DESCENDING, f"desc-{with_intervals}", "kern",
+            with_intervals=with_intervals,
         )
         loop = access.loop_info.loops[0]
         flows = [d for d in md.loop_carried(loop) if d.kind == "flow"]
         assert len(flows) == 1
         # A[i] written at iteration t is read as A[i+3] three iterations
-        # later (i descending): distance 3 either way of computing it.
+        # later (i descending): distance 3.
         assert flows[0].distance == 3
 
-    @pytest.mark.parametrize("vectors", [True, False])
-    def test_descending_non_divisible_is_independent(self, vectors):
+    def test_descending_non_divisible_is_independent(self):
         src = """
         int A[64];
         void kern() {
@@ -253,19 +256,104 @@ class TestDescendingLoops:
         }
         int main() { kern(); return 0; }
         """
-        func, access, md = build(
-            src, f"desc-odd-{vectors}", "kern", vector_distances=vectors
-        )
+        func, access, md = build(src, "desc-odd", "kern")
         loop = access.loop_info.loops[0]
         # stride -8 bytes, offset difference 12 bytes: 12 is not a multiple
         # of 8 and the 4-byte windows never meet.
         assert md.loop_carried(loop) == []
 
 
-class TestLegacyModeStillSound:
-    def test_vector_and_legacy_agree_on_siv(self):
-        _, access_v, md_v = build(SIV, "siv-v", "kern", vector_distances=True)
-        _, access_l, md_l = build(SIV, "siv-l", "kern", vector_distances=False)
-        dist_v = [d.distance for d in md_v.loop_carried(access_v.loop_info.loops[0])]
-        dist_l = [d.distance for d in md_l.loop_carried(access_l.loop_info.loops[0])]
-        assert dist_v == dist_l
+ROWS = """
+int P[16][16];
+void kern() {
+  for (int k = 0; k < 16; k = k + 1) {
+    for (int i = 0; i < 16; i = i + 1) {
+      for (int j = 0; j < 16; j = j + 1) {
+        P[i][j] = P[i][j] + P[k][j];
+      }
+    }
+  }
+}
+int main() { kern(); return 0; }
+"""
+
+WIDE_WINDOW = """
+int A[64];
+void kern() {
+  for (int k = 0; k < 4; k = k + 1) {
+    for (int i = 0; i < 4; i = i + 1) {
+      for (int j = 0; j < 16; j = j + 1) {
+        A[i * 8 + j] = A[i * 8 + j] + A[k * 8 + j];
+      }
+    }
+  }
+}
+int main() { kern(); return 0; }
+"""
+
+
+def row_pair(md, access):
+    """The innermost loop, the store and the load whose row comes from the
+    outermost loop (``P[k][j]``)."""
+    inner = next(l for l in access.loop_info.loops if l.is_innermost)
+    outer = next(l for l in access.loop_info.loops if l.depth == 1)
+    store = next(a for a in access.accesses() if a.is_store)
+    load = next(
+        a for a in access.accesses()
+        if a.is_load and outer in md.resolver.full(a).coeffs
+    )
+    return inner, store, load
+
+
+class TestFrozenOuterLevels:
+    """Enclosing loops whose coefficients differ between the two accesses
+    (rows picked by different outer indices) shift every instance pair by
+    one multiple of the row stride."""
+
+    def test_distinct_rows_are_independent_in_the_column_loop(self):
+        _, access, md = build(ROWS, "rows", "kern")
+        inner, store, load = row_pair(md, access)
+        verdict = md.tester.test_pair(store, load, inner)
+        assert verdict is not None and verdict.independent
+        assert md.loop_carried(inner) == []
+
+    def test_window_spanning_the_row_stride_stays_carried(self):
+        # j sweeps 16 elements, twice the 8-element row stride: row i's
+        # tail is row i+1's head, so A[i*8+j] meets A[k*8+j] at distance 8.
+        _, access, md = build(WIDE_WINDOW, "wide-window", "kern")
+        inner, store, load = row_pair(md, access)
+        assert md.tester.test_pair(store, load, inner) is None
+        assert any(
+            d.source is store and d.sink is load and d.kind == "flow"
+            and d.distance is None
+            for d in md.loop_carried(inner)
+        )
+
+
+SYMBOLIC_LAG = """
+int W[64];
+void kern(int lag) {
+  for (int j = 8; j < 64; j = j + 1) {
+    W[j] = W[j - lag] + 1;
+  }
+}
+int main() { kern(3); kern(5); return W[63]; }
+"""
+
+
+class TestSymbolicLag:
+    """Regression: a loop-invariant lag proven only to a range (here
+    ``lag ∈ [3, 5]``) is no constant, yet equal strides once made the pair
+    "disjoint" and the recurrence vanished."""
+
+    def test_range_lag_stays_carried(self):
+        _, access, md = build(SYMBOLIC_LAG, "lag", "kern")
+        loop = access.loop_info.loops[0]
+        flows = [d for d in md.loop_carried(loop) if d.kind == "flow"]
+        assert len(flows) == 1
+        assert flows[0].effective_distance <= 3
+
+    def test_sanitizer_observes_no_missing_dependence(self):
+        module = compile_source(SYMBOLIC_LAG, "lag-sanitize")
+        for output, _ in sanitize_both(module).values():
+            assert output["violations"] == []

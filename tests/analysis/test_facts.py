@@ -183,10 +183,11 @@ def test_verify_sequence_builds_each_analysis_once(constructions):
     }
 
 
-#: The module-level analyses, each constructed only by the facts bundle.
-MODULE_ANALYSES = {
+#: The module-level analyses and the per-function context, each
+#: constructed only by the facts bundle.
+BUILT_BY_FACTS = {
     "ModuleIntervalAnalysis", "ModuleBitwidthAnalysis", "PointsToAnalysis",
-    "BoundsAnalysis",
+    "BoundsAnalysis", "FunctionContext",
 }
 
 
@@ -207,9 +208,9 @@ def test_module_analyses_have_one_construction_site():
                     getattr(node.func, "id", None)
                     or getattr(node.func, "attr", None)
                 )
-                if called in MODULE_ANALYSES:
+                if called in BUILT_BY_FACTS:
                     sites.append((os.path.relpath(path, package), called))
     assert sorted(sites) == sorted(
         (os.path.join("analysis", "facts.py"), name)
-        for name in MODULE_ANALYSES
+        for name in BUILT_BY_FACTS
     )
