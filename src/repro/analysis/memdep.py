@@ -16,14 +16,12 @@ optional Andersen-style points-to analysis
 sets are disjoint the pair is proven independent, otherwise a conservative
 carried dependence with unknown distance is recorded (``via_alias=True``).
 Without points-to facts such pairs are conservatively assumed to conflict.
+Accesses whose offset SCEV is unanalyzable are conservatively assumed to
+conflict too.
 
-``assume_restrict=True`` restores the historical model that treated every
-pointer argument as ``restrict`` (distinct arguments never alias).  That is
-*unsound* for callers that bind two arguments to the same buffer — see
-``docs/diagnostics.md`` — and is kept only as an escape hatch / baseline;
-:meth:`MemoryDependenceAnalysis.restrict_model_misses` reports exactly the
-dependences the restrict model would silently drop.  Accesses whose offset
-SCEV is unanalyzable are conservatively assumed to conflict in all modes.
+The historical blanket-``restrict`` model (distinct pointer arguments never
+alias) survives only as the sanitizer's ``alias`` injection, which drops
+exactly the ``via_alias`` dependences (see ``docs/diagnostics.md``).
 """
 
 from __future__ import annotations
@@ -129,10 +127,8 @@ class MemoryDependenceAnalysis:
     that are not trivially the same or trivially disjoint (pointer
     arguments).  ``intervals`` (a per-function
     :class:`repro.dataflow.interval.IntervalAnalysis`) supplies the proven
-    loop trip bounds and constant symbols the affine test reads.
-    ``assume_restrict`` reinstates the unsound historical model in which
-    distinct pointer arguments never alias.  Every same-base pair is
-    decided by the multi-subscript
+    loop trip bounds and constant symbols the affine test reads.  Every
+    same-base pair is decided by the multi-subscript
     :class:`repro.analysis.dependence.DependenceTester`, which yields proven
     minimal distances and per-level dependence vectors; a pair it cannot
     decide is carried with unknown distance.
@@ -142,13 +138,11 @@ class MemoryDependenceAnalysis:
         self,
         access_analysis: AccessPatternAnalysis,
         points_to=None,
-        assume_restrict: bool = False,
         intervals=None,
     ):
         self.access = access_analysis
         self.loop_info = access_analysis.loop_info
         self.points_to = points_to
-        self.assume_restrict = assume_restrict
         #: The function's one subscript resolver, shared with banking and
         #: reuse through :class:`repro.analysis.facts.FunctionContext`.
         self.resolver = SubscriptResolver(self.loop_info, intervals)
@@ -164,9 +158,6 @@ class MemoryDependenceAnalysis:
         if a.base is b.base:
             return True
         if _distinct_allocations(a.base, b.base):
-            return False
-        if self.assume_restrict:
-            # Historical model: distinct pointer arguments are restrict.
             return False
         if self.points_to is not None:
             return self.points_to.may_alias(a.base, b.base)
@@ -245,11 +236,3 @@ class MemoryDependenceAnalysis:
         """Flow (store→load) dependencies only — the ones that create true
         recurrences bounding the pipeline initiation interval."""
         return [d for d in self.loop_carried(loop) if d.kind == "flow"]
-
-    def restrict_model_misses(self, loop: Loop) -> List[Dependence]:
-        """Dependences of ``loop`` that the historical blanket-``restrict``
-        model would have dropped — i.e. real may-alias conflicts between
-        distinct pointers.  Empty when the two models agree."""
-        if self.assume_restrict:
-            return []
-        return [d for d in self.loop_carried(loop) if d.via_alias]

@@ -205,18 +205,14 @@ def _cmd_exec(args) -> int:
     if len(entry_args) != len(func.arguments):
         _fail(f"@{args.entry} takes {len(func.arguments)} argument(s), "
               f"got {len(entry_args)}")
+    if args.inject_unsound and not args.sanitize:
+        _fail("--inject-unsound needs --sanitize")
     started = time.perf_counter()
     if args.sanitize:
         from .interp.sanitizer import SanitizerError, SanitizingInterpreter
 
         interp = SanitizingInterpreter(
-            module,
-            assume_restrict=args.assume_restrict,
-            fail_fast=False,
-            inject_unsound_bitwidth=args.inject_unsound_bitwidth,
-            inject_unsound_dependence=args.inject_unsound_dependence,
-            inject_unsound_banking=args.inject_unsound_banking,
-            inject_unsound_reuse=args.inject_unsound_reuse,
+            module, fail_fast=False, inject_unsound=args.inject_unsound,
             engine=args.engine,
         )
         try:
@@ -784,6 +780,7 @@ def _cmd_bench_list(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from .interp.sanitizer import SanitizingInterpreter
     parser = argparse.ArgumentParser(
         prog="repro", description="Cayman accelerator-generation framework"
     )
@@ -877,8 +874,8 @@ def build_parser() -> argparse.ArgumentParser:
             "(--no-elide disables).  --sanitize keeps every check and "
             "cross-validates all static claims (value ranges, alias facts, "
             "dependence distances) against observed behavior, exiting 1 on "
-            "any soundness violation; --assume-restrict validates the "
-            "historical restrict aliasing model instead."
+            "any soundness violation; --inject-unsound <claim> mis-claims "
+            "one kind of claim on purpose, so the run must fail."
         ),
     )
     exec_.add_argument("source", nargs="?")
@@ -898,26 +895,10 @@ def build_parser() -> argparse.ArgumentParser:
                             "dispatch oracle")
     exec_.add_argument("--sanitize", action="store_true",
                        help="validate static analysis claims at runtime")
-    exec_.add_argument("--assume-restrict", action="store_true",
-                       help="with --sanitize: validate the restrict model")
-    exec_.add_argument("--inject-unsound-bitwidth", action="store_true",
-                       help="with --sanitize: deliberately mis-claim one "
-                            "known-zero bit per instruction (self-test; "
-                            "the run must report violations)")
-    exec_.add_argument("--inject-unsound-dependence", action="store_true",
-                       help="with --sanitize: deliberately inflate every "
-                            "claimed carried-dependence distance by one "
-                            "(self-test; the run must report violations)")
-    exec_.add_argument("--inject-unsound-banking", action="store_true",
-                       help="with --sanitize: deliberately claim every "
-                            "provably-conflicted banking scheme conflict-"
-                            "free (self-test; the run must report "
-                            "violations on conflicting workloads)")
-    exec_.add_argument("--inject-unsound-reuse", action="store_true",
-                       help="with --sanitize: deliberately shorten every "
-                            "proven reuse-pair distance by one (self-test; "
-                            "the run must report violations on reusing "
-                            "workloads)")
+    exec_.add_argument("--inject-unsound",
+                       choices=list(SanitizingInterpreter.CLAIMS),
+                       help="with --sanitize: mis-claim one kind of claim on "
+                            "purpose (self-test; the run must fail)")
     exec_.set_defaults(func=_cmd_exec)
 
     deps = sub.add_parser(

@@ -12,7 +12,7 @@ The client-facing query is :meth:`PointsToAnalysis.may_alias`: two pointers
 may alias iff their site sets intersect, either set is empty (nothing
 provable), or both reach *external* sites — two pointer arguments of an
 externally-callable function can name the same buffer, which is exactly the
-case the old blanket-``restrict`` model in ``memdep`` got wrong.
+case the ``restrict`` model (the sanitizer's ``alias`` injection) gets wrong.
 """
 
 from __future__ import annotations

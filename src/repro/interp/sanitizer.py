@@ -26,10 +26,14 @@ verifies, against observed behavior, each claim the dataflow layer makes:
   store may have touched the buffered bytes since the record was taken.
 
 Any discrepancy is a *soundness violation*: the analyses must be
-conservative, so runtime behavior outside their claims means the analysis —
-or an assumption like ``--assume-restrict`` — is wrong.  Violations are
-collected in ``violations`` and raised as :class:`SanitizerError` at the end
-of the run (``fail_fast=False`` collects without raising).
+conservative, so runtime behavior outside their claims means the analysis is
+wrong.  Violations are collected in ``violations`` and raised as
+:class:`SanitizerError` at the end of the run (``fail_fast=False`` collects
+without raising).
+
+Claims come from the module's shared :class:`ModuleFacts`; ``inject_unsound``
+perturbs one kind of :attr:`SanitizingInterpreter.CLAIMS` on purpose, a
+self-test the run must fail (``alias`` is the historical ``restrict`` model).
 
 The claims are conditional on the interprocedural argument seeds (ranges
 joined over intra-module call sites).  A top-level entry invoked with
@@ -41,6 +45,7 @@ validation and records a note.
 from __future__ import annotations
 
 import math
+from itertools import combinations
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from ..ir import (
@@ -60,12 +65,10 @@ from ..ir import (
     UndefValue,
     sizeof,
 )
-from ..analysis.access_patterns import AccessPatternAnalysis
 from ..analysis.banking import CONFLICT_FREE, CONFLICTED, probe_function
 from ..analysis.facts import ModuleFacts
 from ..analysis.loops import Loop
 from ..analysis.reuse import probe_function as reuse_probes
-from ..analysis.memdep import MemoryDependenceAnalysis
 from ..dataflow import Interval, KnownBits, demanded_truncate
 from .interpreter import Interpreter
 
@@ -186,9 +189,8 @@ class _LoopTrack:
 class SanitizingInterpreter(Interpreter):
     """Interpreter that validates every dataflow claim while executing.
 
-    ``assume_restrict=True`` validates the claims of the historical
-    blanket-``restrict`` alias model instead of the points-to-backed one —
-    useful to demonstrate exactly where that model is unsound.
+    ``inject_unsound`` names a claim kind of :attr:`CLAIMS` to perturb
+    deliberately (a self-test the run must fail), or None.
     """
 
     def __init__(
@@ -197,24 +199,22 @@ class SanitizingInterpreter(Interpreter):
         memory_size: int = 1 << 22,
         max_instructions: int = 200_000_000,
         profile: bool = False,
-        assume_restrict: bool = False,
         fail_fast: bool = True,
-        inject_unsound_bitwidth: bool = False,
-        inject_unsound_dependence: bool = False,
-        inject_unsound_banking: bool = False,
-        inject_unsound_reuse: bool = False,
+        inject_unsound: Optional[str] = None,
         engine: str = "compiled",
     ):
+        if inject_unsound not in (None, *self.CLAIMS):
+            raise ValueError(f"unknown claim {inject_unsound!r}; valid "
+                             f"claims: {', '.join(self.CLAIMS)}")
         super().__init__(
             module, memory_size, max_instructions, profile, bounds=None,
             engine=engine,
         )
-        self.assume_restrict = assume_restrict
         self.fail_fast = fail_fast
-        self.inject_unsound_bitwidth = inject_unsound_bitwidth
-        self.inject_unsound_dependence = inject_unsound_dependence
-        self.inject_unsound_banking = inject_unsound_banking
-        self.inject_unsound_reuse = inject_unsound_reuse
+        self.inject_unsound = inject_unsound
+        #: the alias model named in violation texts
+        self._alias_model = ("restrict" if inject_unsound == "alias"
+                             else "points-to")
         self.violations: List[str] = []
         self.notes: List[str] = []
         self._seen: Set[Tuple] = set()
@@ -222,10 +222,9 @@ class SanitizingInterpreter(Interpreter):
         self._trace_blocks = True
 
         # The claims are the module's shared facts, the same objects the
-        # model and lint read; the injection modes below perturb copies.
-        facts = ModuleFacts.of(module)
+        # model and lint read; an injection perturbs the copies below.
+        self.facts = facts = ModuleFacts.of(module)
         self.intervals = facts.intervals
-        self.pointsto = facts.points_to
         self.bounds = facts.bounds
         self.bitwidth = facts.bitwidth
         # Never elide in sanitize mode: self.bounds stays analysis-only and
@@ -241,7 +240,7 @@ class SanitizingInterpreter(Interpreter):
         self._loops_of_block: Dict = {}
         #: loop header → Loop
         self._header_loops: Dict = {}
-        #: per loop: claimed dependence pairs → min claimed distance
+        #: per loop: claimed dependence pair → claimed distance
         self._dep_claims: Dict[Loop, Dict[FrozenSet[Instruction], int]] = {}
         #: per function: [(base_a, base_b)] claimed never-overlapping
         self._disjoint_claims: List[Tuple] = []
@@ -252,7 +251,7 @@ class SanitizingInterpreter(Interpreter):
         #: loop → its banking claims (slot state resets on fresh entry)
         self._bank_claims_by_loop: Dict[Loop, List[_BankClaim]] = {}
         #: schemes the analysis proved *conflicted* — promoted to bogus
-        #: conflict-free claims by ``inject_unsound_banking``
+        #: conflict-free claims by the ``banking`` injection
         self._conflicted_bank_schemes: List[Tuple] = []
         #: access instruction → reuse claims it produces records for
         self._reuse_producers: Dict[Instruction, List[_ReuseClaim]] = {}
@@ -264,70 +263,8 @@ class SanitizingInterpreter(Interpreter):
         for func in module.defined_functions():
             self._prepare_function(func)
 
-        if inject_unsound_bitwidth:
-            # Adversarial self-test: claim the lowest *unknown* bit of every
-            # int instruction is zero.  Any workload producing a value with
-            # that bit set must now trip the known-bits check — proving the
-            # sanitizer would catch an unsound transfer function.
-            for inst, kb in list(self._claimed_bits.items()):
-                unknown = ((1 << kb.bits) - 1) & ~(kb.zeros | kb.ones)
-                if unknown:
-                    low = unknown & -unknown
-                    self._claimed_bits[inst] = KnownBits(
-                        kb.bits, kb.zeros | low, kb.ones
-                    )
-            self.notes.append(
-                "inject-unsound-bitwidth: one known-zero bit deliberately "
-                "mis-claimed per instruction (sanitizer self-test)"
-            )
-
-        if inject_unsound_dependence:
-            # Adversarial self-test: over-claim every carried-dependence
-            # distance by one.  "Proven minimal distance d" promises no
-            # conflict closer than d iterations; any workload whose real
-            # recurrence runs at exactly its claimed distance must now trip
-            # the distance check — proving the sanitizer would catch an
-            # unsound dependence-vector test.
-            for loop, claims in self._dep_claims.items():
-                for key in list(claims):
-                    claims[key] += 1
-            self.notes.append(
-                "inject-unsound-dependence: every claimed carried-"
-                "dependence distance deliberately inflated by one "
-                "(sanitizer self-test)"
-            )
-
-        if inject_unsound_banking:
-            # Adversarial self-test: claim every scheme the banking analysis
-            # proved *conflicted* as conflict-free (the claimed residues are
-            # exactly wrong).  Any workload whose lanes really collide must
-            # now trip the bank check — proving the sanitizer would catch an
-            # unsound conflict-freedom proof.
-            for args in self._conflicted_bank_schemes:
-                self._register_bank_claim(*args)
-            self.notes.append(
-                f"inject-unsound-banking: {len(self._conflicted_bank_schemes)} "
-                "provably-conflicted banking scheme(s) deliberately claimed "
-                "conflict-free (sanitizer self-test)"
-            )
-
-        if inject_unsound_reuse:
-            # Adversarial self-test: shorten every proven reuse distance by
-            # one.  The claim "consumer at i reads what the producer touched
-            # at i−d" becomes i−(d−1) — off by exactly one iteration — so
-            # any workload actually exercising its reuse pairs must now trip
-            # the address check, proving the sanitizer would catch an
-            # unsound residue test.
-            shortened = 0
-            for claims in self._reuse_claims_by_loop.values():
-                for claim in claims:
-                    claim.distance = max(0, claim.distance - 1)
-                    shortened += 1
-            self.notes.append(
-                f"inject-unsound-reuse: {shortened} claimed reuse "
-                "distance(s) deliberately shortened by one (sanitizer "
-                "self-test)"
-            )
+        if inject_unsound is not None:
+            self.CLAIMS[inject_unsound][1](self)
 
         # Runtime trackers.
         self._loop_iter: Dict[Loop, int] = {}
@@ -376,42 +313,66 @@ class SanitizingInterpreter(Interpreter):
 
     def _prepare_function(self, func: Function) -> None:
         analysis = self.intervals.for_function(func)
-        bw = self.bitwidth.for_function(func)
         for inst in func.instructions():
             if inst.type.is_int:
                 self._expected[inst] = analysis.interval_of(inst)
-                self._claimed_bits[inst] = bw.known(inst)
-                self._demanded_mask[inst] = bw.demanded(inst)
         for arg, interval in analysis.arg_intervals.items():
             self._expected[arg] = interval
-        for arg in func.arguments:
-            if arg.type.is_int:
-                self._demanded_mask[arg] = bw.demanded(arg)
-
-        apa = AccessPatternAnalysis(func, analysis.loop_info)
-        md = MemoryDependenceAnalysis(
-            apa,
-            points_to=self.pointsto,
-            assume_restrict=self.assume_restrict,
-            intervals=analysis,
-        )
-        for loop in analysis.loop_info.loops:
+        ctx = self.facts.context(func)
+        for loop in ctx.loop_info.loops:
             self._header_loops[loop.header] = loop
             for block in loop.blocks:
                 self._loops_of_block.setdefault(block, []).append(loop)
-            claims: Dict[FrozenSet[Instruction], int] = {}
-            for dep in md.loop_carried(loop):
-                key = frozenset((dep.source.inst, dep.sink.inst))
-                dist = dep.effective_distance
-                if key not in claims or dist < claims[key]:
-                    claims[key] = dist
-            self._dep_claims[loop] = claims
+        for read, _inject in self.CLAIMS.values():
+            read(self, ctx)
 
-        # Banking claims: every scheme the static analysis proves
-        # conflict-free for a (loop, group, unroll factor) becomes a
-        # runtime-checkable claim.  Only global-variable groups are
-        # checkable (their runtime base address is known).
-        for probe in probe_function(md):
+    def _read_bitwidth(self, ctx) -> None:
+        """Known and demanded bits of every int value."""
+        bw = self.bitwidth.for_function(ctx.func)
+        for inst in ctx.func.instructions():
+            if inst.type.is_int:
+                self._claimed_bits[inst] = bw.known(inst)
+                self._demanded_mask[inst] = bw.demanded(inst)
+        for arg in ctx.func.arguments:
+            if arg.type.is_int:
+                self._demanded_mask[arg] = bw.demanded(arg)
+
+    def _inject_bitwidth(self) -> None:
+        """Claim the lowest *unknown* bit of every int instruction zero."""
+        for inst, kb in list(self._claimed_bits.items()):
+            unknown = ((1 << kb.bits) - 1) & ~(kb.zeros | kb.ones)
+            if unknown:
+                low = unknown & -unknown
+                self._claimed_bits[inst] = KnownBits(
+                    kb.bits, kb.zeros | low, kb.ones
+                )
+        self.notes.append("inject-unsound-bitwidth: one known-zero bit "
+                          "deliberately mis-claimed per instruction "
+                          "(sanitizer self-test)")
+
+    def _read_dependence(self, ctx) -> None:
+        """Per loop, access pair → carried distance (one dependence each)."""
+        for loop in ctx.loop_info.loops:
+            self._dep_claims[loop] = {
+                frozenset((dep.source.inst, dep.sink.inst)):
+                    dep.effective_distance
+                for dep in ctx.memdep.loop_carried(loop)
+            }
+
+    def _inject_dependence(self) -> None:
+        """Over-claim every carried distance by one: a recurrence running at
+        exactly its proven minimal distance must trip the distance check."""
+        for claims in self._dep_claims.values():
+            for key in claims:
+                claims[key] += 1
+        self.notes.append("inject-unsound-dependence: every claimed carried-"
+                          "dependence distance deliberately inflated by one "
+                          "(sanitizer self-test)")
+
+    def _read_banking(self, ctx) -> None:
+        """Each probed scheme proved conflict-free (global arrays only); the
+        conflicted ones are kept for the injection."""
+        for probe in probe_function(ctx.memdep):
             verdict = probe.verdict
             insts = [a.inst for a in probe.accesses]
             for sv in verdict.schemes:
@@ -429,40 +390,14 @@ class SanitizingInterpreter(Interpreter):
                 elif sv.status == CONFLICTED:
                     self._conflicted_bank_schemes.append(args)
 
-        # Reuse claims: every pair the reuse analysis *proves* (consumer at
-        # iteration i addresses what the producer addressed at i−d, no
-        # intervening clobber) becomes a runtime-checkable claim.  Only
-        # global-variable groups are checkable (known base address).
-        for probe in reuse_probes(md):
-            for pair in probe.verdict.pairs:
-                claim = _ReuseClaim(
-                    probe.loop, probe.base,
-                    pair.producer.inst, pair.consumer.inst, pair.distance,
-                )
-                self._reuse_claims_by_loop.setdefault(
-                    probe.loop, []
-                ).append(claim)
-                self._reuse_producers.setdefault(
-                    claim.producer, []
-                ).append(claim)
-                self._reuse_consumers.setdefault(
-                    claim.consumer, []
-                ).append(claim)
-
-        bases = []
-        infos = {}
-        for inst in func.instructions():
-            if isinstance(inst, (Load, Store)):
-                info = apa.info(inst)
-                self._access_base[inst] = info.base
-                if info.base is not None and info.base not in infos:
-                    infos[info.base] = info
-                    bases.append(info.base)
-        for i, base_a in enumerate(bases):
-            for base_b in bases[i + 1:]:
-                overlap = md.bases_may_overlap(infos[base_a], infos[base_b])
-                if overlap is False:
-                    self._disjoint_claims.append((base_a, base_b))
+    def _inject_banking(self) -> None:
+        """Claim every scheme proved *conflicted* conflict-free."""
+        for args in self._conflicted_bank_schemes:
+            self._register_bank_claim(*args)
+        self.notes.append(f"inject-unsound-banking: "
+                          f"{len(self._conflicted_bank_schemes)} provably-"
+                          "conflicted banking scheme(s) deliberately claimed "
+                          "conflict-free (sanitizer self-test)")
 
     def _register_bank_claim(
         self, loop, base, factor, kind, banks, word, block_bytes, insts
@@ -471,6 +406,67 @@ class SanitizingInterpreter(Interpreter):
         self._bank_claims_by_loop.setdefault(loop, []).append(claim)
         for inst in insts:
             self._bank_claims.setdefault(inst, []).append(claim)
+
+    def _read_reuse(self, ctx) -> None:
+        """Each reuse pair the probes prove (global arrays only)."""
+        for probe in reuse_probes(ctx.memdep):
+            for pair in probe.verdict.pairs:
+                claim = _ReuseClaim(
+                    probe.loop, probe.base,
+                    pair.producer.inst, pair.consumer.inst, pair.distance,
+                )
+                for index, key in ((self._reuse_claims_by_loop, probe.loop),
+                                   (self._reuse_producers, claim.producer),
+                                   (self._reuse_consumers, claim.consumer)):
+                    index.setdefault(key, []).append(claim)
+
+    def _inject_reuse(self) -> None:
+        """Shorten every proven reuse distance by one iteration."""
+        claims = [c for cs in self._reuse_claims_by_loop.values() for c in cs]
+        for claim in claims:
+            claim.distance = max(0, claim.distance - 1)
+        self.notes.append(f"inject-unsound-reuse: {len(claims)} claimed reuse "
+                          "distance(s) deliberately shortened by one "
+                          "(sanitizer self-test)")
+
+    def _read_alias(self, ctx) -> None:
+        """Each access's base, and each base pair points-to proves disjoint."""
+        firsts = {}  # base → its first access
+        for info in ctx.access.accesses():
+            self._access_base[info.inst] = info.base
+            if info.base is not None:
+                firsts.setdefault(info.base, info)
+        self._disjoint_claims.extend(
+            (a.base, b.base) for a, b in combinations(firsts.values(), 2)
+            if ctx.memdep.bases_may_overlap(a, b) is False
+        )
+
+    def _inject_alias(self) -> None:
+        """The historical blanket-``restrict`` model: every pair of distinct
+        bases is disjoint, so each dependence carried only through a pair
+        points-to cannot separate (``via_alias``) is dropped."""
+        bases: Dict[Function, Dict] = {}  # in order of first access
+        for inst, base in self._access_base.items():
+            if base is not None:
+                bases.setdefault(inst.parent.parent, {})[base] = None
+        self._disjoint_claims = [pair for group in bases.values()
+                                 for pair in combinations(group, 2)]
+        for loop, claims in self._dep_claims.items():
+            memdep = self.facts.context(loop.header.parent).memdep
+            for dep in memdep.loop_carried(loop):
+                if dep.via_alias:
+                    del claims[frozenset((dep.source.inst, dep.sink.inst))]
+
+    #: Claim kind → (reader, injection).  The reader copies one function's
+    #: claims from its facts context; the injection perturbs that copy so
+    #: the kind's gate workload must fail, and notes it (except ``alias``).
+    CLAIMS = {
+        "bitwidth": (_read_bitwidth, _inject_bitwidth),
+        "dependence": (_read_dependence, _inject_dependence),
+        "banking": (_read_banking, _inject_banking),
+        "reuse": (_read_reuse, _inject_reuse),
+        "alias": (_read_alias, _inject_alias),
+    }
 
     def _plan_tracks(self) -> Dict[Loop, _LoopTrack]:
         """A track per loop that contains a store (conflicts) or carries a
@@ -841,8 +837,7 @@ class SanitizingInterpreter(Interpreter):
                 f"between {earlier.opcode} %{earlier.name or '?'} and "
                 f"{later.opcode} %{later.name or '?'} at distance "
                 f"{distance} in loop {loop.header.name}, but the "
-                f"{'restrict' if self.assume_restrict else 'points-to'} "
-                f"model claims independence",
+                f"{self._alias_model} model claims independence",
             )
         elif claimed > distance:
             self._violation(
@@ -1090,8 +1085,7 @@ class SanitizingInterpreter(Interpreter):
                     self._violation(
                         ("alias", base_a, base_b),
                         f"alias violation: bases %{name_a} and %{name_b} "
-                        f"claimed disjoint by the "
-                        f"{'restrict' if self.assume_restrict else 'points-to'} "
+                        f"claimed disjoint by the {self._alias_model} "
                         f"model but touched "
                         f"{len(touched_a & touched_b)} common bytes",
                     )

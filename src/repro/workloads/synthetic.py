@@ -5,14 +5,14 @@ than representing paper benchmarks.  ``smooth-alias`` binds two pointer
 arguments of the same kernel to one buffer — the exact situation the
 historical blanket-``restrict`` aliasing model mishandles (it claims the
 arguments never alias, dropping a real loop-carried dependence).  The
-points-to analysis proves the overlap, and the sanitizing interpreter
-demonstrates the restrict model's unsoundness at runtime.
+points-to analysis proves the overlap; ``--sanitize --inject-unsound
+alias`` demonstrates the restrict model's unsoundness at runtime.
 
 ``bitwidth-adversary`` stresses the bitwidth layer: an LCG whose state
 parity alternates every iteration (so no sound analysis may claim its low
 bit), mixed through shifts, xor, masking, negation and 64-bit widening.
 Run under ``--sanitize`` it must be violation-free; run with
-``--inject-unsound-bitwidth`` (which deliberately mis-claims one
+``--inject-unsound bitwidth`` (which deliberately mis-claims one
 known-zero bit per instruction) the sanitizer must fail — demonstrating
 an unsound transfer function cannot slip through.
 
@@ -40,7 +40,7 @@ the scratchpad bank-conflict layer (``repro banks``).  The collider's
 ``A[2*i]`` gather puts every unrolled lane pair an even number of words
 apart, so *no* cyclic or block scheme up to the unroll factor is
 conflict-free — the banking verdict must serialize the group (the old
-model assumed perfect parallelism here; ``--inject-unsound-banking``
+model assumed perfect parallelism here; ``--inject-unsound banking``
 re-claims the conflicted schemes and the sanitizer must catch the
 observed collisions).  ``bank-transpose`` sweeps a row-major matrix by
 column (stride = one full row), the classic case where cyclic banking

@@ -85,7 +85,7 @@ def test_injected_overclaim_never_survives(case):
     runs at exactly its proven distance — the sanitizer must notice."""
     source, _ = case
     module = compile_source(source, "depprop-adv")
-    runs = sanitize_both(module, inject_unsound_dependence=True)
+    runs = sanitize_both(module, inject_unsound="dependence")
     assert runs["reference"][0] == runs["compiled"][0], source
     interp = runs["compiled"][1]
     assert any("dependence-distance" in v for v in interp.violations), source

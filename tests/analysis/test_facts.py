@@ -12,6 +12,7 @@ import pytest
 
 import repro
 from repro.analysis.facts import ModuleFacts
+from repro.analysis.memdep import MemoryDependenceAnalysis
 from repro.analysis.wpst import WPST
 from repro.dataflow import (
     BoundsAnalysis,
@@ -151,7 +152,7 @@ def constructions(monkeypatch):
     """Counts constructions of each counted analysis class."""
     counts = {}
     for cls in (IntervalAnalysis, KnownBitsAnalysis, PointsToAnalysis,
-                BoundsAnalysis):
+                BoundsAnalysis, MemoryDependenceAnalysis):
         original = cls.__init__
 
         def counting(self, *args, _original=original, _name=cls.__name__,
@@ -180,14 +181,15 @@ def test_verify_sequence_builds_each_analysis_once(constructions):
         "KnownBitsAnalysis": functions,
         "PointsToAnalysis": 1,
         "BoundsAnalysis": 1,
+        "MemoryDependenceAnalysis": functions,
     }
 
 
-#: The module-level analyses and the per-function context, each
-#: constructed only by the facts bundle.
+#: The module-level analyses, the per-function context and its dependence
+#: analysis, each constructed only by the facts bundle.
 BUILT_BY_FACTS = {
     "ModuleIntervalAnalysis", "ModuleBitwidthAnalysis", "PointsToAnalysis",
-    "BoundsAnalysis", "FunctionContext",
+    "BoundsAnalysis", "FunctionContext", "MemoryDependenceAnalysis",
 }
 
 

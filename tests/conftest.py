@@ -88,17 +88,18 @@ def sanitized_output(interp, returned):
     }
 
 
-def sanitize_both(module, calls=(("main", ()),), **flags):
+def sanitize_both(module, calls=(("main", ()),), inject_unsound=None):
     """Run ``calls`` (``(entry, args)`` pairs, in order) on one
-    ``SanitizingInterpreter`` per engine; returns ``{engine: (output,
-    interp)}`` with ``output`` as :func:`sanitized_output` after the last
-    call."""
+    ``SanitizingInterpreter`` per engine, with ``inject_unsound`` perturbing
+    one claim kind or None; returns ``{engine: (output, interp)}`` with
+    ``output`` as :func:`sanitized_output` after the last call."""
     from repro.interp.sanitizer import SanitizingInterpreter
 
     runs = {}
     for engine in ("reference", "compiled"):
         interp = SanitizingInterpreter(
-            module, fail_fast=False, engine=engine, **flags
+            module, fail_fast=False, engine=engine,
+            inject_unsound=inject_unsound,
         )
         returned = None
         for entry, args in calls:

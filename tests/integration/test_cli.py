@@ -191,9 +191,9 @@ class TestExecCommand:
         out = capsys.readouterr().out
         assert "0 violation(s)" in out
 
-    def test_sanitize_assume_restrict_catches_aliasing(self, capsys):
+    def test_sanitize_injected_alias_catches_aliasing(self, capsys):
         assert main(["exec", "--workload", "smooth-alias", "--sanitize",
-                     "--assume-restrict"]) == 1
+                     "--inject-unsound", "alias"]) == 1
         out = capsys.readouterr().out
         assert "VIOLATION" in out
 
@@ -210,7 +210,7 @@ class TestExecCommand:
 
     def test_sanitize_injected_unsound_bitwidth_exits_one(self, capsys):
         assert main(["exec", "--workload", "bitwidth-adversary", "--sanitize",
-                     "--inject-unsound-bitwidth"]) == 1
+                     "--inject-unsound", "bitwidth"]) == 1
         assert "VIOLATION" in capsys.readouterr().out
 
     def test_sanitize_dependence_workload_clean(self, capsys):
@@ -221,7 +221,7 @@ class TestExecCommand:
 
     def test_sanitize_injected_unsound_dependence_exits_one(self, capsys):
         assert main(["exec", "--workload", "wave-lag", "--sanitize",
-                     "--inject-unsound-dependence"]) == 1
+                     "--inject-unsound", "dependence"]) == 1
         out = capsys.readouterr().out
         assert "dependence-distance violation" in out
 
@@ -242,6 +242,23 @@ class TestExecCommand:
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), lines
         assert message in lines[0]
+
+    def test_injection_without_sanitize_exits_two(self, capsys):
+        """A gate that forgets --sanitize must not pass on a plain run."""
+        with pytest.raises(SystemExit) as exc:
+            main(["exec", "--workload", "wave-lag",
+                  "--inject-unsound", "dependence"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --inject-unsound needs --sanitize\n"
+
+    def test_unknown_injected_claim_is_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["exec", "--workload", "wave-lag", "--sanitize",
+                  "--inject-unsound", "restrict"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'restrict'" in capsys.readouterr().err
 
 
 class TestDepsCommand:
@@ -395,7 +412,7 @@ class TestBanksCommand:
 
     def test_sanitize_injected_unsound_banking_exits_one(self, capsys):
         assert main(["exec", "--workload", "stride2-collider", "--sanitize",
-                     "--inject-unsound-banking"]) == 1
+                     "--inject-unsound", "banking"]) == 1
         out = capsys.readouterr().out
         assert "bank-conflict violation" in out
 
@@ -448,7 +465,7 @@ class TestReuseCommand:
 
     def test_sanitize_injected_unsound_reuse_exits_one(self, capsys):
         assert main(["exec", "--workload", "stencil-reuse-3", "--sanitize",
-                     "--inject-unsound-reuse"]) == 1
+                     "--inject-unsound", "reuse"]) == 1
         out = capsys.readouterr().out
         assert "reuse-address violation" in out
 

@@ -48,17 +48,17 @@ class TestUnsoundInjectionCaught:
         """Marking one unknown bit per instruction as known-zero is a
         deliberately unsound claim; the alternating-parity LCG state must
         expose it at runtime."""
-        interp = sanitize("bitwidth-adversary", inject_unsound_bitwidth=True)
+        interp = sanitize("bitwidth-adversary", inject_unsound="bitwidth")
         assert any(v.startswith("known-bits") for v in interp.violations)
 
     def test_injection_is_recorded_as_note(self):
-        interp = sanitize("bitwidth-adversary", inject_unsound_bitwidth=True)
+        interp = sanitize("bitwidth-adversary", inject_unsound="bitwidth")
         assert any("inject" in note for note in interp.notes)
 
     def test_fail_fast_raises_on_injection(self):
         workload = get_workload("bitwidth-adversary")
         module = compile_source(workload.source, workload.name)
-        interp = SanitizingInterpreter(module, inject_unsound_bitwidth=True)
+        interp = SanitizingInterpreter(module, inject_unsound="bitwidth")
         with pytest.raises(SanitizerError):
             interp.run(workload.entry)
 

@@ -74,12 +74,8 @@ class TestEngineEquivalence:
         assert ref.func_entry_count == cmp_.func_entry_count
 
 
-#: Sanitizer constructor flags: none, each injected unsound claim, and the
-#: blanket-restrict alias model.
-SANITIZER_MODES = [
-    None, "inject_unsound_bitwidth", "inject_unsound_dependence",
-    "inject_unsound_banking", "inject_unsound_reuse", "assume_restrict",
-]
+#: Sanitizer modes: no injection, then each claim kind injected.
+SANITIZER_MODES = (None, *SanitizingInterpreter.CLAIMS)
 
 
 def assert_sanitized_identical(runs):
@@ -132,10 +128,11 @@ class TestInstrumentedEquivalence:
     def test_sanitizer_identical(self, name):
         workload = get_workload(name)
         module = compile_source(workload.source, workload.name)
-        for flag in SANITIZER_MODES:
-            options = {flag: True} if flag else {}
+        for claim in SANITIZER_MODES:
             assert_sanitized_identical(
-                sanitize_both(module, [(workload.entry, ())], **options)
+                sanitize_both(
+                    module, [(workload.entry, ())], inject_unsound=claim
+                )
             )
 
     @pytest.mark.parametrize("source, offsets", [
@@ -160,7 +157,7 @@ class TestInstrumentedEquivalence:
         for engine in ("reference", "compiled"):
             module = compile_source(workload.source, workload.name)
             interp = SanitizingInterpreter(
-                module, fail_fast=False, inject_unsound_bitwidth=True,
+                module, fail_fast=False, inject_unsound="bitwidth",
                 engine=engine,
             )
             interp.run(workload.entry)

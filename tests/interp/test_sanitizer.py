@@ -1,6 +1,6 @@
 """Sanitizing-interpreter tests: clean workloads stay clean under the
-points-to model, and the blanket-restrict model is caught red-handed on a
-deliberately aliasing workload."""
+points-to model, and the blanket-restrict model (the ``alias`` injection)
+is caught red-handed on a deliberately aliasing workload."""
 
 import pytest
 
@@ -53,7 +53,7 @@ class TestRestrictModelUnsound:
     def test_aliasing_workload_flags_restrict_model(self):
         """smooth-alias calls smooth(buf, buf, 96): dst and src are one
         buffer, so the restrict model's independence claim is violated."""
-        interp = sanitize("smooth-alias", assume_restrict=True)
+        interp = sanitize("smooth-alias", inject_unsound="alias")
         assert interp.violations, "restrict model escaped the sanitizer"
         assert any(
             "restrict" in v and ("alias" in v or "dependence" in v)
@@ -66,9 +66,17 @@ class TestRestrictModelUnsound:
     def test_fail_fast_raises(self):
         workload = get_workload("smooth-alias")
         module = compile_source(workload.source, workload.name)
-        interp = SanitizingInterpreter(module, assume_restrict=True)
+        interp = SanitizingInterpreter(module, inject_unsound="alias")
         with pytest.raises(SanitizerError):
             interp.run(workload.entry)
+
+
+def test_unknown_injected_claim_names_the_valid_claims():
+    workload = get_workload("trisolv")
+    module = compile_source(workload.source, workload.name)
+    with pytest.raises(ValueError, match="'restrict'; valid claims: "
+                       "bitwidth, dependence, banking, reuse, alias"):
+        SanitizingInterpreter(module, inject_unsound="restrict")
 
 
 class TestDependenceDistances:
@@ -87,14 +95,14 @@ class TestDependenceDistances:
         """Inflating every claimed distance by one turns each claim into an
         over-claim; the runtime trace must flag it on any workload whose
         recurrence runs at exactly its proven distance."""
-        interp = sanitize(name, inject_unsound_dependence=True)
+        interp = sanitize(name, inject_unsound="dependence")
         assert interp.violations, (
             f"unsound dependence claim escaped the sanitizer on {name}"
         )
         assert any("dependence-distance" in v for v in interp.violations)
 
     def test_injection_is_noted(self):
-        interp = sanitize("wave-lag", inject_unsound_dependence=True)
+        interp = sanitize("wave-lag", inject_unsound="dependence")
         assert any("inject-unsound-dependence" in n for n in interp.notes)
 
 
@@ -146,19 +154,19 @@ class TestBankingClaims:
         """Re-claiming provably-conflicted schemes as conflict-free must
         produce violations on any workload whose lanes really collide
         (A[2*i] in the collider, the row-pitch cyclic schemes elsewhere)."""
-        interp = sanitize(name, inject_unsound_banking=True)
+        interp = sanitize(name, inject_unsound="banking")
         assert interp.violations, "unsound banking claim escaped the sanitizer"
         assert any("bank-conflict" in v for v in interp.violations)
         assert any("claimed conflict-free" in v for v in interp.violations)
 
     def test_injection_is_noted(self):
-        interp = sanitize("stride2-collider", inject_unsound_banking=True)
+        interp = sanitize("stride2-collider", inject_unsound="banking")
         assert any("inject-unsound-banking" in n for n in interp.notes)
 
     def test_injection_fail_fast_raises(self):
         workload = get_workload("stride2-collider")
         module = compile_source(workload.source, workload.name)
-        interp = SanitizingInterpreter(module, inject_unsound_banking=True)
+        interp = SanitizingInterpreter(module, inject_unsound="banking")
         with pytest.raises(SanitizerError):
             interp.run(workload.entry)
 
@@ -201,24 +209,24 @@ class TestReuseClaims:
         """Shortening a moving-window distance by one makes the tap read a
         neighboring element — a concrete address mismatch every steady
         iteration."""
-        interp = sanitize(name, inject_unsound_reuse=True)
+        interp = sanitize(name, inject_unsound="reuse")
         assert interp.violations, "unsound reuse claim escaped the sanitizer"
         assert any("reuse-address" in v for v in interp.violations)
 
     def test_breaker_clean_under_injection(self):
         """No claims registered means nothing to shorten: the injection is
         a no-op on the degraded workload."""
-        interp = sanitize("reuse-breaker", inject_unsound_reuse=True)
+        interp = sanitize("reuse-breaker", inject_unsound="reuse")
         assert interp.violations == []
 
     def test_injection_is_noted(self):
-        interp = sanitize("stencil-reuse-3", inject_unsound_reuse=True)
+        interp = sanitize("stencil-reuse-3", inject_unsound="reuse")
         assert any("inject-unsound-reuse" in n for n in interp.notes)
 
     def test_injection_fail_fast_raises(self):
         workload = get_workload("stencil-reuse-3")
         module = compile_source(workload.source, workload.name)
-        interp = SanitizingInterpreter(module, inject_unsound_reuse=True)
+        interp = SanitizingInterpreter(module, inject_unsound="reuse")
         with pytest.raises(SanitizerError):
             interp.run(workload.entry)
 

@@ -8,9 +8,8 @@ the sha256 of a canonical JSON rendering of what the run reports:
 * ``observed_distances``, keyed by loop header and instruction positions;
 * the return value.
 
-The runs are every registered workload with no injection, each
-``inject_unsound_*`` mode on the workload its CI gate uses, and
-``assume_restrict`` on ``smooth-alias``.  Any change to what the sanitizer
+The runs are every registered workload with no injection, and each
+injected claim kind on the workload its CI gate uses.  Any change to what the sanitizer
 checks, counts or reports changes a digest and fails this test.  A change
 meant to make the sanitizer faster must leave every digest unchanged.
 
@@ -37,35 +36,34 @@ from ..conftest import sanitized_output
 
 TABLE = os.path.join(os.path.dirname(__file__), "sanitizer_digests.json")
 
-#: Each injected mode on the workload its CI gate sanitizes.
+#: Each injected claim kind → the workload its CI gate sanitizes.
 MODES = {
-    "inject_unsound_bitwidth": "bitwidth-adversary",
-    "inject_unsound_dependence": "wave-lag",
-    "inject_unsound_banking": "stride2-collider",
-    "inject_unsound_reuse": "stencil-reuse-3",
-    "assume_restrict": "smooth-alias",
+    "bitwidth": "bitwidth-adversary",
+    "dependence": "wave-lag",
+    "banking": "stride2-collider",
+    "reuse": "stencil-reuse-3",
+    "alias": "smooth-alias",
 }
 
 
 def runs():
-    """``(key, workload, flag)`` for every pinned run; ``flag`` is the
-    constructor keyword set to ``True``, or ``None``."""
+    """``(key, workload, claim)`` for every pinned run; ``claim`` is the
+    injected claim kind, or ``None``."""
     for name in workload_names():
         yield name, name, None
-    for flag, name in MODES.items():
-        yield f"{name}+{flag}", name, flag
+    for claim, name in MODES.items():
+        yield f"{name}+{claim}", name, claim
 
 
-def sanitize(name, flag=None, engine="compiled"):
+def sanitize(name, claim=None, engine="compiled"):
     """Sanitize workload ``name`` from a fresh SSA name counter."""
     workload = get_workload(name)
     saved = values._name_counter
     values._name_counter = itertools.count()
     try:
         module = compile_source(workload.source, workload.name)
-        options = {flag: True} if flag else {}
         interp = SanitizingInterpreter(
-            module, fail_fast=False, engine=engine, **options
+            module, fail_fast=False, engine=engine, inject_unsound=claim
         )
         returned = interp.run(workload.entry)
     finally:
@@ -73,13 +71,17 @@ def sanitize(name, flag=None, engine="compiled"):
     return sanitized_output(interp, returned)
 
 
-def digest(name, flag=None):
-    text = json.dumps(sanitize(name, flag), sort_keys=True)
+def digest(name, claim=None):
+    text = json.dumps(sanitize(name, claim), sort_keys=True)
     return hashlib.sha256(text.encode()).hexdigest()
 
 
 def digests():
-    return {key: digest(name, flag) for key, name, flag in runs()}
+    return {key: digest(name, claim) for key, name, claim in runs()}
+
+
+def test_every_claim_kind_has_a_gate_workload():
+    assert list(MODES) == list(SanitizingInterpreter.CLAIMS)
 
 
 def test_sanitized_runs_match_recorded_digests():
