@@ -480,19 +480,18 @@ class GroupProbe:
         }
 
 
-def probe_function(memdep) -> List[GroupProbe]:
-    """Probe every innermost loop of ``memdep``'s function: group its
+def probe_function(ctx) -> List[GroupProbe]:
+    """Probe every innermost loop of ``ctx``'s function: group its
     global-array accesses and decide a :class:`BankingVerdict` for each
     unroll-legal factor in :data:`PROBE_FACTORS`.  Only global arrays are
     probed, because their runtime base address is known and the sanitizer
-    can check the claims.  This is the standalone entry point the CLI, the
-    bench section, and the sanitizer share (the estimator drives
-    :class:`BankingAnalysis` directly from its interface plans).
+    can check the claims.  The CLI, the bench section and the sanitizer
+    share this entry point; it reads ``ctx.banking``, the prover the
+    estimator drives from its interface plans.
     """
     from ..hls.transform import legal_unroll_factors  # lazy: avoid a cycle
 
-    access, loop_info = memdep.access, memdep.loop_info
-    analysis = BankingAnalysis(memdep.resolver)
+    access, loop_info, memdep = ctx.access, ctx.loop_info, ctx.memdep
     tele = current_telemetry()
     probes: List[GroupProbe] = []
     func_name = access.func.name
@@ -521,7 +520,7 @@ def probe_function(memdep) -> List[GroupProbe]:
                         GroupAccess(info, ((loop, factor),))
                         for info in infos
                     ]
-                    verdict = analysis.verdict(base, members)
+                    verdict = ctx.banking.verdict(base, members)
                     probes.append(GroupProbe(
                         function=func_name, loop=loop, factor=factor,
                         base=base, accesses=list(infos), verdict=verdict,

@@ -67,11 +67,11 @@ class FunctionContext:
         #: The function's one affine-subscript resolver: the dependence
         #: tester, banking and reuse all read each access's form from it.
         self.resolver = self.memdep.resolver
-        #: Scratchpad bank-conflict prover shared by every candidate config
-        #: (verdicts are cached per group/lane structure).
+        #: Scratchpad bank-conflict prover of every candidate config and the
+        #: banking probes (verdicts are cached per group/lane structure).
         self.banking = BankingAnalysis(self.resolver)
-        #: Inter-iteration data-reuse prover (shift-register buffers);
-        #: verdicts are cached per (base, loop, member) structure.
+        #: Inter-iteration data-reuse prover (shift-register buffers) of the
+        #: configs and the reuse probes, cached per group structure.
         self.reuse = ReuseAnalysis(self.resolver, memdep=self.memdep)
         self.rpo_index = {b: i for i, b in enumerate(reverse_postorder(func))}
 

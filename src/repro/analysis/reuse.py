@@ -204,11 +204,10 @@ class ReuseAnalysis:
     ``resolver`` (the function's :class:`SubscriptResolver`) supplies the
     fully resolved subscripts, constant offset differences and trip
     bounds; ``memdep`` supplies points-to disjointness for stores on other
-    base objects (without it every foreign store degrades the group to
-    unknown).
+    base objects.
     """
 
-    def __init__(self, resolver: SubscriptResolver, memdep=None):
+    def __init__(self, resolver: SubscriptResolver, memdep):
         self.resolver = resolver
         self.memdep = memdep
         self._cache: Dict = {}
@@ -220,18 +219,14 @@ class ReuseAnalysis:
         base: object,
         loop: Loop,
         members: Sequence[AccessInfo],
-        stores: Optional[Sequence[AccessInfo]] = None,
+        stores: Sequence[AccessInfo],
     ) -> ReuseVerdict:
         """Decide every (producer, consumer) candidate of one group.
 
         ``members`` are the accesses on ``base`` inside ``loop``;
         ``stores`` must list *every* store executing in the loop (any
-        base — foreign stores are the may-alias breakers).  When omitted
-        it defaults to the stores among ``members``, which is only sound
-        for call-free loops whose sole stores hit this base.
+        base — foreign stores are the may-alias breakers).
         """
-        if stores is None:
-            stores = [m for m in members if m.is_store]
         key = (
             base,
             loop,
@@ -362,10 +357,7 @@ class ReuseAnalysis:
                 return (UNKNOWN,
                         f"store %{_name(store)} has an unresolved base")
             if store.base is not producer.base:
-                overlap = None
-                if self.memdep is not None:
-                    overlap = self.memdep.bases_may_overlap(store, producer)
-                if overlap is False:
+                if self.memdep.bases_may_overlap(store, producer) is False:
                     continue  # provably disjoint objects
                 return (UNKNOWN,
                         f"may-alias store %{_name(store)} to "
@@ -514,19 +506,17 @@ class ReuseProbe:
         }
 
 
-def probe_function(memdep) -> List[ReuseProbe]:
-    """Probe every call-free innermost loop of ``memdep``'s function: group
+def probe_function(ctx) -> List[ReuseProbe]:
+    """Probe every call-free innermost loop of ``ctx``'s function: group
     its global-array accesses and decide a :class:`ReuseVerdict` for each
     group containing at least one load.  Only global arrays are probed,
     because their runtime base address is known and the sanitizer can
-    check the claims.  This is the standalone entry point the CLI, the
-    bench section, and the sanitizer share (the estimator drives
-    :class:`ReuseAnalysis` directly from its interface plans).  Loops
-    containing calls are skipped: callee stores could clobber a buffered
-    element invisibly to the scan.
+    check the claims.  The CLI, the bench section and the sanitizer share
+    this entry point; it reads ``ctx.reuse``, the prover the estimator
+    drives from its interface plans.  Loops containing calls are skipped:
+    callee stores could clobber a buffered element invisibly to the scan.
     """
-    access, loop_info = memdep.access, memdep.loop_info
-    analysis = ReuseAnalysis(memdep.resolver, memdep=memdep)
+    access, loop_info = ctx.access, ctx.loop_info
     tele = current_telemetry()
     probes: List[ReuseProbe] = []
     func_name = access.func.name
@@ -552,7 +542,7 @@ def probe_function(memdep) -> List[ReuseProbe]:
             for base, members in groups.items():
                 if not any(m.is_load for m in members):
                     continue
-                verdict = analysis.verdict(base, loop, members, stores=stores)
+                verdict = ctx.reuse.verdict(base, loop, members, stores=stores)
                 probes.append(ReuseProbe(
                     function=func_name, loop=loop, base=base,
                     accesses=list(members), verdict=verdict,

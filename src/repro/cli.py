@@ -1,16 +1,8 @@
 """Command-line interface: ``python -m repro <command>``.
 
-Commands:
-
-* ``run <file.c>``   — full Cayman flow on a mini-C program; prints the
-  Pareto front and the best solutions under the paper's budgets.
-* ``table2``         — regenerate the paper's Table II (optionally a subset).
-* ``fig6``           — regenerate the paper's Fig. 6 Pareto-front series.
-* ``table1``         — print the Table I capability matrix.
-* ``dump <file.c>``  — compile and print the optimized IR and the wPST.
-* ``lint <file.c>``  — run the static diagnostics engine (Cayman Lint).
-* ``trace <file.c>`` — run the flow with telemetry; print/export the trace.
-* ``bench-list``     — list the available benchmark workloads.
+``python -m repro --help`` lists the commands and ``python -m repro
+<command> --help`` describes one.  The analysis reports (``deps``,
+``banks``, ``reuse``, ``bitwidth``) are the rows of :data:`REPORTS`.
 """
 
 from __future__ import annotations
@@ -18,13 +10,37 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import List, NoReturn, Optional
+from typing import Callable, List, NamedTuple, NoReturn, Optional
 
 
 def _fail(message: str) -> NoReturn:
     """Exit with status 2 and a one-line message on standard error."""
     print(f"error: {message}", file=sys.stderr)
     raise SystemExit(2)
+
+
+def _check_workloads(names) -> None:
+    """Exit 2 unless every name in ``names`` is a registered workload."""
+    from .workloads import workload_names
+
+    registered = workload_names()
+    for name in names:
+        if name not in registered:
+            _fail(f"unknown workload {name!r} (see `repro bench-list`)")
+
+
+def _check_writable(path: Optional[str]) -> None:
+    """Exit 2 unless ``path`` (if given) can be written; the probe leaves
+    no file behind.  Called before a flow runs, so a bad path costs none."""
+    if path is None:
+        return
+    existed = os.path.exists(path)
+    try:
+        open(path, "a").close()
+    except OSError as exc:
+        _fail(f"cannot write {path!r}: {exc.strerror or exc}")
+    if not existed:
+        os.remove(path)
 
 
 def _read_program(args) -> str:
@@ -37,13 +53,11 @@ def _read_program(args) -> str:
 
     name = getattr(args, "workload", None)
     source = args.source
-    registered = workload_names()
-    if (not name and source in registered
+    if (not name and source in workload_names()
             and not os.path.exists(source)):
         name = source
     if name:
-        if name not in registered:
-            _fail(f"unknown workload {name!r} (see `repro bench-list`)")
+        _check_workloads([name])
         return get_workload(name).source
     if not source:
         _fail("provide a source file or --workload NAME")
@@ -97,6 +111,7 @@ def _cmd_table2(args) -> int:
         generate_table2, render_table2, table2_to_csv, table2_to_json,
     )
 
+    _check_workloads(args.benchmarks)
     names = args.benchmarks or None
     rows = generate_table2(
         names,
@@ -125,6 +140,7 @@ def _cmd_fig6(args) -> int:
         render_figure6,
     )
 
+    _check_workloads(args.benchmarks)
     names = args.benchmarks or DEFAULT_FIG6_BENCHMARKS
     series = generate_figure6(names, runner=_make_runner(args), jobs=args.jobs)
     if args.format == "csv":
@@ -161,6 +177,7 @@ def _cmd_emit_rtl(args) -> int:
     from .rtl import generate_solution
 
     source = _read_program(args)
+    _check_writable(args.output)
     result = Cayman().run(
         source, entry=args.entry, name=args.source or args.workload
     )
@@ -246,136 +263,56 @@ def _cmd_exec(args) -> int:
     return 0
 
 
-def _cmd_bitwidth(args) -> int:
-    from .analysis.facts import ModuleFacts
-    from .frontend import compile_source
-
-    source = _read_program(args)
-    name = args.source or args.workload
-    module = compile_source(source, name, optimize=not args.no_opt)
-    analysis = ModuleFacts.of(module).bitwidth
-    total = {
-        "int_ops": 0, "narrowed_ops": 0, "type_bits": 0, "proven_bits": 0,
-        "type_area_um2": 0.0, "proven_area_um2": 0.0,
-    }
-    print(f"{'function':24} {'int ops':>8} {'narrowed':>9} "
-          f"{'bits':>13} {'fu area um2':>20} {'saved':>7}")
-    for func in module.defined_functions():
-        summary = analysis.function_summary(func)
-        for key in total:
-            total[key] += summary[key]
-        saved = summary["type_area_um2"] - summary["proven_area_um2"]
-        pct = (100.0 * saved / summary["type_area_um2"]
-               if summary["type_area_um2"] else 0.0)
-        print(f"@{func.name:23} {summary['int_ops']:8d} "
-              f"{summary['narrowed_ops']:9d} "
-              f"{summary['type_bits']:6d}->{summary['proven_bits']:<6d} "
-              f"{summary['type_area_um2']:9.0f}->{summary['proven_area_um2']:<9.0f} "
-              f"{pct:6.1f}%")
-    saved = total["type_area_um2"] - total["proven_area_um2"]
-    pct = (100.0 * saved / total["type_area_um2"]
-           if total["type_area_um2"] else 0.0)
-    print(f"{'total':24} {total['int_ops']:8d} {total['narrowed_ops']:9d} "
-          f"{total['type_bits']:6d}->{total['proven_bits']:<6d} "
-          f"{total['type_area_um2']:9.0f}->{total['proven_area_um2']:<9.0f} "
-          f"{pct:6.1f}%")
-    print(f"\nestimated datapath FU area delta: -{saved:.0f} um2 "
-          f"({pct:.1f}% of the type-width datapath)")
-    return 0
+def _access_label(info) -> str:
+    inst_name = info.inst.name or "?"
+    base = getattr(info.base, "name", None) or "?"
+    return f"{info.inst.opcode} %{inst_name}[{base}]"
 
 
-def _json_envelope(tool: str, workload, data) -> str:
-    """Shared ``--json`` envelope of the analysis subcommands.
-
-    Every analysis tool (``deps``, ``banks``, ``reuse``) emits the same
-    top-level shape — ``{"tool", "estimator_version", "workload",
-    "data"}`` — so downstream consumers can dispatch on ``tool`` and
-    detect model drift via ``estimator_version`` without per-command
-    parsers.
-    """
-    import json
-
-    from .model.estimator import ESTIMATOR_VERSION
-
-    return json.dumps(
-        {
-            "tool": tool,
-            "estimator_version": ESTIMATOR_VERSION,
-            "workload": workload,
-            "data": data,
-        },
-        indent=2,
-    )
-
-
-def _cmd_deps(args) -> int:
-    from .analysis.facts import ModuleFacts
-    from .frontend import compile_source
-
-    source = _read_program(args)
-    name = args.source or args.workload
-    module = compile_source(source, name, optimize=not args.no_opt)
-    facts = ModuleFacts.of(module)
-
-    def access_label(info):
-        inst_name = info.inst.name or "?"
-        base = getattr(info.base, "name", None) or "?"
-        return f"{info.inst.opcode} %{inst_name}[{base}]"
-
-    report = {"program": name, "functions": []}
-    for func in module.defined_functions():
-        ctx = facts.context(func)
-        func_entry = {"name": func.name, "loops": []}
-        for loop in sorted(ctx.loop_info.loops, key=lambda l: l.name):
-            deps = []
-            for dep in ctx.memdep.loop_carried(loop):
-                vector = dep.vector
-                deps.append({
-                    "kind": dep.kind,
-                    "source": access_label(dep.source),
-                    "sink": access_label(dep.sink),
-                    "distance": dep.distance,
-                    "exact": vector.exact if vector is not None else False,
-                    "via_alias": dep.via_alias,
-                    "vector": str(vector) if vector is not None else None,
-                    "levels": [
-                        {
-                            "loop": entry.loop.name,
-                            "direction": entry.direction,
-                            "distance": entry.distance,
-                            "exact": entry.exact,
-                        }
-                        for entry in (vector.entries if vector else ())
-                    ],
-                })
-            func_entry["loops"].append({
-                "name": loop.name,
-                "depth": loop.depth,
-                "innermost": loop.is_innermost,
-                "deps": deps,
+def _deps_entry(facts, func):
+    ctx = facts.context(func)
+    loops = []
+    for loop in sorted(ctx.loop_info.loops, key=lambda l: l.name):
+        deps = []
+        for dep in ctx.memdep.loop_carried(loop):
+            vector = dep.vector
+            deps.append({
+                "kind": dep.kind,
+                "source": _access_label(dep.source),
+                "sink": _access_label(dep.sink),
+                "distance": dep.distance,
+                "exact": vector.exact if vector is not None else False,
+                "via_alias": dep.via_alias,
+                "vector": str(vector) if vector is not None else None,
+                "levels": [
+                    {
+                        "loop": entry.loop.name,
+                        "direction": entry.direction,
+                        "distance": entry.distance,
+                        "exact": entry.exact,
+                    }
+                    for entry in (vector.entries if vector else ())
+                ],
             })
-        report["functions"].append(func_entry)
+        loops.append({
+            "name": loop.name,
+            "depth": loop.depth,
+            "innermost": loop.is_innermost,
+            "deps": deps,
+        })
+    return {"name": func.name, "loops": loops}
 
-    carried = sum(
-        len(loop["deps"]) for f in report["functions"] for loop in f["loops"]
-    )
-    proven = sum(
-        1 for f in report["functions"] for loop in f["loops"]
-        for d in loop["deps"] if d["distance"] is not None
-    )
-    exact = sum(
-        1 for f in report["functions"] for loop in f["loops"]
-        for d in loop["deps"] if d["vector"] is not None and d["exact"]
-    )
-    report["summary"] = {
-        "carried_deps": carried, "proven_distance": proven,
-        "exact_vectors": exact,
+
+def _deps_summary(functions):
+    deps = [d for f in functions for loop in f["loops"] for d in loop["deps"]]
+    return {
+        "carried_deps": len(deps),
+        "proven_distance": sum(1 for d in deps if d["distance"] is not None),
+        "exact_vectors": sum(1 for d in deps if d["exact"]),
     }
 
-    if args.json:
-        print(_json_envelope("deps", name, report))
-        return 0
 
+def _deps_text(report) -> None:
     for func_entry in report["functions"]:
         loops = func_entry["loops"]
         if not loops:
@@ -402,41 +339,31 @@ def _cmd_deps(args) -> int:
     print(f"deps: {s['carried_deps']} carried, "
           f"{s['proven_distance']} with proven distance, "
           f"{s['exact_vectors']} exact vectors")
-    return 0
 
 
-def _cmd_banks(args) -> int:
+def _groups_entry(func, probes):
+    """A function's probe groups, or None (skip it) without probes."""
+    if not probes:
+        return None
+    return {"name": func.name, "groups": [probe.to_dict() for probe in probes]}
+
+
+def _banks_entry(facts, func):
     from .analysis.banking import probe_function
-    from .analysis.facts import ModuleFacts
-    from .frontend import compile_source
 
-    source = _read_program(args)
-    name = args.source or args.workload
-    module = compile_source(source, name, optimize=not args.no_opt)
-    facts = ModuleFacts.of(module)
+    return _groups_entry(func, probe_function(facts.context(func)))
 
-    report = {"program": name, "functions": []}
-    for func in module.defined_functions():
-        ctx = facts.context(func)
-        probes = probe_function(ctx.memdep)
-        if not probes:
-            continue
-        report["functions"].append({
-            "name": func.name,
-            "groups": [probe.to_dict() for probe in probes],
-        })
 
-    groups = [g for f in report["functions"] for g in f["groups"]]
-    report["summary"] = {
+def _banks_summary(functions):
+    groups = [g for f in functions for g in f["groups"]]
+    return {
         "groups": len(groups),
         "proven": sum(1 for g in groups if g["best"] is not None),
         "serialized": sum(1 for g in groups if g["best"] is None),
     }
 
-    if args.json:
-        print(_json_envelope("banks", name, report))
-        return 0
 
+def _banks_text(report) -> None:
     for func_entry in report["functions"]:
         print(f"@{func_entry['name']}")
         for group in func_entry["groups"]:
@@ -450,42 +377,25 @@ def _cmd_banks(args) -> int:
     s = report["summary"]
     print(f"banks: {s['groups']} group probes, {s['proven']} proven "
           f"conflict-free, {s['serialized']} serialized")
-    return 0
 
 
-def _cmd_reuse(args) -> int:
+def _reuse_entry(facts, func):
     from .analysis.reuse import probe_function
-    from .analysis.facts import ModuleFacts
-    from .frontend import compile_source
 
-    source = _read_program(args)
-    name = args.source or args.workload
-    module = compile_source(source, name, optimize=not args.no_opt)
-    facts = ModuleFacts.of(module)
+    return _groups_entry(func, probe_function(facts.context(func)))
 
-    report = {"program": name, "functions": []}
-    for func in module.defined_functions():
-        ctx = facts.context(func)
-        probes = probe_function(ctx.memdep)
-        if not probes:
-            continue
-        report["functions"].append({
-            "name": func.name,
-            "groups": [probe.to_dict() for probe in probes],
-        })
 
-    groups = [g for f in report["functions"] for g in f["groups"]]
-    report["summary"] = {
+def _reuse_summary(functions):
+    groups = [g for f in functions for g in f["groups"]]
+    return {
         "groups": len(groups),
         "pairs_proven": sum(len(g["pairs"]) for g in groups),
         "pairs_unknown": sum(len(g["unknown"]) for g in groups),
         "pairs_broken": sum(len(g["broken"]) for g in groups),
     }
 
-    if args.json:
-        print(_json_envelope("reuse", name, report))
-        return 0
 
+def _reuse_text(report) -> None:
     for func_entry in report["functions"]:
         print(f"@{func_entry['name']}")
         for group in func_entry["groups"]:
@@ -508,6 +418,125 @@ def _cmd_reuse(args) -> int:
     print(f"reuse: {s['groups']} group probes, {s['pairs_proven']} proven "
           f"pair(s), {s['pairs_unknown']} unknown, "
           f"{s['pairs_broken']} broken")
+
+
+def _bitwidth_entry(facts, func):
+    return {"name": func.name, **facts.bitwidth.function_summary(func)}
+
+
+def _bitwidth_summary(functions):
+    columns = ("int_ops", "narrowed_ops", "type_bits", "proven_bits",
+               "type_area_um2", "proven_area_um2")
+    return {key: sum(f[key] for f in functions) for key in columns}
+
+
+def _bitwidth_row(label: str, s) -> float:
+    """Print one table row; return its saved share of FU area (%)."""
+    saved = s["type_area_um2"] - s["proven_area_um2"]
+    pct = 100.0 * saved / s["type_area_um2"] if s["type_area_um2"] else 0.0
+    print(f"{label:24} {s['int_ops']:8d} {s['narrowed_ops']:9d} "
+          f"{s['type_bits']:6d}->{s['proven_bits']:<6d} "
+          f"{s['type_area_um2']:9.0f}->{s['proven_area_um2']:<9.0f} "
+          f"{pct:6.1f}%")
+    return pct
+
+
+def _bitwidth_text(report) -> None:
+    print(f"{'function':24} {'int ops':>8} {'narrowed':>9} "
+          f"{'bits':>13} {'fu area um2':>20} {'saved':>7}")
+    for func_entry in report["functions"]:
+        _bitwidth_row(f"@{func_entry['name']}", func_entry)
+    s = report["summary"]
+    pct = _bitwidth_row("total", s)
+    print(f"\nestimated datapath FU area delta: "
+          f"-{s['type_area_um2'] - s['proven_area_um2']:.0f} um2 "
+          f"({pct:.1f}% of the type-width datapath)")
+
+
+class Report(NamedTuple):
+    """One analysis report subcommand: ``entry(facts, func)`` gives a
+    function's JSON entry (None skips the function), ``summary`` totals
+    the entries, and ``text`` prints the report in human-readable form."""
+
+    help: str
+    description: str
+    entry: Callable
+    summary: Callable
+    text: Callable
+
+
+#: The analysis report subcommands, each registered with ``source``,
+#: ``--workload``, ``--no-opt`` and ``--json`` and run by :func:`_cmd_report`.
+REPORTS = {
+    "deps": Report(
+        "dependence-vector table per loop nest",
+        "Run the affine dependence-vector analysis and print, per "
+        "function and loop, every loop-carried memory dependence with "
+        "its per-level direction/distance vector and the proven "
+        "minimal carried distance.",
+        _deps_entry, _deps_summary, _deps_text,
+    ),
+    "banks": Report(
+        "scratchpad bank-conflict verdicts per group",
+        "Run the static bank-conflict analysis and print, per function "
+        "and unrolled loop, every scratchpad group's candidate banking "
+        "schemes (cyclic/block over power-of-two factors) with its "
+        "conflict-free / conflicted / unknown verdict and the cheapest "
+        "proven scheme the model may rely on.",
+        _banks_entry, _banks_summary, _banks_text,
+    ),
+    "reuse": Report(
+        "proven inter-iteration reuse pairs per scratchpad group",
+        "Probe every call-free innermost loop's global-array groups "
+        "with the data-reuse analysis: proven pairs (consumer at "
+        "iteration i addresses what the producer addressed at i-d) "
+        "become shift-register buffers in the accelerator model; "
+        "unknown and broken candidates are reported with the reason "
+        "the proof failed.",
+        _reuse_entry, _reuse_summary, _reuse_text,
+    ),
+    "bitwidth": Report(
+        "per-function bitwidth-narrowing report",
+        "Run the known-bits ∧ demanded-bits analysis and print, per "
+        "function, how many integer datapath ops narrow below their "
+        "type width and the estimated functional-unit area recovered.",
+        _bitwidth_entry, _bitwidth_summary, _bitwidth_text,
+    ),
+}
+
+
+def _cmd_report(args) -> int:
+    """Run one :data:`REPORTS` row.  ``--json`` prints the envelope every
+    report shares, ``{"tool", "estimator_version", "workload", "data"}``,
+    so consumers can dispatch on ``tool`` and detect model drift via
+    ``estimator_version`` without per-command parsers."""
+    import json
+
+    from .analysis.facts import ModuleFacts
+    from .frontend import compile_source
+    from .model.estimator import ESTIMATOR_VERSION
+
+    report = REPORTS[args.command]
+    source = _read_program(args)
+    name = args.source or args.workload
+    module = compile_source(source, name, optimize=not args.no_opt)
+    facts = ModuleFacts.of(module)
+    entries = (report.entry(facts, func) for func in module.defined_functions())
+    functions = [entry for entry in entries if entry is not None]
+    data = {
+        "program": name,
+        "functions": functions,
+        "summary": report.summary(functions),
+    }
+    if not args.json:
+        report.text(data)
+        return 0
+    print(json.dumps({
+        "tool": args.command,
+        "estimator_version": ESTIMATOR_VERSION,
+        "workload": name,
+        "data": data,
+    }, indent=2))
     return 0
 
 
@@ -606,15 +635,12 @@ def _cmd_bench(args) -> int:
         load_report,
         write_report,
     )
-    from .workloads import all_workloads, workload_names
+    from .workloads import all_workloads
 
     # Check every input before the (long) evaluation starts.
     if args.benchmarks:
         names = list(args.benchmarks)
-        registered = workload_names()
-        for name in names:
-            if name not in registered:
-                _fail(f"unknown workload {name!r} (see `repro bench-list`)")
+        _check_workloads(names)
     else:
         workloads = all_workloads()
         if args.suite:
@@ -722,6 +748,8 @@ def _cmd_trace(args) -> int:
 
     source = _read_program(args)
     name = args.source or args.workload
+    _check_writable(args.jsonl)
+    _check_writable(args.chrome)
     sinks = []
     if args.jsonl:
         sinks.append(JsonlSink(args.jsonl))
@@ -901,78 +929,17 @@ def build_parser() -> argparse.ArgumentParser:
                             "purpose (self-test; the run must fail)")
     exec_.set_defaults(func=_cmd_exec)
 
-    deps = sub.add_parser(
-        "deps",
-        help="dependence-vector table per loop nest",
-        description=(
-            "Run the affine dependence-vector analysis and print, per "
-            "function and loop, every loop-carried memory dependence with "
-            "its per-level direction/distance vector and the proven "
-            "minimal carried distance."
-        ),
-    )
-    deps.add_argument("source", nargs="?")
-    deps.add_argument("--workload", help="analyze a registered benchmark")
-    deps.add_argument("--no-opt", action="store_true",
-                      help="analyze the unoptimized IR")
-    deps.add_argument("--json", action="store_true",
-                      help="machine-readable report")
-    deps.set_defaults(func=_cmd_deps)
-
-    banks = sub.add_parser(
-        "banks",
-        help="scratchpad bank-conflict verdicts per group",
-        description=(
-            "Run the static bank-conflict analysis and print, per function "
-            "and unrolled loop, every scratchpad group's candidate banking "
-            "schemes (cyclic/block over power-of-two factors) with its "
-            "conflict-free / conflicted / unknown verdict and the cheapest "
-            "proven scheme the model may rely on."
-        ),
-    )
-    banks.add_argument("source", nargs="?")
-    banks.add_argument("--workload", help="analyze a registered benchmark")
-    banks.add_argument("--no-opt", action="store_true",
-                       help="analyze the unoptimized IR")
-    banks.add_argument("--json", action="store_true",
-                       help="machine-readable probe report")
-    banks.set_defaults(func=_cmd_banks)
-
-    reuse = sub.add_parser(
-        "reuse",
-        help="proven inter-iteration reuse pairs per scratchpad group",
-        description=(
-            "Probe every call-free innermost loop's global-array groups "
-            "with the data-reuse analysis: proven pairs (consumer at "
-            "iteration i addresses what the producer addressed at i-d) "
-            "become shift-register buffers in the accelerator model; "
-            "unknown and broken candidates are reported with the reason "
-            "the proof failed."
-        ),
-    )
-    reuse.add_argument("source", nargs="?")
-    reuse.add_argument("--workload", help="analyze a registered benchmark")
-    reuse.add_argument("--no-opt", action="store_true",
-                       help="analyze the unoptimized IR")
-    reuse.add_argument("--json", action="store_true",
-                       help="machine-readable report")
-    reuse.set_defaults(func=_cmd_reuse)
-
-    bitwidth = sub.add_parser(
-        "bitwidth",
-        help="per-function bitwidth-narrowing report",
-        description=(
-            "Run the known-bits ∧ demanded-bits analysis and print, per "
-            "function, how many integer datapath ops narrow below their "
-            "type width and the estimated functional-unit area recovered."
-        ),
-    )
-    bitwidth.add_argument("source", nargs="?")
-    bitwidth.add_argument("--workload",
+    for command, report in REPORTS.items():
+        tool = sub.add_parser(command, help=report.help,
+                              description=report.description)
+        tool.add_argument("source", nargs="?")
+        tool.add_argument("--workload",
                           help="analyze a registered benchmark instead")
-    bitwidth.add_argument("--no-opt", action="store_true",
+        tool.add_argument("--no-opt", action="store_true",
                           help="analyze the unoptimized IR")
-    bitwidth.set_defaults(func=_cmd_bitwidth)
+        tool.add_argument("--json", action="store_true",
+                          help="machine-readable report")
+        tool.set_defaults(func=_cmd_report)
 
     bench = sub.add_parser(
         "bench",

@@ -372,7 +372,7 @@ class SanitizingInterpreter(Interpreter):
     def _read_banking(self, ctx) -> None:
         """Each probed scheme proved conflict-free (global arrays only); the
         conflicted ones are kept for the injection."""
-        for probe in probe_function(ctx.memdep):
+        for probe in probe_function(ctx):
             verdict = probe.verdict
             insts = [a.inst for a in probe.accesses]
             for sv in verdict.schemes:
@@ -409,7 +409,7 @@ class SanitizingInterpreter(Interpreter):
 
     def _read_reuse(self, ctx) -> None:
         """Each reuse pair the probes prove (global arrays only)."""
-        for probe in reuse_probes(ctx.memdep):
+        for probe in reuse_probes(ctx):
             for pair in probe.verdict.pairs:
                 claim = _ReuseClaim(
                     probe.loop, probe.base,

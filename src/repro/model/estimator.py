@@ -58,6 +58,12 @@ from .interfaces import InterfaceAssignment, InterfaceKind, InterfacePlan
 #: cached evaluation record.
 ESTIMATOR_VERSION = "6"
 
+#: The proofs the estimator can price, named by the sanitizer claim that
+#: checks each.  Without one, a config is priced as if it were unproven:
+#: type widths (``bitwidth``), claimed partitions trusted as parallel
+#: (``banking``), every scratchpad load on a port (``reuse``).
+PROOFS = ("bitwidth", "banking", "reuse")
+
 
 def loop_recurrences(
     loop: Loop, dfg: DFG, ctx: FunctionContext, unroll_factor: int = 1
@@ -134,9 +140,7 @@ class AcceleratorModel:
         coupled_only: bool = False,
         pipeline_innermost: bool = True,
         legality_prefilter: bool = True,
-        narrow_widths: bool = True,
-        prove_banking: bool = True,
-        prove_reuse: bool = True,
+        proofs: Sequence[str] = PROOFS,
     ):
         self.module = module
         self.profile = profile
@@ -147,17 +151,12 @@ class AcceleratorModel:
         self.coupled_only = coupled_only
         self.pipeline_innermost = pipeline_innermost
         self.legality_prefilter = legality_prefilter
-        #: ``False`` prices every DFG node at its type width (pre-bitwidth
-        #: behavior) — used for the bench ``area_narrowing`` comparison.
-        self.narrow_widths = narrow_widths
-        #: ``False`` keeps the pre-verdict optimism (claimed partitions are
-        #: trusted as parallel) — the "before" variant of the bench
-        #: ``spad_banking`` comparison.
-        self.prove_banking = prove_banking
-        #: ``False`` keeps every scratchpad load on a port (pre-reuse
-        #: behavior) — the "before" variant of the bench ``reuse_buffers``
-        #: comparison.  Proven pairs otherwise become register chains.
-        self.prove_reuse = prove_reuse
+        unknown = [proof for proof in proofs if proof not in PROOFS]
+        if unknown:
+            raise ValueError(f"unknown proof {unknown[0]!r}; valid proofs: "
+                             f"{', '.join(PROOFS)}")
+        #: The subset of :data:`PROOFS` this model prices.
+        self.proofs = frozenset(proofs)
         #: Configurations rejected by the legality pre-filter, as
         #: ``(config, diagnostics)`` pairs — inspectable after a run.
         self.rejected_configs: List[Tuple[AcceleratorConfig, list]] = []
@@ -247,8 +246,8 @@ class AcceleratorModel:
             access=ctx.access,
             # Without banking proofs the pre-filter must not reject the
             # historically-optimistic configs it is meant to reproduce.
-            banking=ctx.banking if self.prove_banking else None,
-            reuse=ctx.reuse if self.prove_reuse else None,
+            banking=ctx.banking if "banking" in self.proofs else None,
+            reuse=ctx.reuse if "reuse" in self.proofs else None,
         )
 
     def _configs_for_region(self, region: Region, ctx: FunctionContext):
@@ -322,12 +321,12 @@ class AcceleratorModel:
             plan.assign(
                 self._assign_interface(access, region, ctx, loop_plans, mode)
             )
-        if self.prove_reuse:
+        if "reuse" in self.proofs:
             # Runs before banking: buffered consumers leave their group, so
             # the banking verdict only has to serve the remaining port
             # accesses (fewer banks can then suffice).
             self._apply_reuse(plan, ctx, loop_plans)
-        if self.prove_banking:
+        if "banking" in self.proofs:
             self._apply_banking(plan, ctx, loop_plans)
         label = f"u{factor}/{mode}"
         if only_nest is not None:
@@ -692,7 +691,7 @@ class AcceleratorModel:
             dfg = self._unit_dfgs[owner] = DFG.from_blocks(
                 ctx.ordered_blocks(blocks),
                 may_alias=ctx.may_alias,
-                widths=ctx.widths if self.narrow_widths else None,
+                widths=ctx.widths if "bitwidth" in self.proofs else None,
             )
         return dfg
 

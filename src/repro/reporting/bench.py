@@ -744,7 +744,7 @@ def _probes_by_loop(probe_function: Callable) -> Callable:
     banking or reuse ``probe_function``) returns for it."""
     def probe(fn: _Function) -> Dict:
         by_loop: Dict = {}
-        for found in probe_function(fn.ctx.memdep):
+        for found in probe_function(fn.ctx):
             by_loop.setdefault(found.loop, []).append(found)
         return by_loop
     return probe

@@ -6,7 +6,6 @@ relies on (satellite: linearized and non-affine subscripts)."""
 
 import pytest
 
-from repro.analysis import AccessPatternAnalysis, MemoryDependenceAnalysis
 from repro.analysis.banking import (
     CONFLICT_FREE,
     CONFLICTED,
@@ -16,6 +15,7 @@ from repro.analysis.banking import (
     GroupAccess,
     probe_function,
 )
+from repro.analysis.facts import FunctionContext
 from repro.dataflow import ModuleIntervalAnalysis, PointsToAnalysis
 from repro.frontend import compile_source
 from repro.workloads import get_workload
@@ -25,19 +25,17 @@ def build(source, name="bank"):
     return compile_source(source, name)
 
 
-def analyses_for(module, func_name):
-    func = module.get_function(func_name)
-    access = AccessPatternAnalysis(func)
-    intervals = ModuleIntervalAnalysis(module).for_function(func)
-    md = MemoryDependenceAnalysis(
-        access, points_to=PointsToAnalysis(module), intervals=intervals
+def context_for(module, func_name):
+    """Fresh analyses of one function (not the module's memoized facts)."""
+    return FunctionContext(
+        module.get_function(func_name),
+        points_to=PointsToAnalysis(module),
+        intervals=ModuleIntervalAnalysis(module),
     )
-    return access, intervals, md
 
 
 def probes_for(module, func_name):
-    _, _, md = analyses_for(module, func_name)
-    return probe_function(md)
+    return probe_function(context_for(module, func_name))
 
 
 def workload_probes(name, func_name):
@@ -208,14 +206,13 @@ class TestBroadcastLanes:
         never produces this shape (the carried dependence makes the
         unroll illegal), so drive the verdict directly."""
         module = compile_source(BROADCAST_SOURCE, "bank", optimize=False)
-        access, _, md = analyses_for(module, "sink")
-        loop = loop_named(access, "sl")
+        ctx = context_for(module, "sink")
+        loop = loop_named(ctx.access, "sl")
         store = next(
-            info for info in access.accesses_in(loop.blocks)
+            info for info in ctx.access.accesses_in(loop.blocks)
             if info.is_store and getattr(info.base, "name", "") == "s"
         )
-        analysis = BankingAnalysis(md.resolver)
-        verdict = analysis.verdict(
+        verdict = ctx.banking.verdict(
             store.base, [GroupAccess(store, ((loop, 2),))]
         )
         assert verdict.best is None
@@ -243,9 +240,8 @@ class TestNonAffineSerializes:
     @pytest.fixture(scope="class")
     def setup(self):
         module = build(NONAFFINE_SOURCE)
-        access, _, md = analyses_for(module, "gather")
-        probes = probe_function(md)
-        return access, probes
+        ctx = context_for(module, "gather")
+        return ctx.access, probe_function(ctx)
 
     def test_not_a_stream(self, setup):
         access, _ = setup
@@ -296,7 +292,7 @@ class TestLinearizedStream:
 
     def test_linearized_is_stream(self):
         module = build(LINEARIZED_SOURCE)
-        access, _, _ = analyses_for(module, "lin")
+        access = context_for(module, "lin").access
         loop = loop_named(access, "inner")
         load = next(
             info for info in access.accesses_in(loop.blocks)
@@ -321,16 +317,17 @@ class TestLinearizedStream:
         cyclic-4."""
         source = LINEARIZED_SOURCE.replace("lin(32);", "lin(16); lin(32);")
         module = build(source)
-        access, _, md = analyses_for(module, "lin")
+        ctx = context_for(module, "lin")
+        access = ctx.access
         loop = loop_named(access, "inner")
         load = next(
             info for info in access.accesses_in(loop.blocks)
             if getattr(info.base, "name", "") == "A"
         )
         assert load.is_stream
-        assert md.resolver.full(load) is None
-        assert None in md.resolver.of(load).coeffs.values()
-        p = find_probe(probe_function(md), "inner", "A", 4)
+        assert ctx.resolver.full(load) is None
+        assert None in ctx.resolver.of(load).coeffs.values()
+        p = find_probe(probe_function(ctx), "inner", "A", 4)
         assert p.verdict.best.label == "cyclic-4"
 
 
@@ -373,13 +370,13 @@ class TestProbeShape:
 
     def test_verdict_cached_per_analysis(self):
         module = build(BROADCAST_SOURCE)
-        access, _, md = analyses_for(module, "bcast")
-        loop = loop_named(access, "bl")
+        ctx = context_for(module, "bcast")
+        loop = loop_named(ctx.access, "bl")
         load = next(
-            info for info in access.accesses_in(loop.blocks)
+            info for info in ctx.access.accesses_in(loop.blocks)
             if getattr(info.base, "name", "") == "s"
         )
-        analysis = BankingAnalysis(md.resolver)
+        analysis = ctx.banking
         members = [GroupAccess(load, ((loop, 4),))]
         assert analysis.verdict(load.base, members) is analysis.verdict(
             load.base, members
@@ -387,12 +384,12 @@ class TestProbeShape:
 
     def test_status_of_unlisted_scheme_is_unknown(self):
         module = build(BROADCAST_SOURCE)
-        access, _, md = analyses_for(module, "bcast")
-        loop = loop_named(access, "bl")
+        ctx = context_for(module, "bcast")
+        loop = loop_named(ctx.access, "bl")
         load = next(
-            info for info in access.accesses_in(loop.blocks)
+            info for info in ctx.access.accesses_in(loop.blocks)
             if getattr(info.base, "name", "") == "s"
         )
-        analysis = BankingAnalysis(md.resolver)
+        analysis = ctx.banking
         verdict = analysis.verdict(load.base, [GroupAccess(load, ((loop, 2),))])
         assert verdict.status_of(BankingScheme("cyclic", 64)) == UNKNOWN

@@ -185,11 +185,12 @@ def test_verify_sequence_builds_each_analysis_once(constructions):
     }
 
 
-#: The module-level analyses, the per-function context and its dependence
-#: analysis, each constructed only by the facts bundle.
+#: The module-level analyses, the per-function context and its dependence,
+#: banking and reuse analyses, each constructed only by the facts bundle.
 BUILT_BY_FACTS = {
     "ModuleIntervalAnalysis", "ModuleBitwidthAnalysis", "PointsToAnalysis",
     "BoundsAnalysis", "FunctionContext", "MemoryDependenceAnalysis",
+    "BankingAnalysis", "ReuseAnalysis",
 }
 
 

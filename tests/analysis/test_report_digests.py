@@ -1,8 +1,9 @@
-"""Byte-identity gate for the dependence, banking and reuse reports.
+"""Byte-identity gate for the dependence, banking, reuse and bitwidth
+reports.
 
 ``report_digests.json`` next to this file records the sha256 of
-``repro {deps,banks,reuse} --workload W --json`` for every registered
-workload.  Any change to what those analyses decide, or to how the
+``repro {deps,banks,reuse,bitwidth} --workload W --json`` (every report of
+the CLI's ``REPORTS`` table) for every registered workload.  Any change to what those analyses decide, or to how the
 reports print it, changes a digest and fails this test.  A refactor of the
 analyses must leave every digest unchanged.
 
@@ -23,12 +24,12 @@ import itertools
 import json
 import os
 
-from repro.cli import main
+from repro.cli import REPORTS, main
 from repro.ir import values
 from repro.workloads import workload_names
 
 TABLE = os.path.join(os.path.dirname(__file__), "report_digests.json")
-TOOLS = ("deps", "banks", "reuse")
+TOOLS = tuple(REPORTS)
 
 
 def report(tool, workload):

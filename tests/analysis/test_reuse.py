@@ -6,7 +6,7 @@ and lane-aware depths under unrolling."""
 
 import pytest
 
-from repro.analysis import AccessPatternAnalysis, MemoryDependenceAnalysis
+from repro.analysis.facts import FunctionContext
 from repro.analysis.reuse import (
     BROKEN,
     FORWARD,
@@ -24,13 +24,11 @@ from repro.workloads import get_workload
 
 def probes_for(source, func_name, name="reuse"):
     module = compile_source(source, name)
-    func = module.get_function(func_name)
-    access = AccessPatternAnalysis(func)
-    intervals = ModuleIntervalAnalysis(module).for_function(func)
-    md = MemoryDependenceAnalysis(
-        access, points_to=PointsToAnalysis(module), intervals=intervals
-    )
-    return probe_function(md)
+    return probe_function(FunctionContext(
+        module.get_function(func_name),
+        points_to=PointsToAnalysis(module),
+        intervals=ModuleIntervalAnalysis(module),
+    ))
 
 
 def workload_probes(name, func_name):
@@ -245,12 +243,10 @@ class TestSelection:
             """,
             "reuse",
         )
-        func = module.get_function("k")
-        access = AccessPatternAnalysis(func)
-        md = MemoryDependenceAnalysis(
-            access, points_to=PointsToAnalysis(module)
+        ctx = FunctionContext(
+            module.get_function("k"), points_to=PointsToAnalysis(module)
         )
-        probes = probe_function(md)
+        probes = probe_function(ctx)
         verdict = probe_of(probes, "Q").verdict
         assert verdict.pairs  # proven address math but unproven trip
         assert all(p.trip is None for p in verdict.pairs)

@@ -13,6 +13,10 @@ from repro.model import AcceleratorModel
 from repro.workloads import get_workload
 
 
+#: Every estimator proof but banking.
+NO_BANKING = ("bitwidth", "reuse")
+
+
 def lint(name, **model_kwargs):
     workload = get_workload(name)
     module = compile_source(workload.source, workload.name)
@@ -28,9 +32,10 @@ def codes(result):
 
 class TestBK001ConflictClaim:
     def test_fires_on_optimistic_model(self):
-        """prove_banking=False reproduces the historical claims: cyclic-U
-        banking of A[2*i] — a provable conflict the lint must reject."""
-        result = lint("stride2-collider", prove_banking=False)
+        """Without the banking proof the model makes the historical
+        claims: cyclic-U banking of A[2*i] — a provable conflict the lint
+        must reject."""
+        result = lint("stride2-collider", proofs=NO_BANKING)
         found = [d for d in result.diagnostics if d.code == "BK001"]
         assert found, f"BK001 missing; got {codes(result)}"
         assert all(d.severity is Severity.ERROR for d in found)
@@ -45,19 +50,19 @@ class TestBK001ConflictClaim:
         assert not [d for d in result.diagnostics if d.code == "BK001"]
 
     def test_clean_on_conflict_free_workload(self):
-        result = lint("bank-transpose", prove_banking=False)
+        result = lint("bank-transpose", proofs=NO_BANKING)
         bk1 = [d for d in result.diagnostics if d.code == "BK001"]
         # bank-transpose's claimed cyclic schemes on T *are* conflicted:
         # the optimistic model is flagged here too.
         assert bk1
-        result = lint("trisolv", prove_banking=False)
+        result = lint("trisolv", proofs=NO_BANKING)
         assert not [d for d in result.diagnostics if d.code == "BK001"]
 
 
 class TestBK002Overprovision:
     def test_fires_on_optimistic_model(self):
         """Claimed banks the proof cannot back are surplus area: INFO."""
-        result = lint("stride2-collider", prove_banking=False)
+        result = lint("stride2-collider", proofs=NO_BANKING)
         found = [d for d in result.diagnostics if d.code == "BK002"]
         assert found
         assert all(d.severity is Severity.INFO for d in found)

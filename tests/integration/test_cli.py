@@ -481,6 +481,8 @@ class TestJsonEnvelope:
          "stride2-collider"),
         (["reuse", "--workload", "stencil-reuse-3", "--json"], "reuse",
          "stencil-reuse-3"),
+        (["bitwidth", "--workload", "trisolv", "--json"], "bitwidth",
+         "trisolv"),
     ]
 
     @pytest.mark.parametrize("argv,tool,workload", CASES)
@@ -559,6 +561,50 @@ class TestProgramArgument:
     def test_trace_runs_a_positional_workload(self, capsys):
         assert main(["trace", "trisolv", "--no-lint"]) == 0
         assert "merging.solution" in capsys.readouterr().out
+
+
+class TestEarlyErrors:
+    """Bad workload names and unwritable output paths are one-line errors
+    with exit status 2, raised before any flow runs."""
+
+    @pytest.fixture(autouse=True)
+    def no_flow(self, monkeypatch):
+        from repro.framework import Cayman
+
+        def run(*args, **kwargs):
+            raise AssertionError("the flow ran before the input check")
+
+        monkeypatch.setattr(Cayman, "run", run)
+
+    @pytest.mark.parametrize("command", ["table2", "fig6"])
+    def test_unknown_workload_exits_two(self, command, capsys):
+        argv = [command, "trisolv", "nosuch"]
+        assert TestProgramArgument._exit_status(argv, capsys) == 2
+
+    def test_unknown_workload_message_matches_bench(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["table2", "nosuch"])
+        assert capsys.readouterr().err == (
+            "error: unknown workload 'nosuch' (see `repro bench-list`)\n"
+        )
+
+    @pytest.mark.parametrize("option", [
+        ["trace", "--jsonl"], ["trace", "--chrome"], ["emit-rtl", "-o"],
+    ])
+    def test_unwritable_output_exits_two(self, option, tmp_path, capsys):
+        path = str(tmp_path / "no-dir" / "out")
+        with pytest.raises(SystemExit) as info:
+            main([option[0], "--workload", "trisolv", option[1], path])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {path!r}: ")
+        assert len(err.splitlines()) == 1
+
+    def test_writable_probe_leaves_no_file(self, tmp_path, capsys):
+        path = tmp_path / "out.v"
+        with pytest.raises(AssertionError, match="the flow ran"):
+            main(["emit-rtl", "--workload", "trisolv", "-o", str(path)])
+        assert not path.exists()
 
 
 class TestBenchInput:

@@ -6,6 +6,8 @@ import pytest
 
 from repro.frontend import compile_source
 from repro.interp.sanitizer import SanitizerError, SanitizingInterpreter
+from repro.model import AcceleratorModel
+from repro.model.estimator import PROOFS
 from repro.workloads import get_workload
 
 from ..conftest import sanitize_both
@@ -77,6 +79,20 @@ def test_unknown_injected_claim_names_the_valid_claims():
     with pytest.raises(ValueError, match="'restrict'; valid claims: "
                        "bitwidth, dependence, banking, reuse, alias"):
         SanitizingInterpreter(module, inject_unsound="restrict")
+
+
+def test_every_estimator_proof_has_a_sanitizer_claim():
+    """The soundness contract: each proof the estimator can price is a
+    claim kind the sanitizer checks and can inject."""
+    assert set(PROOFS) <= set(SanitizingInterpreter.CLAIMS)
+
+
+def test_unknown_estimator_proof_names_the_valid_proofs():
+    workload = get_workload("trisolv")
+    module = compile_source(workload.source, workload.name)
+    with pytest.raises(ValueError, match="'alias'; valid proofs: "
+                       "bitwidth, banking, reuse"):
+        AcceleratorModel(module, profile=None, proofs=("bitwidth", "alias"))
 
 
 class TestDependenceDistances:

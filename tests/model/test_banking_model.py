@@ -1,6 +1,6 @@
 """Model-layer banking tests: stable scratchpad port names, verdict-gated
-port counts (unproven claims serialize), the prove_banking=False
-reproduction of the historical optimism, and the per-bank ceil-division
+port counts (unproven claims serialize), the reproduction without the
+banking proof of the historical optimism, and the per-bank ceil-division
 area math (satellite: banked totals never undercut the unbanked buffer)."""
 
 import re
@@ -110,8 +110,10 @@ class TestVerdictGatedPorts:
                     assert a.banking_verdict is not None
                     assert a.banking_verdict.best is None
 
-    def test_prove_banking_false_reproduces_historical_optimism(self):
-        module, model = build_model("stride2-collider", prove_banking=False)
+    def test_no_banking_proof_is_historical_optimism(self):
+        module, model = build_model(
+            "stride2-collider", proofs=("bitwidth", "reuse")
+        )
         configs = [c for c in spad_configs(module, model, "collide")
                    if max_unroll(c) == 8]
         assert configs

@@ -1,8 +1,8 @@
 """Model-layer reuse tests: proven pairs become shift-register buffers
 (port-free timing, partitions dropped to one, register-chain area),
 banking verdicts only cover the remaining port accesses, estimates price
-the buffer warm-up, and ``prove_reuse=False`` reproduces the
-buffer-less behavior exactly."""
+the buffer warm-up, and leaving ``"reuse"`` out of the estimator's
+``proofs`` reproduces the buffer-less behavior exactly."""
 
 import pytest
 
@@ -13,6 +13,10 @@ from repro.interp import profile_module
 from repro.model import AcceleratorModel, InterfaceKind
 from repro.model.estimator import ESTIMATOR_VERSION
 from repro.workloads import get_workload
+
+
+#: Every estimator proof but reuse.
+NO_REUSE = ("bitwidth", "banking")
 
 
 def build_model(name, **kwargs):
@@ -102,7 +106,7 @@ class TestBufferedAssignments:
 
 class TestProveReuseFlag:
     def test_flag_off_reproduces_portful_plans(self):
-        module, model = build_model("stencil-reuse-3", prove_reuse=False)
+        module, model = build_model("stencil-reuse-3", proofs=NO_REUSE)
         for config in spad_configs(module, model, "stencil"):
             assert buffered_assignments(config) == []
             for a in config.plan.assignments.values():
@@ -112,7 +116,7 @@ class TestProveReuseFlag:
     def test_buffers_reduce_port_pressure(self):
         module_on, model_on = build_model("stencil-reuse-3")
         module_off, model_off = build_model(
-            "stencil-reuse-3", prove_reuse=False
+            "stencil-reuse-3", proofs=NO_REUSE
         )
 
         def spad_ports(module, model):

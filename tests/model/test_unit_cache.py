@@ -36,9 +36,13 @@ CROSS_SECTION = (
 VARIANTS = {
     "default": (AcceleratorModel, {}),
     "qscores": (QsCoresModel, {}),
-    "type-widths": (AcceleratorModel, {"narrow_widths": False}),
-    "no-banking-proofs": (AcceleratorModel, {"prove_banking": False}),
-    "no-reuse-proofs": (AcceleratorModel, {"prove_reuse": False}),
+    "type-widths": (AcceleratorModel, {"proofs": ("banking", "reuse")}),
+    "no-banking-proofs": (
+        AcceleratorModel, {"proofs": ("bitwidth", "reuse")}
+    ),
+    "no-reuse-proofs": (
+        AcceleratorModel, {"proofs": ("bitwidth", "banking")}
+    ),
 }
 
 _PROGRAMS = {}
