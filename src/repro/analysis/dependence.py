@@ -136,9 +136,6 @@ class LatticeSet:
             exact = False
         return LatticeSet.make(g, self.r + other.r, lo, hi, exact)
 
-    def as_inexact(self) -> "LatticeSet":
-        return LatticeSet(self.g, self.r, self.lo, self.hi, False)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         lo = "-inf" if self.lo is None else str(self.lo)
         hi = "+inf" if self.hi is None else str(self.hi)

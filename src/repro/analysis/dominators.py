@@ -156,9 +156,6 @@ class DominatorTree:
             node = self.idom.get(node)
         return False
 
-    def strictly_dominates(self, a: BasicBlock, b: BasicBlock) -> bool:
-        return a is not b and self.dominates(a, b)
-
     def children(self, block: BasicBlock) -> List[BasicBlock]:
         return self._children.get(block, [])
 

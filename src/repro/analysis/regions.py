@@ -224,16 +224,6 @@ class ProgramStructureTree:
             else:
                 self.top_level.append(leaf)
 
-    def all_regions(self) -> List[Region]:
-        return self.ctrl_regions + self.bb_regions
-
-    def region_for_loop(self, header: BasicBlock) -> Optional[Region]:
-        """The smallest ctrl-flow region entered at ``header``."""
-        candidates = [r for r in self.ctrl_regions if r.entry is header]
-        if not candidates:
-            return None
-        return min(candidates, key=lambda r: r.size)
-
     def dump(self) -> str:
         """Indented textual rendering (tests and debugging)."""
         lines: List[str] = [f"pst {self.func.name}"]

@@ -60,7 +60,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..ir import Call, GlobalVariable
+from ..ir import GlobalVariable
 from ..telemetry import current as current_telemetry
 from .access_patterns import AccessInfo, SubscriptResolver
 from .loops import Loop
@@ -151,9 +151,6 @@ class ReuseVerdict:
     @property
     def base_name(self) -> str:
         return getattr(self.base, "name", None) or str(self.base)
-
-    def pairs_for(self, consumer_inst) -> List[ReusePair]:
-        return [p for p in self.pairs if p.consumer.inst is consumer_inst]
 
     def to_dict(self) -> Dict:
         return {
@@ -524,11 +521,7 @@ def probe_function(ctx) -> List[ReuseProbe]:
         for loop in loop_info.loops:
             if not loop.is_innermost:
                 continue
-            if any(
-                isinstance(inst, Call)
-                for block in loop.blocks
-                for inst in block.instructions
-            ):
+            if any(block.has_call for block in loop.blocks):
                 continue
             infos = [
                 info for info in access.accesses_in(loop.blocks)

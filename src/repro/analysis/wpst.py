@@ -54,9 +54,6 @@ class WPSTNode:
         for child in self.children:
             yield from child.walk()
 
-    def descendant_regions(self) -> List["WPSTNode"]:
-        return [node for node in self.walk() if node is not self and node.is_region]
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<WPSTNode {self.kind} {self.name}>"
 
@@ -70,7 +67,6 @@ class WPST:
         self.root = WPSTNode("root", module.name)
         self.psts: Dict[str, ProgramStructureTree] = {}
         self.function_nodes: Dict[str, WPSTNode] = {}
-        self._node_of_region: Dict[Region, WPSTNode] = {}
         self._build()
 
     def _build(self) -> None:
@@ -86,15 +82,11 @@ class WPST:
     def _build_region_node(self, region: Region) -> WPSTNode:
         node = WPSTNode(region.kind, region.name, function=region.function,
                         region=region)
-        self._node_of_region[region] = node
         for child in sorted(region.children, key=lambda r: (r.kind, r.entry.name)):
             node.add_child(self._build_region_node(child))
         return node
 
     # Queries --------------------------------------------------------------------
-
-    def node_for_region(self, region: Region) -> WPSTNode:
-        return self._node_of_region[region]
 
     def region_vertices(self) -> List[WPSTNode]:
         """All ``bb`` and ``ctrl-flow`` vertices (the acceleration candidates)."""
@@ -105,9 +97,6 @@ class WPST:
 
     def bb_vertices(self) -> List[WPSTNode]:
         return [n for n in self.region_vertices() if n.kind == "bb"]
-
-    def pst_for(self, function_name: str) -> ProgramStructureTree:
-        return self.psts[function_name]
 
     def dump(self) -> str:
         """Indented textual rendering of the whole tree."""

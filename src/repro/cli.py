@@ -594,7 +594,9 @@ def _cmd_lint(args) -> int:
 
 
 #: The summary line ``repro bench`` prints per workload of each proof
-#: ablation section.
+#: ablation section.  A pipelined unit's area depends on its II, so the
+#: loop sections print area before -> after too.
+_LOOP_AREA = ", area {area_before_total:.0f} -> {area_after_total:.0f} um2"
 _ABLATION_LINES = {
     "area_narrowing": (
         "narrow {name}: {type_area_um2:.0f} -> {proven_area_um2:.0f} um2 "
@@ -603,19 +605,19 @@ _ABLATION_LINES = {
     ),
     "pipeline_ii": (
         "pipeii {name}: II {ii_before_total} -> {ii_after_total} over "
-        "{pipelined_loops} pipelined loops ({improved_loops} improved, "
-        "equal area)"
+        "{pipelined_loops} pipelined loops ({improved_loops} improved)"
+        + _LOOP_AREA
     ),
     "spad_banking": (
         "banks  {name}: II {ii_before_total} -> {ii_after_total} over "
         "{probed_loops} probed loops ({proven_groups}/{groups} groups "
-        "proven, {serialized_groups} serialized, equal area)"
+        "proven, {serialized_groups} serialized)" + _LOOP_AREA
     ),
     "reuse_buffers": (
         "reuse  {name}: ports {ports_before_total} -> {ports_after_total}, "
         "II {ii_before_total} -> {ii_after_total} over {probed_loops} "
         "probed loops ({pairs_proven} proven pairs, {buffered_consumers} "
-        "buffered, {register_bits} register bits)"
+        "buffered, {register_bits} register bits)" + _LOOP_AREA
     ),
 }
 
@@ -682,7 +684,7 @@ def _cmd_bench(args) -> int:
             names[: args.interp_bench_count]
         )
     if args.ablation_count > 0:
-        # Each proof priced without and with it, at equal area.
+        # Each proof priced without and with it by the estimator.
         sections.update(ablation_stats(names[: args.ablation_count]))
 
     tag = args.tag or default_tag(params)
@@ -716,7 +718,7 @@ def _cmd_bench(args) -> int:
     total_proven = sum(s["proven_area_um2"] for s in narrowing)
     if total_type:
         print(f"narrow aggregate: {total_type:.0f} -> {total_proven:.0f} "
-              f"um2 datapath FU area "
+              f"um2 sequential datapath area "
               f"(-{100.0 * (1.0 - total_proven / total_type):.1f}%)")
     stats = engine.cache_stats()
     print(f"\n{len(records)} workloads in {wall:.2f}s "

@@ -150,25 +150,8 @@ class BoundsAnalysis:
         (every execution of the access is out of bounds)."""
         return [w for w in self.windows.values() if w.definitely_out_of_bounds]
 
-    def function_coverage(self, func: Function) -> Tuple[int, int]:
-        """(proven, total) memory accesses for ``func``."""
-        return self.counts.get(func, (0, 0))
-
     def module_coverage(self) -> Tuple[int, int]:
         proven = sum(p for p, _ in self.counts.values())
         total = sum(t for _, t in self.counts.values())
         return proven, total
 
-    def coverage_ratio(self) -> float:
-        proven, total = self.module_coverage()
-        return proven / total if total else 0.0
-
-    def summary_lines(self) -> List[str]:  # pragma: no cover - CLI aid
-        lines = []
-        for func in self.module.defined_functions():
-            proven, total = self.function_coverage(func)
-            if total:
-                lines.append(
-                    f"@{func.name}: {proven}/{total} accesses proven in-bounds"
-                )
-        return lines

@@ -14,7 +14,7 @@ error-severity ones before paying for scheduling/estimation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Optional
+from typing import Iterator, List, Optional
 
 from ..hls.transform import max_safe_unroll, unroll_legal
 from ..ir import Call
@@ -238,11 +238,7 @@ def _spad_group_verdicts(config, env: ConfigRuleEnv):
     from ..analysis.banking import GroupAccess
     from ..model.estimator import unrolled_loops_of
 
-    groups = {}
-    for assignment in config.plan.assignments.values():
-        if assignment.kind.value == "scratchpad":
-            groups.setdefault(assignment.spad_group, []).append(assignment)
-    for group, assignments in groups.items():
+    for group, assignments in config.plan.spad_groups().items():
         members = [
             GroupAccess(
                 env.access.info(a.inst),
@@ -364,11 +360,7 @@ def _reuse_group_verdicts(config, env: ConfigRuleEnv):
         return
     from ..model.estimator import unrolled_loops_of
 
-    groups = {}
-    for assignment in config.plan.assignments.values():
-        if assignment.kind.value == "scratchpad":
-            groups.setdefault(assignment.spad_group, []).append(assignment)
-    for group, assignments in groups.items():
+    for group, assignments in config.plan.spad_groups().items():
         by_loop = {}
         for assignment in assignments:
             loop = env.loop_info.innermost_loop(assignment.inst.parent)
@@ -376,11 +368,7 @@ def _reuse_group_verdicts(config, env: ConfigRuleEnv):
                 continue
             by_loop.setdefault(loop, []).append(assignment)
         for loop, members in by_loop.items():
-            if any(
-                isinstance(inst, Call)
-                for block in loop.blocks
-                for inst in block.instructions
-            ):
+            if any(block.has_call for block in loop.blocks):
                 continue  # callee stores make the clobber scan unsound
             stores = [
                 info for info in env.access.accesses_in(loop.blocks)

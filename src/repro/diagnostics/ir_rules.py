@@ -416,7 +416,3 @@ def check_provable_truncation(ctx) -> Iterator[Diagnostic]:
                     suggestion="widen the destination type or mask "
                                "explicitly before truncating",
                 )
-
-
-def _instruction_location(func, inst: Instruction) -> Location:
-    return _loc(func, inst.parent, inst)

@@ -45,9 +45,6 @@ class Schedule:
     finish: Dict[DFGNode, int] = field(default_factory=dict)
     length: int = 0  # total cycles (states) of the schedule
 
-    def slack_free_depth(self) -> int:
-        return self.length
-
 
 class PortTable:
     """Tracks busy cycles per port group during scheduling."""

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional
 
-from ..ir import BasicBlock, Call, Function, Module
+from ..ir import BasicBlock, Function, Module
 from ..analysis.loops import Loop
 from ..analysis.regions import Region
 from ..analysis.wpst import WPST, WPSTNode
@@ -112,13 +112,6 @@ class RegionProfile:
     @property
     def total_seconds(self) -> float:
         return self.total_cycles / CPU_FREQ_HZ
-
-    def region_contains_call(self, region: Region) -> bool:
-        return any(
-            isinstance(inst, Call)
-            for block in region.blocks
-            for inst in block.instructions
-        )
 
     def hot_regions(self, wpst: WPST, threshold: float = 0.001) -> List[WPSTNode]:
         """Region vertices whose time share exceeds ``threshold``."""

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Iterator, List, Optional, TYPE_CHECKING
 
-from .instructions import Branch, CondBranch, Instruction, Phi
+from .instructions import Branch, Call, CondBranch, Instruction, Phi
 from .types import FunctionType, Type
 from .values import Argument, Value
 
@@ -77,17 +77,16 @@ class BasicBlock:
                 preds.append(block)
         return preds
 
+    @property
+    def has_call(self) -> bool:
+        return any(isinstance(inst, Call) for inst in self.instructions)
+
     def phis(self) -> Iterator[Phi]:
         for inst in self.instructions:
             if isinstance(inst, Phi):
                 yield inst
             else:
                 break
-
-    def non_phi_instructions(self) -> Iterator[Instruction]:
-        for inst in self.instructions:
-            if not isinstance(inst, Phi):
-                yield inst
 
     def replace_successor(self, old: "BasicBlock", new: "BasicBlock") -> None:
         """Retarget this block's terminator from ``old`` to ``new``."""

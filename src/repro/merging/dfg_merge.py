@@ -38,10 +38,6 @@ class MergedUnit:
             + self.config_bits * CONFIG_BIT_AREA_UM2
         )
 
-    @property
-    def member_count(self) -> int:
-        return max(1, len(self.member_names))
-
 
 def merge_pair(
     unit_a: MergedUnit,

@@ -26,7 +26,7 @@ from ..analysis.facts import FunctionContext, ModuleFacts
 from ..analysis.loops import Loop, LoopInfo
 from ..analysis.regions import Region
 from ..analysis.wpst import WPSTNode
-from ..ir import BasicBlock, Call, Function, Instruction, Load, Module, Store
+from ..ir import BasicBlock, Function, Instruction, Load, Module, Store
 from ..hls.datapath import (
     AreaBreakdown,
     pipelined_datapath_area,
@@ -61,8 +61,10 @@ ESTIMATOR_VERSION = "6"
 #: The proofs the estimator can price, named by the sanitizer claim that
 #: checks each.  Without one, a config is priced as if it were unproven:
 #: type widths (``bitwidth``), claimed partitions trusted as parallel
-#: (``banking``), every scratchpad load on a port (``reuse``).
-PROOFS = ("bitwidth", "banking", "reuse")
+#: (``banking``), every scratchpad load on a port (``reuse``), every
+#: memory recurrence at distance 1 and unrolls only of loops that carry
+#: no memory dependence (``dependence``).
+PROOFS = ("bitwidth", "banking", "reuse", "dependence")
 
 
 def loop_recurrences(
@@ -198,7 +200,7 @@ class AcceleratorModel:
         return result
 
     def _candidates_uncached(self, region: Region) -> List[AcceleratorEstimate]:
-        if self._region_has_call(region):
+        if any(block.has_call for block in region.blocks):
             return []
         invocations = self.profile.region_count(region)
         if invocations <= 0:
@@ -275,7 +277,7 @@ class AcceleratorModel:
     def is_candidate_region(self, region: Region) -> bool:
         """Whether the model would consider ``region`` at all (regions
         containing calls are never offloaded, paper §III-B)."""
-        return not self._region_has_call(region)
+        return not any(block.has_call for block in region.blocks)
 
     def build_config(
         self,
@@ -301,6 +303,7 @@ class AcceleratorModel:
             # walking outward from the innermost loop (paper §III-C: "try
             # unrolling loops without loop-carried dependencies").  Unrolling
             # an outer loop replicates the inner pipeline into parallel lanes.
+            distance_factor = factor if "dependence" in self.proofs else None
             for loop in loops:
                 if not loop.is_innermost:
                     continue
@@ -309,8 +312,9 @@ class AcceleratorModel:
                 candidate: Optional[Loop] = loop
                 while candidate is not None and candidate in loop_set:
                     # Factor-aware legality: a carried dependence with a
-                    # proven distance ≥ factor still admits this unroll.
-                    if unroll_legal(candidate, ctx.memdep, factor):
+                    # proven distance ≥ factor still admits this unroll
+                    # (with dependence proofs off, no carried one does).
+                    if unroll_legal(candidate, ctx.memdep, distance_factor):
                         if self.profile.trip_count(candidate) >= factor:
                             loop_plans[candidate].unroll = factor
                         break
@@ -321,13 +325,7 @@ class AcceleratorModel:
             plan.assign(
                 self._assign_interface(access, region, ctx, loop_plans, mode)
             )
-        if "reuse" in self.proofs:
-            # Runs before banking: buffered consumers leave their group, so
-            # the banking verdict only has to serve the remaining port
-            # accesses (fewer banks can then suffice).
-            self._apply_reuse(plan, ctx, loop_plans)
-        if "banking" in self.proofs:
-            self._apply_banking(plan, ctx, loop_plans)
+        self.prove_plan(plan, ctx, loop_plans)
         label = f"u{factor}/{mode}"
         if only_nest is not None:
             label += f"@{only_nest.name}"
@@ -337,6 +335,22 @@ class AcceleratorModel:
             plan=plan,
             label=label,
         )
+
+    def prove_plan(
+        self,
+        plan: InterfacePlan,
+        ctx: FunctionContext,
+        loop_plans: Dict[Loop, LoopPlan],
+    ) -> None:
+        """Lower ``plan``'s scratchpad groups by the proofs this model
+        prices: reuse buffers, then proven banking."""
+        if "reuse" in self.proofs:
+            # Runs before banking: buffered consumers leave their group, so
+            # the banking verdict only has to serve the remaining port
+            # accesses (fewer banks can then suffice).
+            self._apply_reuse(plan, ctx, loop_plans)
+        if "banking" in self.proofs:
+            self._apply_banking(plan, ctx, loop_plans)
 
     def _apply_banking(
         self,
@@ -355,12 +369,8 @@ class AcceleratorModel:
         """
         from ..analysis.banking import GroupAccess
 
-        groups: Dict[object, List[InterfaceAssignment]] = {}
-        for assignment in plan.assignments.values():
-            if assignment.kind is InterfaceKind.SCRATCHPAD:
-                groups.setdefault(assignment.spad_group, []).append(assignment)
         tele = current_telemetry()
-        for group, assignments in groups.items():
+        for group, assignments in plan.spad_groups().items():
             members = [
                 GroupAccess(
                     ctx.access.info(a.inst),
@@ -408,12 +418,8 @@ class AcceleratorModel:
         """
         from ..analysis.reuse import select_buffers
 
-        groups: Dict[object, List[InterfaceAssignment]] = {}
-        for assignment in plan.assignments.values():
-            if assignment.kind is InterfaceKind.SCRATCHPAD:
-                groups.setdefault(assignment.spad_group, []).append(assignment)
         tele = current_telemetry()
-        for group, assignments in groups.items():
+        for group, assignments in plan.spad_groups().items():
             by_loop: Dict[Loop, List[InterfaceAssignment]] = {}
             for assignment in assignments:
                 loop = ctx.loop_info.innermost_loop(assignment.inst.parent)
@@ -422,11 +428,7 @@ class AcceleratorModel:
                     continue
                 by_loop.setdefault(loop, []).append(assignment)
             for loop, members in by_loop.items():
-                if any(
-                    isinstance(inst, Call)
-                    for block in loop.blocks
-                    for inst in block.instructions
-                ):
+                if any(block.has_call for block in loop.blocks):
                     continue  # callee stores could clobber the buffer
                 stores = [
                     info for info in ctx.access.accesses_in(loop.blocks)
@@ -581,7 +583,7 @@ class AcceleratorModel:
             replication = loop_plan.unroll * self._lane_factor(
                 loop, config.loop_plans
             )
-            unit = self._pipelined_unit(
+            unit = self.pipelined_unit(
                 loop, replication, loop_plan.unroll, plan, ports, ctx
             )
             if unit is None:
@@ -623,7 +625,7 @@ class AcceleratorModel:
             if block in pipelined_blocks:
                 continue
             count = profile.block_count(block)
-            unit = self._sequential_unit(block, plan, ports, ctx)
+            unit = self.sequential_unit(block, plan, ports, ctx)
             if unit is None:
                 cycles += count  # control-only block: one FSM state
                 continue
@@ -695,7 +697,7 @@ class AcceleratorModel:
             )
         return dfg
 
-    def _pipelined_unit(
+    def pipelined_unit(
         self,
         loop: Loop,
         replication: int,
@@ -720,9 +722,11 @@ class AcceleratorModel:
         unit = self._pipelined_units.get(key)
         if unit is None:
             unrolled = dfg.replicate(replication)
+            recurrences = loop_recurrences(loop, unrolled, ctx, unroll)
+            if "dependence" not in self.proofs:
+                recurrences = [(load, store, 1) for load, store, _ in recurrences]
             result = pipeline_loop(
-                unrolled, self.techlib, plan.access_timing, ports,
-                loop_recurrences(loop, unrolled, ctx, unroll),
+                unrolled, self.techlib, plan.access_timing, ports, recurrences,
             )
             unit = self._pipelined_units[key] = (
                 unrolled, result,
@@ -733,7 +737,7 @@ class AcceleratorModel:
             )
         return unit
 
-    def _sequential_unit(
+    def sequential_unit(
         self,
         block: BasicBlock,
         plan: InterfacePlan,
@@ -792,11 +796,3 @@ class AcceleratorModel:
             for inst in block.instructions
             if isinstance(inst, (Load, Store))
         ]
-
-    @staticmethod
-    def _region_has_call(region: Region) -> bool:
-        return any(
-            isinstance(inst, Call)
-            for block in region.blocks
-            for inst in block.instructions
-        )

@@ -242,7 +242,7 @@ class InterfacePlan:
         area += counts["decoupled"] * (AGU_AREA_UM2 + FIFO_AREA_UM2)
         if counts["scanchain"] > 0:
             area += LSU_AREA_UM2  # scan-chain master
-        for group, assignments in self._spad_groups().items():
+        for group, assignments in self.spad_groups().items():
             bytes_ = max(a.spad_bytes for a in assignments)
             partitions = max(a.partitions for a in assignments)
             # Banking adds per-bank overhead: model as sizing each bank for
@@ -256,26 +256,33 @@ class InterfacePlan:
         return area
 
     def reuse_register_area(self, techlib: TechLibrary) -> float:
-        """Shift-register area of every exploited reuse chain.
+        """Shift-register area of every exploited reuse chain, priced per
+        register stage."""
+        return sum(
+            (techlib.register_area(bits) * depth
+             for depth, bits in self.reuse_chains()),
+            0.0,
+        )
 
-        Consumers fed by the same producer share one chain; the deepest
-        tap (lane-aware) sizes it, priced per register stage."""
+    def reuse_chains(self) -> List[Tuple[int, int]]:
+        """``(register stages, bits per stage)`` of every exploited reuse
+        chain.  Consumers fed by the same producer share one chain; its
+        deepest (lane-aware) and widest tap size it."""
         chains: Dict[tuple, List[InterfaceAssignment]] = {}
         for assignment in self.assignments.values():
             if assignment.reuse_buffered:
                 key = (assignment.spad_group, assignment.reuse_source)
                 chains.setdefault(key, []).append(assignment)
-        area = 0.0
-        for members in chains.values():
-            depth = max(m.reuse_depth for m in members)
-            bits = max(m.reuse_bits for m in members)
-            area += techlib.register_area(bits) * depth
-        return area
+        return [
+            (max(m.reuse_depth for m in members),
+             max(m.reuse_bits for m in members))
+            for members in chains.values()
+        ]
 
     def dma_cycles_per_invocation(self, techlib: TechLibrary) -> float:
         """DMA synchronization cycles before/after one kernel invocation."""
         total = 0.0
-        for group, assignments in self._spad_groups().items():
+        for group, assignments in self.spad_groups().items():
             bytes_ = max(a.spad_bytes for a in assignments)
             reads = any(a.is_load for a in assignments)
             writes = any(not a.is_load for a in assignments)
@@ -283,7 +290,8 @@ class InterfacePlan:
             total += directions * techlib.dma_cycles(bytes_)
         return total
 
-    def _spad_groups(self) -> Dict[object, List[InterfaceAssignment]]:
+    def spad_groups(self) -> Dict[object, List[InterfaceAssignment]]:
+        """Every scratchpad group's assignments, in assignment order."""
         groups: Dict[object, List[InterfaceAssignment]] = {}
         for assignment in self.assignments.values():
             if assignment.kind is InterfaceKind.SCRATCHPAD:

@@ -37,18 +37,17 @@ from ..analysis.banking import probe_function as probe_banking
 from ..analysis.facts import ModuleFacts
 from ..analysis.loops import Loop
 from ..analysis.reuse import probe_function as probe_reuse
-from ..analysis.reuse import select_buffers
 from ..baselines.common import BaselineResult
 from ..baselines.novia import Novia
 from ..baselines.qscores import QsCores
 from ..framework import Cayman, CaymanResult
 from ..frontend.lowering import compile_source
-from ..hls.dfg import DFG
-from ..hls.pipeline import pipeline_loop
-from ..hls.scheduling import AccessTiming, schedule_dfg
-from ..hls.techlib import DEFAULT_TECHLIB, SPAD_LATENCY
 from ..ir import Load, Store
-from ..model.estimator import ESTIMATOR_VERSION, loop_recurrences
+from ..model import (
+    AcceleratorModel, InterfaceAssignment, InterfaceKind, InterfacePlan,
+    LoopPlan,
+)
+from ..model.estimator import ESTIMATOR_VERSION, PROOFS
 from ..telemetry import Telemetry, merge_snapshots, use as use_telemetry
 from ..workloads import get_workload
 
@@ -677,106 +676,81 @@ def interp_elision_stats(names: Sequence[str]) -> Dict[str, Dict]:
 
 # Proof ablations ----------------------------------------------------------------
 #
-# Each ablation section prices the same datapath units twice, without and
-# with one proof, so the difference is that proof's measured payoff.  The
-# driver compiles and analyses each workload once, builds each unit's DFG
-# once, prices it both ways and writes the common fields and totals; a
-# section supplies only its probe set, what differs between its two sides
-# and its extra fields.  Wherever a proof does not change an access, its
-# timing is fixed (contention-free, latency 2); loop latency is evaluated
-# at the interval-proven trip bound (nominal 100 when unproven).  Every
-# field is an exact count or a deterministic area sum, so each section is
-# compared whole by :func:`compare_reports`.
-
-
-def _fixed_timing(_node) -> AccessTiming:
-    return AccessTiming(latency=2, port=None)
-
-
-class _Side(NamedTuple):
-    """What one side of an ablation prices a unit with."""
-
-    timing: Callable = _fixed_timing
-    ports: Optional[Dict[str, int]] = None
-    recurrences: Optional[List] = None
-    #: Replaces the unit's shared DFG (the proven-width block datapath).
-    dfg: Optional[DFG] = None
-
-
-class _Function:
-    """One function's analyses and unit DFGs, shared by every ablation."""
-
-    def __init__(self, func, facts: ModuleFacts):
-        self.func = func
-        self.facts = facts
-        self.ctx = facts.context(func)
-        self._dfgs: Dict = {}
-
-    def dfg(self, unit) -> DFG:
-        """The shared DFG of a loop body or of one basic block."""
-        if unit not in self._dfgs:
-            self._dfgs[unit] = (
-                DFG.from_blocks(
-                    self.ctx.ordered_blocks(unit.blocks),
-                    may_alias=self.ctx.may_alias,
-                )
-                if isinstance(unit, Loop) else DFG.from_blocks([unit])
-            )
-        return self._dfgs[unit]
-
-    def group_timing(self, bases, grouped: Callable) -> Callable:
-        """Access timing that prices each access to a group in ``bases``
-        as ``grouped(node, base)`` and every other access as fixed."""
-        def timing(node):
-            base = getattr(self.ctx.access.info(node.inst), "base", None)
-            if base in bases:
-                return grouped(node, base)
-            return _fixed_timing(node)
-        return timing
+# Each ablation section prices its probed units with the estimator's own
+# lowering, twice: by an ``AcceleratorModel`` holding every proof (after)
+# and by one without the section's proof (before), so the difference is
+# that proof's measured payoff.  Both sides lower one premise: each probed
+# global-array group sits in its own scratchpad and every other access is
+# decoupled.  A probed loop is a pipelined unit, unrolled by the section's
+# factor; its row reads II, RecMII, depth (after), area (µm²) and latency
+# at the interval-proven trip bound (nominal 100 when unproven) off both
+# sides.  A basic block is a sequential unit.  Every field is an exact
+# count or a deterministic area sum, so each section is compared whole by
+# :func:`compare_reports`.
 
 
 def _count(items, predicate: Callable) -> int:
     return sum(1 for item in items if predicate(item))
 
 
-def _probes_by_loop(probe_function: Callable) -> Callable:
-    """A probe set: each loop with the probes ``probe_function`` (a
-    banking or reuse ``probe_function``) returns for it."""
-    def probe(fn: _Function) -> Dict:
-        by_loop: Dict = {}
-        for found in probe_function(fn.ctx):
-            by_loop.setdefault(found.loop, []).append(found)
-        return by_loop
-    return probe
+def _price(model: AcceleratorModel, ctx, unit, factor: int, partitions):
+    """``(plan, result, area)`` of ``unit`` as ``model`` lowers it, or None
+    without a datapath.  In the plan each access to a base in
+    ``partitions`` sits in that base's scratchpad claiming that many
+    banks, and every other access is decoupled."""
+    blocks = unit.blocks if isinstance(unit, Loop) else [unit]
+    plan = InterfacePlan()
+    for info in ctx.access.accesses_in(blocks):
+        spad = info.base in partitions
+        plan.assign(InterfaceAssignment(
+            info.inst,
+            InterfaceKind.SCRATCHPAD if spad else InterfaceKind.DECOUPLED,
+            spad_group=info.base if spad else None,
+            partitions=partitions.get(info.base, 1),
+        ))
+    if isinstance(unit, Loop):
+        model.prove_plan(plan, ctx, {unit: LoopPlan(unit, factor, True)})
+        priced = model.pipelined_unit(
+            unit, factor, factor, plan, plan.port_counts(), ctx
+        )
+    else:
+        priced = model.sequential_unit(unit, plan, plan.port_counts(), ctx)
+    return None if priced is None else (plan, *priced[1:])
 
 
-def _narrowing_probe(fn: _Function) -> Dict:
-    """Every basic block, with its function's bitwidth-proven widths."""
-    return dict.fromkeys(fn.func.blocks, fn.ctx.widths)
+def _port_accesses(plan: InterfacePlan) -> int:
+    """Scratchpad accesses that take a port (not fed by a reuse tap)."""
+    return sum(not a.reuse_buffered for a in plan.assignments.values()
+               if a.kind is InterfaceKind.SCRATCHPAD)
 
 
-def _narrowing_sides(fn: _Function, block, widths, dfg):
-    """The block at type widths before and at the proven widths after.
+def _by_loop(probes) -> Dict:
+    """Each probed loop with its banking or reuse probes."""
+    by_loop: Dict = {}
+    for probe in probes:
+        by_loop.setdefault(probe.loop, []).append(probe)
+    return by_loop
+
+
+def _narrowing_summary(rows: List[Dict], facts: ModuleFacts) -> Dict:
+    """The blocks at type widths before and at the proven widths after.
     Narrowing only shrinks operator area (delay is width-invariant at or
     below 32 bits, see ``docs/bitwidth.md``), so both schedules should be
     equally long."""
-    return {}, _Side(), _Side(dfg=DFG.from_blocks([block], widths=widths))
-
-
-def _narrowing_summary(rows: List[Dict], functions) -> Dict:
     summaries = [
-        fn.facts.bitwidth.function_summary(fn.func) for fn in functions
+        facts.bitwidth.function_summary(func)
+        for func in facts.module.defined_functions()
     ]
-    type_area = sum((s["type_area_um2"] for s in summaries), 0.0)
-    proven_area = sum((s["proven_area_um2"] for s in summaries), 0.0)
+    type_area = round(sum(row["area_before"] for row in rows), 3)
+    proven_area = round(sum(row["area_after"] for row in rows), 3)
     saving = (1.0 - proven_area / type_area) if type_area else 0.0
     latency_type = sum(row["latency_before"] for row in rows)
     latency_proven = sum(row["latency_after"] for row in rows)
     return {
         "int_ops": sum(int(s["int_ops"]) for s in summaries),
         "narrowed_ops": sum(int(s["narrowed_ops"]) for s in summaries),
-        "type_area_um2": round(type_area, 6),
-        "proven_area_um2": round(proven_area, 6),
+        "type_area_um2": type_area,
+        "proven_area_um2": proven_area,
         "saving_pct": round(100.0 * saving, 3),
         "latency_type": latency_type,
         "latency_proven": latency_proven,
@@ -784,64 +758,33 @@ def _narrowing_summary(rows: List[Dict], functions) -> Dict:
     }
 
 
-def _innermost_probe(fn: _Function) -> Dict:
-    """Every innermost loop."""
-    return {
-        loop: None for loop in fn.ctx.loop_info.loops if loop.is_innermost
-    }
-
-
-def _dependence_sides(fn: _Function, loop, _state, dfg):
-    """Dependence proofs off before (every recurrence at distance 1) and
-    the proven distances after.  A recurrence of latency L at proven
-    distance d only forces II ≥ ceil(L / d), so proven distances > 1
-    lower the II."""
-    recurrences = loop_recurrences(loop, dfg, fn.ctx)
-    return {}, _Side(
-        recurrences=[(load, store, 1) for load, store, _ in recurrences]
-    ), _Side(recurrences=recurrences)
-
-
-def _banking_sides(fn: _Function, loop, probes, dfg):
-    """At the loop's largest legal unroll factor ``U``, each global-array
-    group gets the historically-optimistic budget before (``2·U`` ports,
-    the claimed cyclic-``U`` banking with every bank dual-ported) and the
-    proven budget after (``2·banks`` of the cheapest conflict-free scheme,
-    or ``2`` when none is provable and the group serializes).  Both sides
-    price the same claimed banks, so an II increase is cycles the old
-    model hid behind unchecked conflicts."""
+def _banking_premise(probes) -> Tuple[int, Dict]:
+    """The loop's largest legal unroll factor ``U``, each group probed at
+    it claiming ``U`` banks.  Before, every claimed bank is trusted as a
+    parallel dual-ported bank; after, a group gets the banks of its
+    cheapest conflict-free scheme, or serializes through one bank when
+    none is provable."""
     factor = max(p.factor for p in probes)
-    verdicts = {p.base: p.verdict for p in probes if p.factor == factor}
+    return factor, {p.base: factor for p in probes if p.factor == factor}
+
+
+def _banking_fields(_ctx, _loop, probes, before, after) -> Dict:
+    claimed = before[0].spad_groups()
     groups: List[Dict] = []
-    ports: Dict[str, int] = {}
-    occupancy: Dict[str, int] = {}
-    for base in sorted(verdicts, key=lambda b: b.name):
-        verdict = verdicts[base]
-        banks = verdict.best.banks if verdict.proven else 1
-        ports[base.name] = 2 * banks
-        # A proven scheme bounds the distinct simultaneous addresses by its
-        # bank count (a broadcast load collapses to one); an unproven group
-        # issues all ``factor`` lane replicas serially.
-        occupancy[base.name] = min(factor, banks) if verdict.proven else factor
+    for base, members in sorted(
+        after[0].spad_groups().items(), key=lambda item: item[0].name
+    ):
+        proven = members[0].banking_proven
         groups.append({
             "base": base.name,
-            "scheme": verdict.best.label if verdict.proven else "serialized",
-            "banks_claimed": factor,
-            "banks_proven": banks,
+            "scheme": members[0].banking.label if proven else "serialized",
+            "banks_claimed": max(a.partitions for a in claimed[base]),
+            "banks_proven": max(a.proven_partitions for a in members),
         })
-    recurrences = loop_recurrences(loop, dfg, fn.ctx)
-    claimed = fn.group_timing(verdicts, lambda node, base: AccessTiming(
-        latency=2, port=base.name, occupancy=factor,
-    ))
-    proven = fn.group_timing(verdicts, lambda node, base: AccessTiming(
-        latency=2, port=base.name, occupancy=occupancy[base.name],
-    ))
-    return {"factor": factor, "groups": groups}, _Side(
-        claimed, {name: 2 * factor for name in ports}, recurrences,
-    ), _Side(proven, ports, recurrences)
+    return {"factor": max(p.factor for p in probes), "groups": groups}
 
 
-def _banking_summary(rows: List[Dict], _functions) -> Dict:
+def _banking_summary(rows: List[Dict], _facts) -> Dict:
     groups = [g for row in rows for g in row["groups"]]
     serialized = _count(groups, lambda g: g["scheme"] == "serialized")
     return {
@@ -854,80 +797,49 @@ def _banking_summary(rows: List[Dict], _functions) -> Dict:
     }
 
 
-def _reuse_sides(fn: _Function, loop, probes, dfg):
-    """Each group access takes a dual-ported scratchpad port before, and
-    each provably-reusing consumer is fed from a shift-register tap
-    (latency 1, no port) after, exactly the lowering the estimator
-    applies."""
+def _reuse_fields(ctx, loop, probes, before, after) -> Dict:
+    """Before, every group access takes a scratchpad port; after, each
+    provably-reusing consumer is fed from a shift-register tap."""
     # Value names carry a process-global counter; label the loop's
     # accesses by textual position instead so the section is
     # bit-identical across runs (--compare-to).
-    labels: Dict = {}
-    for block in fn.ctx.ordered_blocks(loop.blocks):
-        for inst in block.instructions:
-            if isinstance(inst, (Load, Store)):
-                kind = "ld" if isinstance(inst, Load) else "st"
-                labels[inst] = f"{kind}{len(labels)}"
-
-    def label(inst):
-        return labels.get(inst, inst.name or "?")
-
-    buffered: Dict = {}
-    groups: List[Dict] = []
-    register_bits = 0
+    accesses = [
+        inst for block in ctx.ordered_blocks(loop.blocks)
+        for inst in block.instructions if isinstance(inst, (Load, Store))
+    ]
+    label = {
+        inst: f"{'ld' if isinstance(inst, Load) else 'st'}{index}"
+        for index, inst in enumerate(accesses)
+    }
+    plan = after[0]
+    spads = plan.spad_groups()
+    groups = []
     for probe in probes:
         verdict = probe.verdict
-        chosen, _over = select_buffers(verdict)
-        chains: Dict = {}
-        for inst, pair in chosen.items():
-            buffered[inst] = pair
-            depth, bits = chains.get(pair.producer.inst, (0, 0))
-            chains[pair.producer.inst] = (
-                max(depth, pair.depth()),
-                max(bits, 8 * pair.consumer.element_size),
-            )
-        register_bits += sum(depth * bits for depth, bits in chains.values())
         groups.append({
             "base": verdict.base_name,
             "pairs": [
-                dict(p.to_dict(), producer=label(p.producer.inst),
-                     consumer=label(p.consumer.inst))
+                dict(p.to_dict(), producer=label[p.producer.inst],
+                     consumer=label[p.consumer.inst])
                 for p in verdict.pairs
             ],
             "unknown": len(verdict.unknown),
             "broken": len(verdict.broken),
-            "buffered": sorted(label(inst) for inst in chosen),
+            "buffered": sorted(
+                label[a.inst] for a in spads[probe.base] if a.reuse_buffered
+            ),
         })
-    bases = {p.base for p in probes}
-    members = [
-        node.inst for node in dfg.nodes
-        if isinstance(node.inst, (Load, Store))
-        and getattr(fn.ctx.access.info(node.inst), "base", None) in bases
-    ]
-
-    def spad(node, base):
-        return AccessTiming(latency=SPAD_LATENCY, port=base.name)
-
-    def tapped(node, base):
-        if node.inst in buffered:
-            return AccessTiming(latency=1, port=None)
-        return spad(node, base)
-
-    ports = {base.name: 2 for base in bases}
-    recurrences = loop_recurrences(loop, dfg, fn.ctx)
     return {
         "groups": groups,
-        "port_accesses_before": len(members),
-        "port_accesses_after": _count(
-            members, lambda inst: inst not in buffered
+        "port_accesses_before": _port_accesses(before[0]),
+        "port_accesses_after": _port_accesses(plan),
+        "register_bits": sum(
+            depth * bits for depth, bits in plan.reuse_chains()
         ),
-        "register_bits": register_bits,
-    }, _Side(fn.group_timing(bases, spad), ports, recurrences), _Side(
-        fn.group_timing(bases, tapped), ports, recurrences,
-    )
+    }
 
 
-def _reuse_summary(rows: List[Dict], _functions) -> Dict:
+def _reuse_summary(rows: List[Dict], _facts) -> Dict:
     groups = [g for row in rows for g in row["groups"]]
     return {
         "pairs_proven": sum(len(g["pairs"]) for g in groups),
@@ -949,105 +861,115 @@ def _reuse_summary(rows: List[Dict], _functions) -> Dict:
 class _Ablation(NamedTuple):
     """One proof-ablation section of a bench report."""
 
-    #: ``_Function`` → {unit: probe state}: the probed loops or blocks.
+    #: The estimator proof the before side is priced without.
+    proof: str
+    #: ``FunctionContext`` → {unit: probes}: the probed loops or blocks.
     probe: Callable
-    #: ``(_Function, unit, state, dfg)`` → (row fields, before, after).
-    sides: Callable
-    #: ``(rows, functions)`` → the section's own per-workload fields.
+    #: ``(rows, facts)`` → the section's own per-workload fields.
     summary: Callable
     #: Key counting the listed loops; None for block units, which are
-    #: list-scheduled, summed and not listed.
+    #: summed and not listed.
     loops: Optional[str] = "probed_loops"
-    #: ``(before, after)`` pipeline results → extra per-loop fields.
-    results: Optional[Callable] = None
+    #: ``probes`` → ``(unroll factor, {base: claimed partitions})``.
+    premise: Callable = lambda _probes: (1, {})
+    #: ``(ctx, unit, probes, before, after)`` → extra per-unit fields; each
+    #: side is the ``(plan, result, area)`` it priced.
+    fields: Callable = lambda *_args: {}
 
 
 #: The proof-ablation sections of a bench report, in report order.
 ABLATIONS: Dict[str, _Ablation] = {
     "area_narrowing": _Ablation(
-        _narrowing_probe, _narrowing_sides, _narrowing_summary, loops=None,
+        "bitwidth", lambda ctx: dict.fromkeys(ctx.func.blocks),
+        _narrowing_summary, loops=None,
     ),
+    # Proven dependence distances against every recurrence at distance 1:
+    # a recurrence of latency L at distance d only forces II ≥ ceil(L / d).
     "pipeline_ii": _Ablation(
-        _innermost_probe, _dependence_sides,
-        lambda rows, _functions: {"improved_loops": _count(
+        "dependence",
+        lambda ctx: dict.fromkeys(
+            loop for loop in ctx.loop_info.loops if loop.is_innermost
+        ),
+        lambda rows, _facts: {"improved_loops": _count(
             rows, lambda r: r["ii_after"] < r["ii_before"]
         )},
-        loops="pipelined_loops", results=lambda before, after: {
-            "depth": after.depth,
-            "rec_mii_before": before.rec_mii,
-            "rec_mii_after": after.rec_mii,
-        },
+        loops="pipelined_loops",
     ),
     "spad_banking": _Ablation(
-        _probes_by_loop(probe_banking), _banking_sides, _banking_summary,
+        "banking", lambda ctx: _by_loop(probe_banking(ctx)), _banking_summary,
+        premise=_banking_premise, fields=_banking_fields,
     ),
     "reuse_buffers": _Ablation(
-        _probes_by_loop(probe_reuse), _reuse_sides, _reuse_summary,
+        "reuse", lambda ctx: _by_loop(probe_reuse(ctx)), _reuse_summary,
+        premise=lambda probes: (1, {p.base: 1 for p in probes}),
+        fields=_reuse_fields,
     ),
 }
 ABLATION_SECTIONS = tuple(ABLATIONS)
 
 
-def _ablate(ablation: _Ablation, functions: List[_Function]) -> Dict:
-    """One section's entry for the workload of ``functions``."""
+def _ablate(ablation: _Ablation, models, contexts) -> Dict:
+    """One section's entry for the workload of ``contexts``, priced by the
+    ``(before, after)`` ``models``."""
     rows: List[Dict] = []
-    for fn in functions:
-        for unit, state in ablation.probe(fn).items():
-            dfg = fn.dfg(unit)
-            if not dfg.nodes:
-                continue
-            row, before, after = ablation.sides(fn, unit, state, dfg)
-            if ablation.loops is None:
-                row["latency_before"], row["latency_after"] = (
-                    schedule_dfg(
-                        side.dfg or dfg, DEFAULT_TECHLIB, side.timing
-                    ).length
-                    for side in (before, after)
-                )
-                rows.append(row)
-                continue
-            first, second = (
-                pipeline_loop(
-                    dfg, DEFAULT_TECHLIB, side.timing,
-                    port_counts=side.ports, recurrences=side.recurrences,
-                )
-                for side in (before, after)
+    for ctx in contexts:
+        for unit, probes in ablation.probe(ctx).items():
+            factor, partitions = ablation.premise(probes)
+            before, after = (
+                _price(model, ctx, unit, factor, partitions)
+                for model in models
             )
-            trip = fn.ctx.static_trip_bound(unit) or 100
-            row.update(
-                function=fn.func.name, loop=unit.name, trip=trip,
-                ii_before=first.ii, ii_after=second.ii,
-                latency_before=round(first.latency(trip), 3),
-                latency_after=round(second.latency(trip), 3),
-            )
-            if ablation.results is not None:
-                row.update(ablation.results(first, second))
+            if before is None:
+                continue
+            (_, first, first_area), (_, second, second_area) = before, after
+            row = {
+                "area_before": round(first_area.total, 3),
+                "area_after": round(second_area.total, 3),
+            }
+            if isinstance(unit, Loop):
+                trip = ctx.static_trip_bound(unit) or 100
+                row.update(
+                    function=ctx.func.name, loop=unit.name, trip=trip,
+                    ii_before=first.ii, ii_after=second.ii, depth=second.depth,
+                    rec_mii_before=first.rec_mii, rec_mii_after=second.rec_mii,
+                    latency_before=round(first.latency(trip / factor), 3),
+                    latency_after=round(second.latency(trip / factor), 3),
+                )
+            else:
+                row.update(
+                    latency_before=first.length, latency_after=second.length
+                )
+            row.update(ablation.fields(ctx, unit, probes, before, after))
             rows.append(row)
+    facts = models[1].facts
     if ablation.loops is None:
-        return ablation.summary(rows, functions)
+        return ablation.summary(rows, facts)
     rows.sort(key=lambda row: (row["function"], row["loop"]))
     return {
         "loops": rows,
         ablation.loops: len(rows),
-        **ablation.summary(rows, functions),
-        "ii_before_total": sum(row["ii_before"] for row in rows),
-        "ii_after_total": sum(row["ii_after"] for row in rows),
+        **ablation.summary(rows, facts),
+        **{
+            f"{key}_total": round(sum(row[key] for row in rows), 3)
+            for key in ("ii_before", "ii_after", "area_before", "area_after")
+        },
     }
 
 
 def ablation_stats(names: Sequence[str]) -> Dict[str, Dict[str, Dict]]:
     """Every proof-ablation section over ``names``: section → workload →
-    stats.  Each workload is compiled and analysed once for all of them."""
+    stats.  Each workload is compiled and analysed once, and every section
+    shares the model that holds every proof."""
     stats: Dict[str, Dict[str, Dict]] = {s: {} for s in ABLATION_SECTIONS}
     for name in names:
         workload = get_workload(name)
         module = compile_source(workload.source, workload.name)
-        facts = ModuleFacts.of(module)
-        functions = [
-            _Function(func, facts) for func in module.defined_functions()
-        ]
+        full = AcceleratorModel(module, profile=None)
+        contexts = [full.context(f) for f in module.defined_functions()]
         for section, ablation in ABLATIONS.items():
-            stats[section][name] = _ablate(ablation, functions)
+            proofs = set(PROOFS) - {ablation.proof}
+            ablated = AcceleratorModel(module, profile=None, proofs=proofs)
+            stats[section][name] = _ablate(ablation, (ablated, full), contexts)
     return stats
 
 

@@ -10,11 +10,12 @@ from repro.diagnostics.registry import get_rule
 from repro.frontend import compile_source
 from repro.interp import profile_module
 from repro.model import AcceleratorModel
+from repro.model.estimator import PROOFS
 from repro.workloads import get_workload
 
 
 #: Every estimator proof but banking.
-NO_BANKING = ("bitwidth", "reuse")
+NO_BANKING = set(PROOFS) - {"banking"}
 
 
 def lint(name, **model_kwargs):

@@ -8,6 +8,7 @@ from repro.frontend import compile_source
 from repro.interp.sanitizer import SanitizerError, SanitizingInterpreter
 from repro.model import AcceleratorModel
 from repro.model.estimator import PROOFS
+from repro.reporting.bench import ABLATIONS
 from repro.workloads import get_workload
 
 from ..conftest import sanitize_both
@@ -87,11 +88,19 @@ def test_every_estimator_proof_has_a_sanitizer_claim():
     assert set(PROOFS) <= set(SanitizingInterpreter.CLAIMS)
 
 
+def test_every_estimator_proof_has_one_ablation_section():
+    """Each proof the estimator can switch off is priced by exactly one
+    bench ablation section, and each section toggles one of them."""
+    proofs = [row.proof for row in ABLATIONS.values()]
+    assert {row.proof for row in ABLATIONS.values()} == set(PROOFS)
+    assert len(proofs) == len(set(proofs))
+
+
 def test_unknown_estimator_proof_names_the_valid_proofs():
     workload = get_workload("trisolv")
     module = compile_source(workload.source, workload.name)
     with pytest.raises(ValueError, match="'alias'; valid proofs: "
-                       "bitwidth, banking, reuse"):
+                       "bitwidth, banking, reuse, dependence$"):
         AcceleratorModel(module, profile=None, proofs=("bitwidth", "alias"))
 
 

@@ -18,6 +18,7 @@ from repro.model import (
     InterfaceKind,
     InterfacePlan,
 )
+from repro.model.estimator import PROOFS
 from repro.workloads import get_workload
 
 
@@ -112,7 +113,7 @@ class TestVerdictGatedPorts:
 
     def test_no_banking_proof_is_historical_optimism(self):
         module, model = build_model(
-            "stride2-collider", proofs=("bitwidth", "reuse")
+            "stride2-collider", proofs=set(PROOFS) - {"banking"}
         )
         configs = [c for c in spad_configs(module, model, "collide")
                    if max_unroll(c) == 8]

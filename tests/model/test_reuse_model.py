@@ -11,12 +11,12 @@ from repro.frontend import compile_source
 from repro.hls import DEFAULT_TECHLIB
 from repro.interp import profile_module
 from repro.model import AcceleratorModel, InterfaceKind
-from repro.model.estimator import ESTIMATOR_VERSION
+from repro.model.estimator import ESTIMATOR_VERSION, PROOFS
 from repro.workloads import get_workload
 
 
 #: Every estimator proof but reuse.
-NO_REUSE = ("bitwidth", "banking")
+NO_REUSE = set(PROOFS) - {"reuse"}
 
 
 def build_model(name, **kwargs):

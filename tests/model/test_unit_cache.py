@@ -25,6 +25,7 @@ from repro.frontend import compile_source
 from repro.interp import profile_module
 from repro.model import AcceleratorModel, InterfaceKind
 from repro.model.config import AcceleratorConfig, LoopPlan
+from repro.model.estimator import PROOFS
 from repro.model.interfaces import InterfacePlan
 from repro.workloads import get_workload
 
@@ -36,12 +37,17 @@ CROSS_SECTION = (
 VARIANTS = {
     "default": (AcceleratorModel, {}),
     "qscores": (QsCoresModel, {}),
-    "type-widths": (AcceleratorModel, {"proofs": ("banking", "reuse")}),
+    "type-widths": (
+        AcceleratorModel, {"proofs": set(PROOFS) - {"bitwidth"}}
+    ),
     "no-banking-proofs": (
-        AcceleratorModel, {"proofs": ("bitwidth", "reuse")}
+        AcceleratorModel, {"proofs": set(PROOFS) - {"banking"}}
     ),
     "no-reuse-proofs": (
-        AcceleratorModel, {"proofs": ("bitwidth", "banking")}
+        AcceleratorModel, {"proofs": set(PROOFS) - {"reuse"}}
+    ),
+    "no-dependence-proofs": (
+        AcceleratorModel, {"proofs": set(PROOFS) - {"dependence"}}
     ),
 }
 

@@ -1,7 +1,7 @@
 """Tests for the ``pipeline_ii`` bench section: against dependence proofs
 off (every recurrence at distance 1), proven dependence distances lower
-the recurrence-bound II at equal area (the report wiring is tested for
-every section in ``test_ablations.py``)."""
+the recurrence-bound II of the same priced loop (the report wiring is
+tested for every section in ``test_ablations.py``)."""
 
 import pytest
 

@@ -1,5 +1,5 @@
-"""Tests for the ``spad_banking`` bench section: equal-area before/after
-II semantics and determinism (the report wiring is tested for every section
+"""Tests for the ``spad_banking`` bench section: claimed-against-proven
+banking II semantics and determinism (the report wiring is tested for every section
 in ``test_ablations.py``)."""
 
 import json
