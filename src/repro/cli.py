@@ -29,6 +29,16 @@ def _check_workloads(names) -> None:
             _fail(f"unknown workload {name!r} (see `repro bench-list`)")
 
 
+def _check_entry(args, source: str) -> None:
+    """Exit 2 unless ``source`` defines the ``--entry`` function.  Parsing
+    is enough, so a bad entry is reported before anything is profiled."""
+    from .frontend import parse
+
+    if args.entry not in {func.name for func in parse(source).functions}:
+        _fail(f"no function {args.entry!r} defined in "
+              f"{args.source or args.workload!r}")
+
+
 def _check_writable(path: Optional[str]) -> None:
     """Exit 2 unless ``path`` (if given) can be written; the probe leaves
     no file behind.  Called before a flow runs, so a bad path costs none."""
@@ -74,6 +84,7 @@ def _cmd_run(args) -> int:
     from .hls import CVA6_TILE_AREA_UM2
 
     source = _read_program(args)
+    _check_entry(args, source)
     framework = Cayman(
         alpha=args.alpha,
         beta=args.beta,
@@ -165,6 +176,7 @@ def _cmd_dump(args) -> int:
     from .ir import print_module
 
     source = _read_program(args)
+    _check_entry(args, source)
     module = compile_source(source, args.source, optimize=not args.no_opt)
     print(print_module(module))
     print()
@@ -177,6 +189,7 @@ def _cmd_emit_rtl(args) -> int:
     from .rtl import generate_solution
 
     source = _read_program(args)
+    _check_entry(args, source)
     _check_writable(args.output)
     result = Cayman().run(
         source, entry=args.entry, name=args.source or args.workload
@@ -210,11 +223,10 @@ def _cmd_exec(args) -> int:
     from .frontend import compile_source
 
     source = _read_program(args)
+    _check_entry(args, source)
     name = args.source or args.workload
     module = compile_source(source, name, optimize=not args.no_opt)
-    func = module.functions.get(args.entry)
-    if func is None or func.is_declaration:
-        _fail(f"no function {args.entry!r} defined in {name!r}")
+    func = module.functions[args.entry]
     try:
         entry_args = [int(a) for a in args.args]
     except ValueError as exc:
@@ -582,6 +594,7 @@ def _cmd_lint(args) -> int:
         from .interp.profiler import profile_module
         from .model.estimator import AcceleratorModel
 
+        _check_entry(args, source)
         profile = profile_module(module, entry=args.entry)
         wpst = WPST(module, entry_function=args.entry)
         model = AcceleratorModel(module, profile)
@@ -749,6 +762,7 @@ def _cmd_trace(args) -> int:
     from .telemetry import ChromeTraceSink, JsonlSink, Telemetry
 
     source = _read_program(args)
+    _check_entry(args, source)
     name = args.source or args.workload
     _check_writable(args.jsonl)
     _check_writable(args.chrome)
@@ -1025,6 +1039,9 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "alpha", None) is not None and args.alpha <= 1.0:
+        _fail(f"--alpha must be > 1 (the front filter base), "
+              f"got {args.alpha}")
     try:
         return args.func(args)
     except BrokenPipeError:  # e.g. piping into `head`

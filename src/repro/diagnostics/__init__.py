@@ -9,8 +9,8 @@ three layers of the flow (paper §III-B/III-C/III-E):
   out-of-bounds constant indices, effect-free infinite loops, recursion;
 * **analysis rules** (``AN0xx``) cross-check the wPST, profile, and
   memory analyses feeding candidate selection;
-* **config/merge rules** (``CF0xx``) enforce accelerator-configuration
-  legality and are reused as the candidate-selection pre-filter.
+* **config/merge rules** (``CF0xx``) re-check the legality of every
+  accelerator configuration the model generates (legal by construction).
 
 Entry points: :func:`run_lint` for whole-module linting, the ``repro
 lint`` CLI subcommand, and :class:`LintPassManager` for per-pass
@@ -18,12 +18,7 @@ verification inside the optimization pipeline.
 """
 
 from .core import Diagnostic, LintResult, Location, Severity
-from .config_rules import (
-    ConfigRuleEnv,
-    config_diagnostics,
-    config_errors,
-    merge_pair_diagnostics,
-)
+from .config_rules import config_diagnostics, merge_pair_diagnostics
 from .engine import LintContext, run_lint
 from .passes import LintPassManager, PassVerificationError
 from .registry import Rule, all_rules, get_rule, rule, rules_for_layer
@@ -31,8 +26,7 @@ from .render import render_json, render_text
 
 __all__ = [
     "Diagnostic", "LintResult", "Location", "Severity",
-    "ConfigRuleEnv", "config_diagnostics", "config_errors",
-    "merge_pair_diagnostics",
+    "config_diagnostics", "merge_pair_diagnostics",
     "LintContext", "run_lint",
     "LintPassManager", "PassVerificationError",
     "Rule", "all_rules", "get_rule", "rule", "rules_for_layer",

@@ -6,43 +6,24 @@ trip count waste area, scratchpad interfaces must fit the buffer capacity,
 pipelined regions must be call-free, and merging two datapaths only pays
 when their operation signatures can share functional units (§III-E).
 
-The checkers double as the candidate-selection *pre-filter*: the
-accelerator model runs them on every generated configuration and rejects
-error-severity ones before paying for scheduling/estimation.
+Every checker takes ``(config, model)`` and reads the analyses of the
+:class:`~repro.model.estimator.AcceleratorModel` that built the config:
+``model.context(config.region.function)``, ``model.profile`` and
+``model.max_spad_bytes``.  The model's configs are legal by construction;
+lint's config layer re-checks every one it generates.  The banking and
+reuse rules derive their verdicts through the model's own
+``banking_verdict``/``reuse_groups`` whatever ``model.proofs`` holds, so
+an optimistic model's claims are still flagged.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator, List, Optional
 
 from ..hls.transform import max_safe_unroll, unroll_legal
 from ..ir import Call
 from .core import Diagnostic, Location, Severity
 from .registry import rule
-
-
-@dataclass
-class ConfigRuleEnv:
-    """Analysis context the config rules evaluate against.
-
-    ``memdep`` / ``loop_info`` come from the kernel's function context;
-    ``profile`` is optional (static trip-count estimates are used without
-    it); ``max_spad_bytes`` is the scratchpad capacity of the model.
-    """
-
-    memdep: object
-    loop_info: object = None
-    profile: object = None
-    max_spad_bytes: int = 1 << 16
-    #: Per-function :class:`~repro.analysis.access_patterns.AccessPatternAnalysis`
-    #: (needed by the banking rules; they are skipped without it).
-    access: object = None
-    #: :class:`~repro.analysis.banking.BankingAnalysis` for the function.
-    banking: object = None
-    #: :class:`~repro.analysis.reuse.ReuseAnalysis` for the function
-    #: (needed by the reuse rules; they are skipped without it).
-    reuse: object = None
 
 
 def _loop_loc(config, loop, detail: str) -> Location:
@@ -53,11 +34,10 @@ def _loop_loc(config, loop, detail: str) -> Location:
     )
 
 
-def _trip_count(loop, env: ConfigRuleEnv) -> Optional[float]:
-    if env.profile is not None:
-        trip = env.profile.trip_count(loop)
-        if trip > 0:
-            return trip
+def _trip_count(loop, model) -> Optional[float]:
+    trip = model.profile.trip_count(loop)
+    if trip > 0:
+        return trip
     return loop.trip_count_estimate()
 
 
@@ -75,11 +55,12 @@ def _trip_count(loop, env: ConfigRuleEnv) -> Optional[float]:
     ),
     paper_ref="§III-C (unroll only loops without carried dependencies)",
 )
-def check_unroll_legality(config, env: ConfigRuleEnv) -> Iterator[Diagnostic]:
+def check_unroll_legality(config, model) -> Iterator[Diagnostic]:
+    memdep = model.context(config.region.function).memdep
     for plan in config.loop_plans.values():
         if plan.unroll <= 1:
             continue
-        if not unroll_legal(plan.loop, env.memdep, plan.unroll):
+        if not unroll_legal(plan.loop, memdep, plan.unroll):
             yield Diagnostic(
                 code="CF001",
                 severity=Severity.ERROR,
@@ -108,11 +89,12 @@ def check_unroll_legality(config, env: ConfigRuleEnv) -> Iterator[Diagnostic]:
     ),
     paper_ref="§III-C (unrolling legality from dependence distances)",
 )
-def check_unroll_distance(config, env: ConfigRuleEnv) -> Iterator[Diagnostic]:
+def check_unroll_distance(config, model) -> Iterator[Diagnostic]:
+    memdep = model.context(config.region.function).memdep
     for plan in config.loop_plans.values():
         if plan.unroll <= 1:
             continue
-        limit = max_safe_unroll(plan.loop, env.memdep)
+        limit = max_safe_unroll(plan.loop, memdep)
         if limit is not None and plan.unroll > limit:
             yield Diagnostic(
                 code="IR010",
@@ -142,11 +124,11 @@ def check_unroll_distance(config, env: ConfigRuleEnv) -> Iterator[Diagnostic]:
     ),
     paper_ref="§III-C (configuration generation bounds factors by trips)",
 )
-def check_unroll_trip_count(config, env: ConfigRuleEnv) -> Iterator[Diagnostic]:
+def check_unroll_trip_count(config, model) -> Iterator[Diagnostic]:
     for plan in config.loop_plans.values():
         if plan.unroll <= 1:
             continue
-        trip = _trip_count(plan.loop, env)
+        trip = _trip_count(plan.loop, model)
         if trip is not None and trip > 0 and plan.unroll > trip:
             yield Diagnostic(
                 code="CF002",
@@ -172,11 +154,11 @@ def check_unroll_trip_count(config, env: ConfigRuleEnv) -> Iterator[Diagnostic]:
     ),
     paper_ref="§III-C (scratchpad legality requires a bounded footprint)",
 )
-def check_scratchpad_capacity(config, env: ConfigRuleEnv) -> Iterator[Diagnostic]:
+def check_scratchpad_capacity(config, model) -> Iterator[Diagnostic]:
     for assignment in config.plan.assignments.values():
         if assignment.kind.value != "scratchpad":
             continue
-        if assignment.spad_bytes > env.max_spad_bytes:
+        if assignment.spad_bytes > model.max_spad_bytes:
             inst = assignment.inst
             yield Diagnostic(
                 code="CF003",
@@ -189,7 +171,7 @@ def check_scratchpad_capacity(config, env: ConfigRuleEnv) -> Iterator[Diagnostic
                 ),
                 message=(
                     f"scratchpad footprint {assignment.spad_bytes} bytes "
-                    f"exceeds the {env.max_spad_bytes}-byte capacity"
+                    f"exceeds the {model.max_spad_bytes}-byte capacity"
                 ),
                 suggestion="fall back to a coupled or decoupled interface",
             )
@@ -206,7 +188,7 @@ def check_scratchpad_capacity(config, env: ConfigRuleEnv) -> Iterator[Diagnostic
     ),
     paper_ref="§III-C (only loop regions P and blocks B are synthesized)",
 )
-def check_pipelined_calls(config, env: ConfigRuleEnv) -> Iterator[Diagnostic]:
+def check_pipelined_calls(config, model) -> Iterator[Diagnostic]:
     for plan in config.loop_plans.values():
         if not plan.pipelined:
             continue
@@ -228,29 +210,14 @@ def check_pipelined_calls(config, env: ConfigRuleEnv) -> Iterator[Diagnostic]:
                     )
 
 
-def _spad_group_verdicts(config, env: ConfigRuleEnv):
+def _spad_group_verdicts(config, model):
     """Yield ``(group, assignments, verdict)`` for every scratchpad group
-    of the configuration, re-deriving the lane structure from the loop
-    plans so the rules check exactly what the estimator's banking pass
-    sees.  Requires ``env.access`` and ``env.banking``."""
-    if env.access is None or env.banking is None:
-        return
-    from ..analysis.banking import GroupAccess
-    from ..model.estimator import unrolled_loops_of
-
+    of the configuration, derived by the model's own banking pass."""
+    ctx = model.context(config.region.function)
     for group, assignments in config.plan.spad_groups().items():
-        members = [
-            GroupAccess(
-                env.access.info(a.inst),
-                unrolled_loops_of(a.inst, config.loop_plans, env.loop_info),
-            )
-            for a in assignments
-        ]
-        footprint = max(a.spad_bytes for a in assignments)
-        verdict = env.banking.verdict(
-            group, members, footprint_bytes=footprint or None
+        yield group, assignments, model.banking_verdict(
+            group, assignments, ctx, config.loop_plans
         )
-        yield group, assignments, verdict
 
 
 def _group_loc(config, group, detail: str) -> Location:
@@ -276,10 +243,10 @@ def _group_loc(config, group, detail: str) -> Location:
     ),
     paper_ref="§III-C (scratchpad partitioning for parallel access)",
 )
-def check_banking_conflict(config, env: ConfigRuleEnv) -> Iterator[Diagnostic]:
+def check_banking_conflict(config, model) -> Iterator[Diagnostic]:
     from ..analysis.banking import CONFLICTED, BankingScheme
 
-    for group, assignments, verdict in _spad_group_verdicts(config, env):
+    for group, assignments, verdict in _spad_group_verdicts(config, model):
         claimed = max(a.partitions for a in assignments)
         if claimed <= 1:
             continue
@@ -325,10 +292,8 @@ def check_banking_conflict(config, env: ConfigRuleEnv) -> Iterator[Diagnostic]:
     ),
     paper_ref="§III-C (banking should match exploitable parallelism)",
 )
-def check_banking_overprovision(
-    config, env: ConfigRuleEnv
-) -> Iterator[Diagnostic]:
-    for group, assignments, verdict in _spad_group_verdicts(config, env):
+def check_banking_overprovision(config, model) -> Iterator[Diagnostic]:
+    for group, assignments, verdict in _spad_group_verdicts(config, model):
         claimed = max(a.partitions for a in assignments)
         usable = verdict.best.banks if verdict.proven else 1
         if claimed > usable:
@@ -350,45 +315,6 @@ def check_banking_overprovision(
             )
 
 
-def _reuse_group_verdicts(config, env: ConfigRuleEnv):
-    """Yield ``(group, loop, assignments, verdict, lanes, pipelined)`` for
-    every (scratchpad group, call-free innermost loop) of the
-    configuration, re-deriving members, stores, and lane counts exactly
-    as the estimator's reuse pass does.  Requires ``env.access``,
-    ``env.reuse``, and ``env.loop_info``."""
-    if env.access is None or env.reuse is None or env.loop_info is None:
-        return
-    from ..model.estimator import unrolled_loops_of
-
-    for group, assignments in config.plan.spad_groups().items():
-        by_loop = {}
-        for assignment in assignments:
-            loop = env.loop_info.innermost_loop(assignment.inst.parent)
-            if loop is None:
-                continue
-            by_loop.setdefault(loop, []).append(assignment)
-        for loop, members in by_loop.items():
-            if any(block.has_call for block in loop.blocks):
-                continue  # callee stores make the clobber scan unsound
-            stores = [
-                info for info in env.access.accesses_in(loop.blocks)
-                if info.is_store
-            ]
-            verdict = env.reuse.verdict(
-                group, loop,
-                [env.access.info(a.inst) for a in members],
-                stores=stores,
-            )
-            lanes = 1
-            for _, unroll in unrolled_loops_of(
-                members[0].inst, config.loop_plans, env.loop_info
-            ):
-                lanes *= max(1, unroll)
-            plan_for_loop = config.loop_plans.get(loop)
-            pipelined = plan_for_loop is not None and plan_for_loop.pipelined
-            yield group, loop, members, verdict, lanes, pipelined
-
-
 @rule(
     "RU001",
     "claimed-reuse-pair-unproven",
@@ -406,23 +332,22 @@ def _reuse_group_verdicts(config, env: ConfigRuleEnv):
     ),
     paper_ref="§III-C (data access optimization must preserve semantics)",
 )
-def check_reuse_claims(config, env: ConfigRuleEnv) -> Iterator[Diagnostic]:
-    if env.access is None or env.reuse is None or env.loop_info is None:
-        return
+def check_reuse_claims(config, model) -> Iterator[Diagnostic]:
     claims = [
         a for a in config.plan.assignments.values()
         if a.reuse_distance is not None
     ]
     if not claims:
         return
+    ctx = model.context(config.region.function)
     verdicts = {
         (group, loop): verdict
-        for group, loop, _members, verdict, _lanes, _pipelined
-        in _reuse_group_verdicts(config, env)
+        for group, loop, _members, verdict, _lanes
+        in model.reuse_groups(config.plan, ctx, config.loop_plans)
     }
     for assignment in claims:
         inst = assignment.inst
-        loop = env.loop_info.innermost_loop(inst.parent)
+        loop = ctx.loop_info.innermost_loop(inst.parent)
         verdict = verdicts.get((assignment.spad_group, loop))
         if verdict is not None and any(
             p.consumer.inst is inst
@@ -436,7 +361,7 @@ def check_reuse_claims(config, env: ConfigRuleEnv) -> Iterator[Diagnostic]:
         if verdict is None:
             reason = (
                 "the enclosing loop is not analyzable (contains a call "
-                "or is not an innermost loop)"
+                "or is not a pipelined innermost loop)"
             )
         else:
             reason = (
@@ -490,13 +415,14 @@ def check_reuse_claims(config, env: ConfigRuleEnv) -> Iterator[Diagnostic]:
     ),
     paper_ref="§III-C (reuse buffers trade registers for port pressure)",
 )
-def check_reuse_unexploited(config, env: ConfigRuleEnv) -> Iterator[Diagnostic]:
+def check_reuse_unexploited(config, model) -> Iterator[Diagnostic]:
     from ..analysis.reuse import MAX_REUSE_DEPTH, select_buffers
 
-    for group, loop, members, verdict, lanes, pipelined in (
-        _reuse_group_verdicts(config, env)
+    ctx = model.context(config.region.function)
+    for group, _loop, members, verdict, lanes in model.reuse_groups(
+        config.plan, ctx, config.loop_plans
     ):
-        if not pipelined or not verdict.pairs:
+        if not verdict.pairs:
             continue
         _chosen, over_budget = select_buffers(verdict, lanes=lanes)
         by_inst = {a.inst: a for a in members}
@@ -557,22 +483,14 @@ def check_merge_signatures(name_a, dfg_a, name_b, dfg_b) -> Iterator[Diagnostic]
         )
 
 
-def config_diagnostics(config, env: ConfigRuleEnv) -> List[Diagnostic]:
-    """Run every config-layer rule on one configuration."""
+def config_diagnostics(config, model) -> List[Diagnostic]:
+    """Run every config-layer rule on one configuration ``model`` built."""
     from .registry import rules_for_layer
 
     found: List[Diagnostic] = []
     for entry in rules_for_layer("config"):
-        found.extend(entry.checker(config, env))
+        found.extend(entry.checker(config, model))
     return found
-
-
-def config_errors(config, env: ConfigRuleEnv) -> List[Diagnostic]:
-    """Error-severity findings only — the pre-filter rejection predicate."""
-    return [
-        d for d in config_diagnostics(config, env)
-        if d.severity is Severity.ERROR
-    ]
 
 
 def merge_pair_diagnostics(name_a, dfg_a, name_b, dfg_b) -> List[Diagnostic]:

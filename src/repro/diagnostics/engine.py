@@ -33,7 +33,6 @@ from ..dataflow import (
     PointsToAnalysis,
 )
 from ..ir import Function, Module
-from .config_rules import ConfigRuleEnv
 from .core import LintResult
 from .registry import Rule, all_rules
 
@@ -167,19 +166,9 @@ def run_lint(
             region = node.region
             if region is None or not model.is_candidate_region(region):
                 continue
-            model_ctx = model.context(region.function)
-            env = ConfigRuleEnv(
-                memdep=model_ctx.memdep,
-                loop_info=model_ctx.loop_info,
-                profile=model.profile,
-                max_spad_bytes=model.max_spad_bytes,
-                access=model_ctx.access,
-                banking=model_ctx.banking,
-                reuse=model_ctx.reuse,
-            )
             for config in model.generate_configs(region):
                 for entry in config_rules:
-                    for diag in entry.checker(config, env):
+                    for diag in entry.checker(config, model):
                         # Different configs of one region repeat the same
                         # finding; report each distinct finding once.
                         if diag not in seen_diags:

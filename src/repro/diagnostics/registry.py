@@ -8,8 +8,8 @@ the layer it runs on, and its rationale).  Layers:
 * ``analysis`` — checkers over the wPST / program analyses (same signature;
   may require a profile or wPST, declared via ``requires``);
 * ``config``   — accelerator-configuration legality checkers (signature
-  ``fn(config, env) -> Iterable[Diagnostic]``), also used by the
-  candidate-selection pre-filter;
+  ``fn(config, model) -> Iterable[Diagnostic]``, ``model`` being the
+  accelerator model that built ``config``);
 * ``merge``    — checkers over a pair of datapath units considered for
   merging (signature ``fn(name_a, dfg_a, name_b, dfg_b) -> Iterable``).
 """

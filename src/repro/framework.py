@@ -113,7 +113,6 @@ class Cayman:
         coupled_only: bool = False,
         merging: bool = True,
         area_cap_ratio: float = 2.0,
-        legality_prefilter: bool = True,
         lint: bool = False,
         telemetry: Optional[Telemetry] = None,
     ):
@@ -125,7 +124,6 @@ class Cayman:
         self.coupled_only = coupled_only
         self.merging = merging
         self.area_cap_ratio = area_cap_ratio
-        self.legality_prefilter = legality_prefilter
         self.lint = lint
         self.telemetry = telemetry
 
@@ -186,7 +184,6 @@ class Cayman:
                     beta=self.beta,
                     unroll_factors=self.unroll_factors,
                     coupled_only=self.coupled_only,
-                    legality_prefilter=self.legality_prefilter,
                 )
             with stage("selection"):
                 selector = CandidateSelector(

@@ -105,13 +105,11 @@ def loop_recurrences(
     return result
 
 
-def unrolled_loops_of(
+def _unrolled_loops(
     inst: Instruction, loop_plans: Dict[Loop, "LoopPlan"], loop_info: LoopInfo
 ) -> Tuple:
     """The ``(loop, factor)`` pairs that replicate ``inst`` into parallel
-    lanes under a configuration's loop plans (innermost-first).  Shared by
-    the estimator's banking pass and the config-layer lint rules so both
-    reason about the same lane structure."""
+    lanes under a configuration's loop plans (innermost-first)."""
     spec = []
     loop = (
         loop_info.innermost_loop(inst.parent)
@@ -141,7 +139,6 @@ class AcceleratorModel:
         max_spad_bytes: int = 1 << 16,
         coupled_only: bool = False,
         pipeline_innermost: bool = True,
-        legality_prefilter: bool = True,
         proofs: Sequence[str] = PROOFS,
     ):
         self.module = module
@@ -152,16 +149,12 @@ class AcceleratorModel:
         self.max_spad_bytes = max_spad_bytes
         self.coupled_only = coupled_only
         self.pipeline_innermost = pipeline_innermost
-        self.legality_prefilter = legality_prefilter
         unknown = [proof for proof in proofs if proof not in PROOFS]
         if unknown:
             raise ValueError(f"unknown proof {unknown[0]!r}; valid proofs: "
                              f"{', '.join(PROOFS)}")
         #: The subset of :data:`PROOFS` this model prices.
         self.proofs = frozenset(proofs)
-        #: Configurations rejected by the legality pre-filter, as
-        #: ``(config, diagnostics)`` pairs — inspectable after a run.
-        self.rejected_configs: List[Tuple[AcceleratorConfig, list]] = []
         self._estimate_cache: Dict[Tuple, List[AcceleratorEstimate]] = {}
         #: Unit synthesis caches shared by every config of a run.  The base
         #: DFG of each loop body and basic block; each pipelined unit's
@@ -200,7 +193,7 @@ class AcceleratorModel:
         return result
 
     def _candidates_uncached(self, region: Region) -> List[AcceleratorEstimate]:
-        if any(block.has_call for block in region.blocks):
+        if not self.is_candidate_region(region):
             return []
         invocations = self.profile.region_count(region)
         if invocations <= 0:
@@ -208,19 +201,10 @@ class AcceleratorModel:
         ctx = self.context(region.function)
         estimates: List[AcceleratorEstimate] = []
         seen: set = set()
-        env = self._rule_env(ctx) if self.legality_prefilter else None
         tele = current_telemetry()
 
-        for config in self._configs_for_region(region, ctx):
+        for config in self.generate_configs(region):
             tele.count("model.configs_generated")
-            if env is not None:
-                from ..diagnostics.config_rules import config_errors
-
-                errors = config_errors(config, env)
-                if errors:
-                    self.rejected_configs.append((config, errors))
-                    tele.count("model.configs_prefiltered")
-                    continue
             estimate = self.estimate(config, ctx)
             if estimate is None or not estimate.is_profitable:
                 tele.count("model.configs_unprofitable")
@@ -236,24 +220,14 @@ class AcceleratorModel:
 
     # Configuration generation ----------------------------------------------------
 
-    def _rule_env(self, ctx: FunctionContext):
-        """The :class:`ConfigRuleEnv` the legality pre-filter checks against."""
-        from ..diagnostics.config_rules import ConfigRuleEnv
+    def generate_configs(self, region: Region):
+        """Generate every candidate configuration the search explores.
 
-        return ConfigRuleEnv(
-            memdep=ctx.memdep,
-            loop_info=ctx.loop_info,
-            profile=self.profile,
-            max_spad_bytes=self.max_spad_bytes,
-            access=ctx.access,
-            # Without banking proofs the pre-filter must not reject the
-            # historically-optimistic configs it is meant to reproduce.
-            banking=ctx.banking if "banking" in self.proofs else None,
-            reuse=ctx.reuse if "reuse" in self.proofs else None,
-        )
-
-    def _configs_for_region(self, region: Region, ctx: FunctionContext):
-        """Generate every candidate configuration the search explores."""
+        Each is legal by construction: :meth:`build_config` unrolls only
+        loops the dependence analysis clears and sizes only scratchpads
+        that fit, so selection estimates every config it is given (lint's
+        config layer re-checks them)."""
+        ctx = self.context(region.function)
         modes = ("coupled_only",) if self.coupled_only else self.INTERFACE_MODES
         for factor in self.unroll_factors:
             for mode in modes:
@@ -269,10 +243,6 @@ class AcceleratorModel:
                 yield self.build_config(
                     region, ctx, max_factor, "full", only_nest=nest
                 )
-
-    def generate_configs(self, region: Region):
-        """Public configuration generator (used by the lint config layer)."""
-        yield from self._configs_for_region(region, self.context(region.function))
 
     def is_candidate_region(self, region: Region) -> bool:
         """Whether the model would consider ``region`` at all (regions
@@ -352,6 +322,69 @@ class AcceleratorModel:
         if "banking" in self.proofs:
             self._apply_banking(plan, ctx, loop_plans)
 
+    def banking_verdict(
+        self,
+        group,
+        assignments: List[InterfaceAssignment],
+        ctx: FunctionContext,
+        loop_plans: Dict[Loop, LoopPlan],
+    ):
+        """The bank-conflict verdict of one scratchpad group under
+        ``loop_plans``: its port accesses with their unrolled lanes, sized
+        by the group's largest footprint.  Reuse-buffered consumers never
+        touch the banks in steady state, so the scheme only has to serve
+        the port accesses."""
+        from ..analysis.banking import GroupAccess
+
+        members = [
+            GroupAccess(
+                ctx.access.info(a.inst),
+                _unrolled_loops(a.inst, loop_plans, ctx.loop_info),
+            )
+            for a in assignments
+            if not a.reuse_buffered
+        ]
+        footprint = max(a.spad_bytes for a in assignments)
+        return ctx.banking.verdict(
+            group, members, footprint_bytes=footprint or None
+        )
+
+    def reuse_groups(
+        self,
+        plan: InterfacePlan,
+        ctx: FunctionContext,
+        loop_plans: Dict[Loop, LoopPlan],
+    ):
+        """Yield ``(group, loop, members, verdict, lanes)`` for the
+        accesses of every scratchpad group in each call-free pipelined
+        loop: the reuse verdict over the loop's stores (callee stores
+        could clobber a buffer, so loops with calls are skipped) and the
+        lane count the loop plans replicate the members into."""
+        for group, assignments in plan.spad_groups().items():
+            by_loop: Dict[Loop, List[InterfaceAssignment]] = {}
+            for assignment in assignments:
+                loop = ctx.loop_info.innermost_loop(assignment.inst.parent)
+                loop_plan = loop_plans.get(loop) if loop is not None else None
+                if loop_plan is None or not loop_plan.pipelined:
+                    continue
+                by_loop.setdefault(loop, []).append(assignment)
+            for loop, members in by_loop.items():
+                if any(block.has_call for block in loop.blocks):
+                    continue
+                stores = [
+                    info for info in ctx.access.accesses_in(loop.blocks)
+                    if info.is_store
+                ]
+                verdict = ctx.reuse.verdict(
+                    group, loop,
+                    [ctx.access.info(a.inst) for a in members],
+                    stores=stores,
+                )
+                lanes = loop_plans[loop].unroll * self._lane_factor(
+                    loop, loop_plans
+                )
+                yield group, loop, members, verdict, lanes
+
     def _apply_banking(
         self,
         plan: InterfacePlan,
@@ -367,24 +400,9 @@ class AcceleratorModel:
         but ``banking_proven=False`` makes ``port_counts`` expose a single
         dual-ported bank, so the scheduler serializes the group's accesses.
         """
-        from ..analysis.banking import GroupAccess
-
         tele = current_telemetry()
         for group, assignments in plan.spad_groups().items():
-            members = [
-                GroupAccess(
-                    ctx.access.info(a.inst),
-                    unrolled_loops_of(a.inst, loop_plans, ctx.loop_info),
-                )
-                for a in assignments
-                # Reuse-buffered consumers never touch the banks in steady
-                # state; the scheme only has to serve the port accesses.
-                if not a.reuse_buffered
-            ]
-            footprint = max(a.spad_bytes for a in assignments)
-            verdict = ctx.banking.verdict(
-                group, members, footprint_bytes=footprint or None
-            )
+            verdict = self.banking_verdict(group, assignments, ctx, loop_plans)
             claimed = max(a.partitions for a in assignments)
             for assignment in assignments:
                 assignment.banking = verdict.best
@@ -419,49 +437,27 @@ class AcceleratorModel:
         from ..analysis.reuse import select_buffers
 
         tele = current_telemetry()
-        for group, assignments in plan.spad_groups().items():
-            by_loop: Dict[Loop, List[InterfaceAssignment]] = {}
-            for assignment in assignments:
-                loop = ctx.loop_info.innermost_loop(assignment.inst.parent)
-                loop_plan = loop_plans.get(loop) if loop is not None else None
-                if loop_plan is None or not loop_plan.pipelined:
+        for _, _, members, verdict, lanes in self.reuse_groups(
+            plan, ctx, loop_plans
+        ):
+            if not verdict.pairs:
+                continue
+            chosen, over_budget = select_buffers(verdict, lanes=lanes)
+            by_inst = {a.inst: a for a in members}
+            for inst, pair in chosen.items():
+                assignment = by_inst.get(inst)
+                if assignment is None:
                     continue
-                by_loop.setdefault(loop, []).append(assignment)
-            for loop, members in by_loop.items():
-                if any(block.has_call for block in loop.blocks):
-                    continue  # callee stores could clobber the buffer
-                stores = [
-                    info for info in ctx.access.accesses_in(loop.blocks)
-                    if info.is_store
-                ]
-                verdict = ctx.reuse.verdict(
-                    group, loop,
-                    [ctx.access.info(a.inst) for a in members],
-                    stores=stores,
-                )
-                if not verdict.pairs:
-                    continue
-                lanes = 1
-                for _, unroll in unrolled_loops_of(
-                    members[0].inst, loop_plans, ctx.loop_info
-                ):
-                    lanes *= max(1, unroll)
-                chosen, over_budget = select_buffers(verdict, lanes=lanes)
-                by_inst = {a.inst: a for a in members}
-                for inst, pair in chosen.items():
-                    assignment = by_inst.get(inst)
-                    if assignment is None:
-                        continue
-                    assignment.reuse_source = pair.producer.inst
-                    assignment.reuse_distance = pair.distance
-                    assignment.reuse_depth = pair.depth(lanes)
-                    assignment.reuse_bits = 8 * pair.consumer.element_size
-                    assignment.partitions = 1
-                    if tele.enabled:
-                        tele.count("model.reuse_buffered")
+                assignment.reuse_source = pair.producer.inst
+                assignment.reuse_distance = pair.distance
+                assignment.reuse_depth = pair.depth(lanes)
+                assignment.reuse_bits = 8 * pair.consumer.element_size
+                assignment.partitions = 1
                 if tele.enabled:
-                    tele.count("model.reuse_groups")
-                    tele.count("model.reuse_over_budget", len(over_budget))
+                    tele.count("model.reuse_buffered")
+            if tele.enabled:
+                tele.count("model.reuse_groups")
+                tele.count("model.reuse_over_budget", len(over_budget))
 
     def _assign_interface(
         self,

@@ -53,7 +53,7 @@ from ..workloads import get_workload
 
 #: Bumped whenever the on-disk record layout changes (old entries are
 #: silently treated as misses).
-CACHE_SCHEMA_VERSION = 1
+CACHE_SCHEMA_VERSION = 2
 #: Schema of the ``BENCH_<tag>.json`` report files.
 BENCH_SCHEMA_VERSION = 1
 

@@ -53,18 +53,11 @@ class CandidateSelector:
         self.evaluated_vertices = 0
         self.pruned_vertices = 0
 
-    @property
-    def rejected_configs(self) -> int:
-        """Configurations the model's legality pre-filter rejected before
-        estimation (0 when the model has no pre-filter)."""
-        return len(getattr(self.model, "rejected_configs", ()))
-
     def stats(self) -> Dict[str, int]:
         """Search-space accounting of one Algorithm 1 run."""
         return {
             "evaluated_vertices": self.evaluated_vertices,
             "pruned_vertices": self.pruned_vertices,
-            "rejected_configs": self.rejected_configs,
         }
 
     # Public API -----------------------------------------------------------------
@@ -82,7 +75,6 @@ class CandidateSelector:
                     "selection.vertices_evaluated", self.evaluated_vertices
                 )
                 tele.count("selection.vertices_pruned", self.pruned_vertices)
-                tele.count("selection.rejected_configs", self.rejected_configs)
         return front
 
     def best_under_budget(self, area_budget: float) -> Solution:

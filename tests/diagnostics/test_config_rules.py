@@ -6,7 +6,6 @@ import pytest
 
 from repro.diagnostics import Severity
 from repro.diagnostics.config_rules import (
-    ConfigRuleEnv,
     check_merge_signatures,
     check_pipelined_calls,
     check_scratchpad_capacity,
@@ -14,7 +13,6 @@ from repro.diagnostics.config_rules import (
     check_unroll_legality,
     check_unroll_trip_count,
     config_diagnostics,
-    config_errors,
     merge_pair_diagnostics,
 )
 from repro.frontend.lowering import compile_source
@@ -71,12 +69,6 @@ def loop_of(setup, func_name):
     return ctx.loop_info.loops[0]
 
 
-def env_for(setup, func_name, **kwargs):
-    ctx = setup.model.context(setup.module.get_function(func_name))
-    kwargs.setdefault("profile", setup.profile)
-    return ConfigRuleEnv(memdep=ctx.memdep, loop_info=ctx.loop_info, **kwargs)
-
-
 def config_with_plan(setup, func_name, unroll=1, pipelined=False):
     loop = loop_of(setup, func_name)
     return AcceleratorConfig(
@@ -89,27 +81,27 @@ def config_with_plan(setup, func_name, unroll=1, pipelined=False):
 class TestUnrollLegality:
     def test_fires_on_dependent_loop(self, setup):
         config = config_with_plan(setup, "prefix", unroll=4)
-        found = list(check_unroll_legality(config, env_for(setup, "prefix")))
+        found = list(check_unroll_legality(config, setup.model))
         assert [d.code for d in found] == ["CF001"]
         assert found[0].severity is Severity.ERROR
 
     def test_clean_on_independent_loop(self, setup):
         config = config_with_plan(setup, "saxpy", unroll=4)
-        assert list(check_unroll_legality(config, env_for(setup, "saxpy"))) == []
+        assert list(check_unroll_legality(config, setup.model)) == []
 
 
 class TestUnrollDistance:
     def test_fires_when_factor_exceeds_distance(self, setup):
         # siv2 carries C[i] <- C[i-2]: proven distance 2, so x4 races.
         config = config_with_plan(setup, "siv2", unroll=4)
-        found = list(check_unroll_distance(config, env_for(setup, "siv2")))
+        found = list(check_unroll_distance(config, setup.model))
         assert [d.code for d in found] == ["IR010"]
         assert found[0].severity is Severity.ERROR
         assert "distance 2" in found[0].message
 
     def test_clean_within_proven_distance(self, setup):
         config = config_with_plan(setup, "siv2", unroll=2)
-        found = list(check_unroll_distance(config, env_for(setup, "siv2")))
+        found = list(check_unroll_distance(config, setup.model))
         assert not [d for d in found if d.code == "IR010"]
         assert found == []
 
@@ -117,13 +109,13 @@ class TestUnrollDistance:
 class TestUnrollTripCount:
     def test_fires_when_factor_exceeds_trips(self, setup):
         config = config_with_plan(setup, "saxpy", unroll=128)
-        found = list(check_unroll_trip_count(config, env_for(setup, "saxpy")))
+        found = list(check_unroll_trip_count(config, setup.model))
         assert [d.code for d in found] == ["CF002"]
 
     def test_clean_within_trips(self, setup):
         config = config_with_plan(setup, "saxpy", unroll=4)
         assert list(
-            check_unroll_trip_count(config, env_for(setup, "saxpy"))
+            check_unroll_trip_count(config, setup.model)
         ) == []
 
 
@@ -143,16 +135,12 @@ class TestScratchpadCapacity:
 
     def test_fires_when_footprint_exceeds_capacity(self, setup):
         config = self._config(setup, spad_bytes=1 << 20)
-        found = list(check_scratchpad_capacity(
-            config, env_for(setup, "saxpy", max_spad_bytes=1 << 16)
-        ))
+        found = list(check_scratchpad_capacity(config, setup.model))
         assert [d.code for d in found] == ["CF003"]
 
     def test_clean_within_capacity(self, setup):
         config = self._config(setup, spad_bytes=256)
-        found = list(check_scratchpad_capacity(
-            config, env_for(setup, "saxpy", max_spad_bytes=1 << 16)
-        ))
+        found = list(check_scratchpad_capacity(config, setup.model))
         assert not [d for d in found if d.code == "CF003"]
         assert found == []
 
@@ -173,12 +161,12 @@ class TestPipelinedCalls:
 
     def test_fires_on_pipelined_loop_with_call(self, setup):
         config = self._call_loop_config(setup, pipelined=True)
-        found = list(check_pipelined_calls(config, env_for(setup, "main")))
+        found = list(check_pipelined_calls(config, setup.model))
         assert found and all(d.code == "CF005" for d in found)
 
     def test_clean_when_not_pipelined(self, setup):
         config = self._call_loop_config(setup, pipelined=False)
-        found = list(check_pipelined_calls(config, env_for(setup, "main")))
+        found = list(check_pipelined_calls(config, setup.model))
         assert not [d for d in found if d.code == "CF005"]
         assert found == []
 
@@ -210,12 +198,11 @@ class TestMergeSignatures:
 class TestHelpers:
     def test_config_diagnostics_runs_all_config_rules(self, setup):
         config = config_with_plan(setup, "prefix", unroll=4)
-        found = config_diagnostics(config, env_for(setup, "prefix"))
+        found = config_diagnostics(config, setup.model)
         assert any(d.code == "CF001" for d in found)
 
-    def test_config_errors_filters_severity(self, setup):
-        # unroll > trip count is only a warning; not a rejection reason.
+    def test_trip_count_overrun_is_only_a_warning(self, setup):
         config = config_with_plan(setup, "saxpy", unroll=128)
-        found = config_diagnostics(config, env_for(setup, "saxpy"))
+        found = config_diagnostics(config, setup.model)
         assert any(d.code == "CF002" for d in found)
-        assert config_errors(config, env_for(setup, "saxpy")) == []
+        assert not [d for d in found if d.severity is Severity.ERROR]

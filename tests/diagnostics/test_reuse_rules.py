@@ -6,10 +6,7 @@ import pytest
 
 from repro.analysis import WPST
 from repro.diagnostics import Severity, run_lint
-from repro.diagnostics.config_rules import (
-    ConfigRuleEnv,
-    check_reuse_claims,
-)
+from repro.diagnostics.config_rules import check_reuse_claims
 from repro.diagnostics.registry import get_rule
 from repro.frontend import compile_source
 from repro.ir import Load
@@ -51,19 +48,6 @@ def lint_of(module, profile, wpst, model):
     return run_lint(module, profile=profile, wpst=wpst, model=model)
 
 
-def rule_env(model, function):
-    ctx = model.context(function)
-    return ConfigRuleEnv(
-        memdep=ctx.memdep,
-        loop_info=ctx.loop_info,
-        profile=model.profile,
-        max_spad_bytes=model.max_spad_bytes,
-        access=ctx.access,
-        banking=ctx.banking,
-        reuse=ctx.reuse,
-    )
-
-
 def spad_configs(wpst, model, func_name):
     for node in wpst.region_vertices():
         region = node.region
@@ -91,8 +75,7 @@ class TestRU001ClaimSoundness:
             if a.reuse_distance is not None
         )
         forged.reuse_distance += 1
-        env = rule_env(model, config.region.function)
-        diags = list(check_reuse_claims(config, env))
+        diags = list(check_reuse_claims(config, model))
         assert diags
         assert all(d.severity is Severity.ERROR for d in diags)
         assert any("unproven" in d.message for d in diags)
@@ -110,8 +93,7 @@ class TestRU001ClaimSoundness:
         consumer, producer = loads[0], loads[1]
         consumer.reuse_source = producer.inst
         consumer.reuse_distance = 1
-        env = rule_env(model, config.region.function)
-        diags = list(check_reuse_claims(config, env))
+        diags = list(check_reuse_claims(config, model))
         assert diags
         assert any("may-alias" in d.message for d in diags)
 

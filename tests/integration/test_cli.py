@@ -564,17 +564,42 @@ class TestProgramArgument:
 
 
 class TestEarlyErrors:
-    """Bad workload names and unwritable output paths are one-line errors
-    with exit status 2, raised before any flow runs."""
+    """Bad workload names, entry functions, filter bases and unwritable
+    output paths are one-line errors with exit status 2, raised before
+    any flow or profile runs."""
 
     @pytest.fixture(autouse=True)
     def no_flow(self, monkeypatch):
         from repro.framework import Cayman
+        from repro.interp import profiler
 
         def run(*args, **kwargs):
             raise AssertionError("the flow ran before the input check")
 
         monkeypatch.setattr(Cayman, "run", run)
+        monkeypatch.setattr(profiler, "profile_module", run)
+
+    @pytest.mark.parametrize(
+        "command", ["run", "lint", "trace", "emit-rtl", "dump"]
+    )
+    def test_unknown_entry_exits_two(self, command, capsys):
+        with pytest.raises(SystemExit) as info:
+            main([command, "trisolv", "--entry", "nosuch"])
+        assert info.value.code == 2
+        assert capsys.readouterr().err == (
+            "error: no function 'nosuch' defined in 'trisolv'\n"
+        )
+
+    @pytest.mark.parametrize("alpha", ["1", "0.5"])
+    @pytest.mark.parametrize("command", ["run", "trace", "bench"])
+    def test_alpha_not_above_one_exits_two(self, command, alpha, capsys):
+        with pytest.raises(SystemExit) as info:
+            main([command, "trisolv", "--alpha", alpha])
+        assert info.value.code == 2
+        assert capsys.readouterr().err == (
+            f"error: --alpha must be > 1 (the front filter base), "
+            f"got {float(alpha)}\n"
+        )
 
     @pytest.mark.parametrize("command", ["table2", "fig6"])
     def test_unknown_workload_exits_two(self, command, capsys):
