@@ -1,14 +1,14 @@
 """Shared fixtures for the benchmark harness.
 
-Heavy comparison runs are computed once per session and shared between the
-Table II and Fig. 6 benches.
+Heavy workload evaluations are computed once per session and shared between
+the Table II and Fig. 6 benches.
 """
 
 import pytest
 
-from repro.reporting import ComparisonRunner
+from repro.reporting import EvaluationEngine
 
 
 @pytest.fixture(scope="session")
-def comparison_runner():
-    return ComparisonRunner()
+def engine():
+    return EvaluationEngine()

@@ -15,7 +15,6 @@ import pytest
 
 from repro.reporting import (
     DEFAULT_FIG6_BENCHMARKS,
-    build_series,
     dominance_check,
     generate_figure6,
     render_figure6,
@@ -24,17 +23,17 @@ from repro.reporting import (
 _series_cache = {}
 
 
-def _series(runner):
+def _series(engine):
     if "series" not in _series_cache:
         _series_cache["series"] = generate_figure6(
-            DEFAULT_FIG6_BENCHMARKS, runner=runner
+            DEFAULT_FIG6_BENCHMARKS, engine=engine
         )
     return _series_cache["series"]
 
 
-def test_fig6_pareto_fronts(benchmark, comparison_runner):
+def test_fig6_pareto_fronts(benchmark, engine):
     series = benchmark.pedantic(
-        _series, args=(comparison_runner,), rounds=1, iterations=1
+        _series, args=(engine,), rounds=1, iterations=1
     )
     print()
     print(render_figure6(series))
@@ -45,9 +44,9 @@ def test_fig6_pareto_fronts(benchmark, comparison_runner):
             assert ok, f"{item.benchmark}: {name}"
 
 
-def test_fig6_novia_lower_left(benchmark, comparison_runner):
+def test_fig6_novia_lower_left(benchmark, engine):
     series = benchmark.pedantic(
-        _series, args=(comparison_runner,), rounds=1, iterations=1
+        _series, args=(engine,), rounds=1, iterations=1
     )
     for item in series:
         if not item.novia or not item.cayman:
@@ -60,13 +59,13 @@ def test_fig6_novia_lower_left(benchmark, comparison_runner):
         assert max_area_novia <= max_area_cayman
 
 
-def test_fig6_coupled_only_gap(benchmark, comparison_runner):
+def test_fig6_coupled_only_gap(benchmark, engine):
     """coupled-only trails full Cayman for stream benchmarks; the gap is
     smallest for loops-all (RecMII-bound)."""
 
     def gaps():
         result = {}
-        for item in _series(comparison_runner):
+        for item in _series(engine):
             best_full = max((s for _, s in item.cayman), default=1.0)
             best_coupled = max((s for _, s in item.coupled_only), default=1.0)
             result[item.benchmark] = best_full / best_coupled

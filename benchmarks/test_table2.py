@@ -17,24 +17,24 @@ from repro.reporting import (
     LARGE_BUDGET,
     SMALL_BUDGET,
     averages,
-    build_row,
     generate_table2,
     render_table2,
+    row_from_record,
 )
 from repro.workloads import workload_names
 
 _rows_cache = {}
 
 
-def _full_table(runner):
+def _full_table(engine):
     if "rows" not in _rows_cache:
-        _rows_cache["rows"] = generate_table2(runner=runner)
+        _rows_cache["rows"] = generate_table2(engine=engine)
     return _rows_cache["rows"]
 
 
-def test_table2_full(benchmark, comparison_runner):
+def test_table2_full(benchmark, engine):
     rows = benchmark.pedantic(
-        _full_table, args=(comparison_runner,), rounds=1, iterations=1
+        _full_table, args=(engine,), rounds=1, iterations=1
     )
     print()
     print(render_table2(rows))
@@ -67,14 +67,14 @@ def test_table2_full(benchmark, comparison_runner):
     assert avg.large.area_saving_pct > 5.0
 
 
-def test_table2_merging_extremes(benchmark, comparison_runner):
+def test_table2_merging_extremes(benchmark, engine):
     """3mm (three identical matmuls) merges far better than doitgen (one
     hotspot), matching the paper's 74% vs 5% contrast."""
 
     def rows():
-        return (
-            build_row(comparison_runner.run("3mm")),
-            build_row(comparison_runner.run("doitgen")),
+        return tuple(
+            row_from_record(record)
+            for record in engine.evaluate(["3mm", "doitgen"])
         )
 
     row_3mm, row_doitgen = benchmark.pedantic(rows, rounds=1, iterations=1)
@@ -83,7 +83,7 @@ def test_table2_merging_extremes(benchmark, comparison_runner):
     assert row_3mm.small.area_saving_pct > row_doitgen.small.area_saving_pct
 
 
-def test_table2_single_benchmark_runtime(benchmark, comparison_runner):
+def test_table2_single_benchmark_runtime(benchmark):
     """Cayman's own runtime on one benchmark (paper reports 70.8s average
     on full-size inputs; scaled-down inputs run in around a second)."""
     from repro.framework import Cayman

@@ -13,7 +13,7 @@ Usage:
 
 import argparse
 
-from repro.reporting import ComparisonRunner, build_series
+from repro.reporting import EvaluationEngine, series_from_record
 from repro.workloads import workload_names
 
 MARKERS = {"novia": "n", "qscores": "q", "coupled_only": "c", "cayman": "C"}
@@ -59,10 +59,9 @@ def main(argv=None):
             print(name)
         return
 
-    runner = ComparisonRunner()
     print(f"Running all four flows on {args.benchmark}...\n")
-    comparison = runner.run(args.benchmark)
-    series = build_series(comparison)
+    record = EvaluationEngine().evaluate([args.benchmark])[0]
+    series = series_from_record(record)
 
     print(ascii_plot(series))
     print()
@@ -71,8 +70,8 @@ def main(argv=None):
         print(f"{name:13}: {coords or '(no profitable solutions)'}")
 
     print("\nBest speedup per flow at the 65% budget:")
-    for flow, value in comparison.speedups(0.65).items():
-        print(f"  {flow:13}: {value:.2f}x")
+    for flow in record.flows:
+        print(f"  {flow:13}: {record.speedup(flow, 0.65):.2f}x")
 
 
 if __name__ == "__main__":

@@ -42,11 +42,12 @@ def main(argv=None):
     else:
         names = None  # all
 
+    def progress(name, status):
+        if status == "run":
+            print(f"  running {name}...", file=sys.stderr, flush=True)
+
     started = time.perf_counter()
-    rows = generate_table2(
-        names, progress=lambda name: print(f"  running {name}...",
-                                           file=sys.stderr, flush=True)
-    )
+    rows = generate_table2(names, progress=progress)
     elapsed = time.perf_counter() - started
 
     print()

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import tempfile
 from typing import Callable, List, NamedTuple, NoReturn, Optional
 
 
@@ -39,18 +40,51 @@ def _check_entry(args, source: str) -> None:
               f"{args.source or args.workload!r}")
 
 
-def _check_writable(path: Optional[str]) -> None:
-    """Exit 2 unless ``path`` (if given) can be written; the probe leaves
-    no file behind.  Called before a flow runs, so a bad path costs none."""
+def _check_writable(path: Optional[str], directory: bool = False) -> None:
+    """Exit 2 unless ``path`` (if given) can be written: as a file, or with
+    ``directory`` as a directory, made later under its nearest existing
+    ancestor.  The probe leaves no file or directory behind.  Called before
+    a flow runs, so a bad path costs none."""
     if path is None:
         return
     existed = os.path.exists(path)
     try:
-        open(path, "a").close()
+        if directory:
+            ancestor = path
+            while not os.path.exists(ancestor):
+                ancestor = os.path.dirname(os.path.abspath(ancestor))
+            tempfile.TemporaryFile(dir=ancestor).close()
+        else:
+            open(path, "a").close()
     except OSError as exc:
         _fail(f"cannot write {path!r}: {exc.strerror or exc}")
-    if not existed:
+    if not existed and not directory:
         os.remove(path)
+
+
+def _at_least(minimum: int) -> Callable[[str], int]:
+    """An argparse ``type``: an integer no smaller than ``minimum``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {minimum}, got {value}"
+            )
+        return value
+
+    return parse
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that reports bad usage as one ``error:`` line
+    with exit status 2."""
+
+    def error(self, message: str) -> NoReturn:
+        _fail(f"{self.prog}: {message}")
 
 
 def _read_program(args) -> str:
@@ -110,11 +144,16 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _make_runner(args):
-    """ComparisonRunner honoring the shared --cache-dir/--jobs options."""
-    from .reporting import ComparisonRunner
+def _engine(args, params=None):
+    """The evaluation engine of ``table2``, ``fig6`` and ``bench``, caching
+    records in ``--cache-dir`` (checked writable first) unless there is
+    none or ``--no-cache`` is given."""
+    from .reporting.bench import BenchCache, EvaluationEngine
 
-    return ComparisonRunner(cache_dir=getattr(args, "cache_dir", None))
+    directory = None if getattr(args, "no_cache", False) else args.cache_dir
+    _check_writable(directory, directory=True)
+    cache = BenchCache(directory) if directory else None
+    return EvaluationEngine(params, cache=cache)
 
 
 def _cmd_table2(args) -> int:
@@ -123,14 +162,13 @@ def _cmd_table2(args) -> int:
     )
 
     _check_workloads(args.benchmarks)
-    names = args.benchmarks or None
+
+    def progress(name: str, status: str) -> None:
+        if not args.quiet and status != "done":
+            print(f"  {name}...", file=sys.stderr, flush=True)
+
     rows = generate_table2(
-        names,
-        runner=_make_runner(args),
-        progress=(
-            (lambda name: print(f"  {name}...", file=sys.stderr, flush=True))
-            if not args.quiet else None
-        ),
+        args.benchmarks or None, engine=_engine(args), progress=progress,
         jobs=args.jobs,
     )
     if args.format == "csv":
@@ -153,7 +191,7 @@ def _cmd_fig6(args) -> int:
 
     _check_workloads(args.benchmarks)
     names = args.benchmarks or DEFAULT_FIG6_BENCHMARKS
-    series = generate_figure6(names, runner=_make_runner(args), jobs=args.jobs)
+    series = generate_figure6(names, engine=_engine(args), jobs=args.jobs)
     if args.format == "csv":
         print(figure6_to_csv(series), end="")
     elif args.format == "json":
@@ -639,8 +677,6 @@ def _cmd_bench(args) -> int:
     import time
 
     from .reporting.bench import (
-        BenchCache,
-        EvaluationEngine,
         FlowParams,
         ablation_stats,
         build_report,
@@ -670,6 +706,7 @@ def _cmd_bench(args) -> int:
         except (OSError, ValueError) as exc:
             _fail(f"cannot read report {args.compare_to!r}: "
                   f"{getattr(exc, 'strerror', None) or exc}")
+    _check_writable(args.output_dir, directory=True)
 
     params = FlowParams(
         alpha=args.alpha,
@@ -677,8 +714,7 @@ def _cmd_bench(args) -> int:
         prune_threshold=args.prune_threshold,
         budgets=tuple(args.budgets),
     )
-    cache = None if args.no_cache else BenchCache(args.cache_dir)
-    engine = EvaluationEngine(params, cache=cache)
+    engine = _engine(args, params)
 
     def progress(name: str, status: str) -> None:
         if not args.quiet and status in ("hit", "run"):
@@ -825,7 +861,7 @@ def _cmd_bench_list(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     from .interp.sanitizer import SanitizingInterpreter
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="repro", description="Cayman accelerator-generation framework"
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -846,7 +882,7 @@ def build_parser() -> argparse.ArgumentParser:
     table2.add_argument("--quiet", action="store_true")
     table2.add_argument("--format", choices=["text", "csv", "json"],
                         default="text")
-    table2.add_argument("-j", "--jobs", type=int, default=1,
+    table2.add_argument("-j", "--jobs", type=_at_least(1), default=1,
                         help="evaluate workloads across N processes")
     table2.add_argument("--cache-dir",
                         help="reuse/populate a persistent bench cache")
@@ -856,7 +892,7 @@ def build_parser() -> argparse.ArgumentParser:
     fig6.add_argument("benchmarks", nargs="*")
     fig6.add_argument("--format", choices=["text", "csv", "json"],
                       default="text")
-    fig6.add_argument("-j", "--jobs", type=int, default=1,
+    fig6.add_argument("-j", "--jobs", type=_at_least(1), default=1,
                       help="evaluate workloads across N processes")
     fig6.add_argument("--cache-dir",
                       help="reuse/populate a persistent bench cache")
@@ -970,7 +1006,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("benchmarks", nargs="*",
                        help="workload names (default: all)")
     bench.add_argument("--suite", help="restrict to one benchmark suite")
-    bench.add_argument("-j", "--jobs", type=int, default=1,
+    bench.add_argument("-j", "--jobs", type=_at_least(1), default=1,
                        help="worker processes for cache misses")
     bench.add_argument("--cache-dir", default=".repro-cache",
                        help="persistent record cache directory")
@@ -992,11 +1028,11 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--quiet", action="store_true")
     bench.add_argument("--no-interp-bench", action="store_true",
                        help="skip the interpreter elision throughput probe")
-    bench.add_argument("--interp-bench-count", type=int, default=2,
+    bench.add_argument("--interp-bench-count", type=_at_least(0), default=2,
                        metavar="N",
                        help="probe elision throughput on the first N "
                             "workloads (default 2)")
-    bench.add_argument("--ablation-count", type=int, default=6,
+    bench.add_argument("--ablation-count", type=_at_least(0), default=6,
                        metavar="N",
                        help="price each proof without and with it "
                             "(area_narrowing, pipeline_ii, spad_banking, "

@@ -11,14 +11,12 @@ from .bench import (
     write_report,
 )
 from .formats import render_series, render_table
-from .runner import BenchmarkComparison, ComparisonRunner
 from .table1 import capability_matrix, render_table1
 from .table2 import (
     LARGE_BUDGET,
     SMALL_BUDGET,
     Table2Row,
     averages,
-    build_row,
     generate_table2,
     render_table2,
     row_from_record,
@@ -32,7 +30,6 @@ from .export import (
 from .figure6 import (
     DEFAULT_FIG6_BENCHMARKS,
     Figure6Series,
-    build_series,
     dominance_check,
     generate_figure6,
     render_figure6,
@@ -41,13 +38,12 @@ from .figure6 import (
 
 __all__ = [
     "render_series", "render_table",
-    "BenchmarkComparison", "ComparisonRunner",
     "BenchCache", "EvaluationEngine", "FlowParams", "WorkloadRecord",
     "build_report", "compare_reports", "load_report", "write_report",
     "capability_matrix", "render_table1",
-    "LARGE_BUDGET", "SMALL_BUDGET", "Table2Row", "averages", "build_row",
+    "LARGE_BUDGET", "SMALL_BUDGET", "Table2Row", "averages",
     "generate_table2", "render_table2", "row_from_record",
-    "DEFAULT_FIG6_BENCHMARKS", "Figure6Series", "build_series",
+    "DEFAULT_FIG6_BENCHMARKS", "Figure6Series",
     "dominance_check", "generate_figure6", "render_figure6",
     "series_from_record",
     "figure6_to_csv", "figure6_to_json", "table2_to_csv", "table2_to_json",

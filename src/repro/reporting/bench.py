@@ -1,22 +1,23 @@
-"""Parallel, persistently-cached evaluation engine behind ``repro bench``.
+"""Parallel, persistently-cached evaluation engine behind every report.
 
 The engine runs the workload × flow matrix (full Cayman, coupled-only
 Cayman, NOVIA, QsCores) and reduces each workload to a serializable
 :class:`WorkloadRecord`: per-budget speedups for every flow, the merged
 Pareto series, Table II metrics, ``CandidateSelector.stats()`` counters, and
-per-stage wall times.
+per-stage wall times.  ``repro bench``, ``table2`` and ``fig6`` all read
+records from :meth:`EvaluationEngine.evaluate`; no report keeps the flows'
+full results.
 
 Records are memoized at two levels:
 
-* in-process, as full :class:`BenchmarkComparison` objects (what ``table2``
-  and ``fig6`` consume through :class:`~.runner.ComparisonRunner`);
+* in-process, per engine;
 * on disk, content-keyed — the cache key hashes the workload name, the
   optimized IR of its module, the flow parameters (α, β, prune threshold,
   budgets), and :data:`~repro.model.estimator.ESTIMATOR_VERSION` — so re-runs
   and CI only pay for what actually changed.
 
 Cache misses can be fanned out across a ``concurrent.futures`` process pool
-(``repro bench --jobs N``); results are deterministic, so parallel runs are
+(``--jobs N``); results are deterministic, so parallel runs are
 bit-for-bit identical to serial ones (modulo wall times, which are reported
 but never part of the cached identity or determinism comparisons).
 """
@@ -30,8 +31,12 @@ import re
 import tempfile
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from contextlib import nullcontext
+from dataclasses import dataclass
+from itertools import repeat
+from typing import (
+    Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union,
+)
 
 from ..analysis.banking import probe_function as probe_banking
 from ..analysis.facts import ModuleFacts
@@ -56,9 +61,6 @@ from ..workloads import get_workload
 CACHE_SCHEMA_VERSION = 2
 #: Schema of the ``BENCH_<tag>.json`` report files.
 BENCH_SCHEMA_VERSION = 1
-
-#: The four flows of the paper's evaluation, in reporting order.
-FLOW_NAMES = ("cayman", "coupled_only", "novia", "qscores")
 
 #: The paper's small (25%) and large (65%) area budgets.
 DEFAULT_BUDGETS = (0.25, 0.65)
@@ -89,94 +91,56 @@ class FlowParams:
             "budgets": list(self.budgets),
         }
 
-    @classmethod
-    def from_dict(cls, payload: Dict) -> "FlowParams":
-        return cls(
-            alpha=payload["alpha"],
-            beta=payload["beta"],
-            prune_threshold=payload["prune_threshold"],
-            budgets=tuple(payload["budgets"]),
-        )
 
-
-@dataclass
-class BenchmarkComparison:
-    """All four flows' results for one workload."""
-
-    name: str
-    suite: str
-    cayman: CaymanResult
-    coupled_only: CaymanResult
-    novia: BaselineResult
-    qscores: BaselineResult
-    #: Flow-level wall times measured around each flow run.
-    flow_seconds: Dict[str, float] = field(default_factory=dict)
-
-    def speedups(self, budget_ratio: float) -> Dict[str, float]:
-        return {
-            "cayman": self.cayman.speedup_under_budget(budget_ratio),
-            "coupled_only": self.coupled_only.speedup_under_budget(budget_ratio),
-            "novia": self.novia.speedup_under_budget(budget_ratio),
-            "qscores": self.qscores.speedup_under_budget(budget_ratio),
-        }
-
-    def result_for(self, flow: str):
-        return getattr(self, flow)
+#: One flow's full result: a :class:`CaymanResult` or a :class:`BaselineResult`.
+FlowResult = Union[CaymanResult, BaselineResult]
 
 
 def run_comparison(
     name: str,
     params: FlowParams,
     telemetry: Optional[Telemetry] = None,
-) -> BenchmarkComparison:
-    """Run all four flows on one workload (the single execution path).
+) -> Tuple[Dict[str, FlowResult], Dict[str, float]]:
+    """Run the paper's four flows on one workload: ``(results, seconds)``,
+    each keyed by flow name in reporting order (``cayman``,
+    ``coupled_only``, ``novia``, ``qscores``), ``seconds`` holding the wall
+    time measured around each flow run.
 
     ``telemetry`` (when given) is installed as the ambient sink for the
     whole comparison, so every flow's counters land in one per-workload
-    snapshot.  Serial and parallel bench runs both evaluate each workload
-    against its own fresh :class:`Telemetry`, which keeps merged counters
-    bit-identical regardless of ``--jobs`` (identical additions in
-    identical order).
+    snapshot.
     """
     from ..telemetry import current as current_telemetry
 
     tele = telemetry if telemetry is not None else current_telemetry()
     workload = get_workload(name)
-    flow_seconds: Dict[str, float] = {}
-
-    def timed(flow: str, runner):
-        started = time.perf_counter()
-        with tele.span(f"bench.flow:{flow}", workload=name):
-            result = runner.run(
-                workload.source, entry=workload.entry, name=name
-            )
-        flow_seconds[flow] = time.perf_counter() - started
-        return result
-
-    with use_telemetry(tele):
-        cayman = timed("cayman", Cayman(
+    runners = {
+        "cayman": Cayman(
             alpha=params.alpha, beta=params.beta,
             prune_threshold=params.prune_threshold,
-        ))
-        coupled = timed("coupled_only", Cayman(
+        ),
+        "coupled_only": Cayman(
             alpha=params.alpha, beta=params.beta,
             prune_threshold=params.prune_threshold, coupled_only=True,
-        ))
-        novia = timed("novia", Novia(
+        ),
+        "novia": Novia(
             alpha=params.alpha, prune_threshold=params.prune_threshold,
-        ))
-        qscores = timed("qscores", QsCores(
+        ),
+        "qscores": QsCores(
             alpha=params.alpha, prune_threshold=params.prune_threshold,
-        ))
-    return BenchmarkComparison(
-        name=name,
-        suite=workload.suite,
-        cayman=cayman,
-        coupled_only=coupled,
-        novia=novia,
-        qscores=qscores,
-        flow_seconds=flow_seconds,
-    )
+        ),
+    }
+    results: Dict[str, FlowResult] = {}
+    seconds: Dict[str, float] = {}
+    with use_telemetry(tele):
+        for flow, runner in runners.items():
+            started = time.perf_counter()
+            with tele.span(f"bench.flow:{flow}", workload=name):
+                results[flow] = runner.run(
+                    workload.source, entry=workload.entry, name=name
+                )
+            seconds[flow] = time.perf_counter() - started
+    return results, seconds
 
 
 # Cache keying ------------------------------------------------------------------
@@ -231,14 +195,16 @@ def cache_key(name: str, params: FlowParams, ir_hash: Optional[str] = None) -> s
 # Records ------------------------------------------------------------------------
 
 
-def budget_metrics(comparison: BenchmarkComparison, budget: float) -> Dict:
-    """Table II metrics of one workload under one area budget."""
-    best = comparison.cayman.best_under_budget(budget)
+def budget_metrics(results: Dict[str, FlowResult], budget: float) -> Dict:
+    """Table II metrics of one workload's flow ``results`` (see
+    :func:`run_comparison`) under one area budget."""
+    cayman = results["cayman"]
+    best = cayman.best_under_budget(budget)
     solution = best.solution
     totals = solution.interface_totals()
-    cayman_speedup = best.speedup(comparison.cayman.total_seconds)
-    novia_speedup = comparison.novia.speedup_under_budget(budget)
-    qscores_speedup = comparison.qscores.speedup_under_budget(budget)
+    cayman_speedup = best.speedup(cayman.total_seconds)
+    novia_speedup = results["novia"].speedup_under_budget(budget)
+    qscores_speedup = results["qscores"].speedup_under_budget(budget)
     return {
         "over_novia": cayman_speedup / max(novia_speedup, 1e-12),
         "over_qscores": cayman_speedup / max(qscores_speedup, 1e-12),
@@ -306,41 +272,6 @@ class WorkloadRecord:
             stage_seconds=payload["stage_seconds"],
             runtime_seconds=payload["runtime_seconds"],
         )
-
-
-def record_from_comparison(
-    comparison: BenchmarkComparison, params: FlowParams, key: str
-) -> WorkloadRecord:
-    flows: Dict[str, Dict] = {}
-    for flow in FLOW_NAMES:
-        result = comparison.result_for(flow)
-        flows[flow] = {
-            "speedups": {
-                _budget_key(b): result.speedup_under_budget(b)
-                for b in params.budgets
-            },
-            "pareto": [list(point) for point in result.pareto_points()],
-        }
-    table2 = {
-        _budget_key(b): budget_metrics(comparison, b) for b in params.budgets
-    }
-    stage_seconds = dict(comparison.cayman.stage_seconds)
-    for flow, seconds in comparison.flow_seconds.items():
-        stage_seconds[f"flow_{flow}"] = seconds
-    return WorkloadRecord(
-        name=comparison.name,
-        suite=comparison.suite,
-        key=key,
-        estimator_version=ESTIMATOR_VERSION,
-        flows=flows,
-        table2=table2,
-        selector_stats={
-            "cayman": comparison.cayman.selector.stats(),
-            "coupled_only": comparison.coupled_only.selector.stats(),
-        },
-        stage_seconds=stage_seconds,
-        runtime_seconds=comparison.cayman.runtime_seconds,
-    )
 
 
 # Persistent cache ---------------------------------------------------------------
@@ -414,16 +345,54 @@ class BenchCache:
             raise
 
 
-# Process-pool worker (module-level so it pickles) -------------------------------
+# One workload's evaluation (module-level so the process pool pickles it) -----
 
 
-def _evaluate_worker(name: str, params_payload: Dict) -> Dict:
-    params = FlowParams.from_dict(params_payload)
-    key = cache_key(name, params)
+def _evaluate(
+    name: str, params: FlowParams, key: str
+) -> Tuple[WorkloadRecord, Dict]:
+    """Run one workload's four flows and reduce them to its record:
+    ``(record, telemetry snapshot)``.
+
+    Serial runs call this in-process and pool workers call it in a child,
+    each against a fresh :class:`Telemetry`, so merged counters are
+    bit-identical whatever ``jobs`` is (identical additions in identical
+    order).
+    """
     tele = Telemetry()
-    comparison = run_comparison(name, params, telemetry=tele)
-    record = record_from_comparison(comparison, params, key)
-    return {"record": record.to_dict(), "telemetry": tele.snapshot()}
+    results, seconds = run_comparison(name, params, telemetry=tele)
+    snapshot = tele.snapshot()
+    cayman = results["cayman"]
+    flows = {
+        flow: {
+            "speedups": {
+                _budget_key(b): result.speedup_under_budget(b)
+                for b in params.budgets
+            },
+            "pareto": [list(point) for point in result.pareto_points()],
+        }
+        for flow, result in results.items()
+    }
+    stage_seconds = dict(cayman.stage_seconds)
+    for flow, flow_seconds in seconds.items():
+        stage_seconds[f"flow_{flow}"] = flow_seconds
+    record = WorkloadRecord(
+        name=name,
+        suite=get_workload(name).suite,
+        key=key,
+        estimator_version=ESTIMATOR_VERSION,
+        flows=flows,
+        table2={
+            _budget_key(b): budget_metrics(results, b) for b in params.budgets
+        },
+        selector_stats={
+            flow: results[flow].selector.stats()
+            for flow in ("cayman", "coupled_only")
+        },
+        stage_seconds=stage_seconds,
+        runtime_seconds=cayman.runtime_seconds,
+    )
+    return record, snapshot
 
 
 # The engine ---------------------------------------------------------------------
@@ -432,9 +401,8 @@ def _evaluate_worker(name: str, params_payload: Dict) -> Dict:
 class EvaluationEngine:
     """Runs, caches, and parallelizes workload evaluations.
 
-    ``table2``/``fig6`` (through :class:`~.runner.ComparisonRunner`) and
-    ``repro bench`` all execute through this engine, so they share one cached
-    execution path.
+    ``table2``, ``fig6`` and ``repro bench`` all get their workload records
+    from :meth:`evaluate`, so they share one cached execution path.
     """
 
     def __init__(
@@ -444,7 +412,6 @@ class EvaluationEngine:
     ):
         self.params = params or FlowParams()
         self.cache = cache
-        self._comparisons: Dict[str, BenchmarkComparison] = {}
         self._records: Dict[str, WorkloadRecord] = {}
         self._keys: Dict[str, str] = {}
         self.hits = 0
@@ -454,33 +421,10 @@ class EvaluationEngine:
         #: evaluation (absent for cache hits, which never execute the flows).
         self.telemetry_snapshots: Dict[str, Dict] = {}
 
-    # Keys ----------------------------------------------------------------------
-
     def key_for(self, name: str) -> str:
         if name not in self._keys:
             self._keys[name] = cache_key(name, self.params)
         return self._keys[name]
-
-    # Full-object path (table2/fig6) --------------------------------------------
-
-    def comparison(self, name: str) -> BenchmarkComparison:
-        """Full (non-serializable) four-flow results, memoized per process.
-
-        Also derives and persists the workload's record so a later ``bench``
-        run over the same cache directory starts warm.
-        """
-        if name not in self._comparisons:
-            tele = Telemetry()
-            comparison = run_comparison(name, self.params, telemetry=tele)
-            self.telemetry_snapshots[name] = tele.snapshot()
-            self._comparisons[name] = comparison
-            record = record_from_comparison(
-                comparison, self.params, self.key_for(name)
-            )
-            self._remember(record)
-        return self._comparisons[name]
-
-    # Record path (bench) --------------------------------------------------------
 
     def cached_record(self, name: str) -> Optional[WorkloadRecord]:
         """The workload's record if it is already known, else ``None``."""
@@ -492,23 +436,6 @@ class EvaluationEngine:
                 self._records[name] = record
                 return record
         return None
-
-    def record(self, name: str) -> WorkloadRecord:
-        """One workload's record: cache hit or a fresh serial evaluation."""
-        cached = self.cached_record(name)
-        if cached is not None:
-            self.hits += 1
-            self.hit_names.add(name)
-            return cached
-        self.misses += 1
-        tele = Telemetry()
-        comparison = run_comparison(name, self.params, telemetry=tele)
-        self.telemetry_snapshots[name] = tele.snapshot()
-        record = record_from_comparison(
-            comparison, self.params, self.key_for(name)
-        )
-        self._remember(record)
-        return record
 
     def evaluate(
         self,
@@ -526,54 +453,26 @@ class EvaluationEngine:
         missing: List[str] = []
         for name in names:
             cached = self.cached_record(name)
-            if cached is not None:
+            if cached is None:
+                missing.append(name)
+            else:
                 self.hits += 1
                 self.hit_names.add(name)
                 records[name] = cached
+            if progress:
+                progress(name, "run" if cached is None else "hit")
+        self.misses += len(missing)
+        keys = [self.key_for(name) for name in missing]
+        parallel = jobs > 1 and len(missing) > 1
+        with ProcessPoolExecutor(jobs) if parallel else nullcontext() as pool:
+            run = pool.map if parallel else map
+            evaluated = run(_evaluate, missing, repeat(self.params), keys)
+            for name, (record, snapshot) in zip(missing, evaluated):
+                self.telemetry_snapshots[name] = snapshot
+                self._remember(record)
+                records[name] = record
                 if progress:
-                    progress(name, "hit")
-            else:
-                missing.append(name)
-                if progress:
-                    progress(name, "run")
-        if missing:
-            self.misses += len(missing)
-            if jobs > 1 and len(missing) > 1:
-                payload = self.params.as_dict()
-                with ProcessPoolExecutor(max_workers=jobs) as pool:
-                    futures = {
-                        name: pool.submit(_evaluate_worker, name, payload)
-                        for name in missing
-                    }
-                    for name in missing:
-                        payload_out = futures[name].result()
-                        record = WorkloadRecord.from_dict(
-                            payload_out["record"]
-                        )
-                        self.telemetry_snapshots[name] = (
-                            payload_out["telemetry"]
-                        )
-                        self._remember(record)
-                        records[name] = record
-                        if progress:
-                            progress(name, "done")
-            else:
-                for name in missing:
-                    # One fresh Telemetry per workload — exactly what each
-                    # pool worker does — so serial and parallel runs perform
-                    # identical counter additions in identical order.
-                    tele = Telemetry()
-                    comparison = run_comparison(
-                        name, self.params, telemetry=tele
-                    )
-                    self.telemetry_snapshots[name] = tele.snapshot()
-                    record = record_from_comparison(
-                        comparison, self.params, self.key_for(name)
-                    )
-                    self._remember(record)
-                    records[name] = record
-                    if progress:
-                        progress(name, "done")
+                    progress(name, "done")
         return [records[name] for name in names]
 
     def _remember(self, record: WorkloadRecord) -> None:

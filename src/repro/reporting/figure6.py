@@ -6,9 +6,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .bench import WorkloadRecord
+from .bench import EvaluationEngine, WorkloadRecord
 from .formats import render_series
-from .runner import BenchmarkComparison, ComparisonRunner
 
 #: One benchmark per suite, as in the paper's figure.
 DEFAULT_FIG6_BENCHMARKS = ("3mm", "fft", "epic", "loops-all-mid-10k-sp")
@@ -35,16 +34,6 @@ class Figure6Series:
         }
 
 
-def build_series(comparison: BenchmarkComparison) -> Figure6Series:
-    return Figure6Series(
-        benchmark=comparison.name,
-        novia=comparison.novia.pareto_points(),
-        qscores=comparison.qscores.pareto_points(),
-        coupled_only=comparison.coupled_only.pareto_points(),
-        cayman=comparison.cayman.pareto_points(),
-    )
-
-
 def series_from_record(record: WorkloadRecord) -> Figure6Series:
     """Fig. 6 series from a (possibly cache-loaded) bench record."""
 
@@ -62,14 +51,13 @@ def series_from_record(record: WorkloadRecord) -> Figure6Series:
 
 def generate_figure6(
     benchmarks: Sequence[str] = DEFAULT_FIG6_BENCHMARKS,
-    runner: Optional[ComparisonRunner] = None,
+    engine: Optional[EvaluationEngine] = None,
     jobs: int = 1,
 ) -> List[Figure6Series]:
-    runner = runner or ComparisonRunner()
-    if jobs > 1:
-        records = runner.engine.evaluate(benchmarks, jobs=jobs)
-        return [series_from_record(record) for record in records]
-    return [build_series(runner.run(name)) for name in benchmarks]
+    """Fig. 6 series of ``benchmarks``, built from ``engine``'s records."""
+    engine = engine or EvaluationEngine()
+    records = engine.evaluate(benchmarks, jobs=jobs)
+    return [series_from_record(record) for record in records]
 
 
 def render_figure6(series: Sequence[Figure6Series]) -> str:

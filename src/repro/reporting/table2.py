@@ -9,9 +9,8 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from ..workloads import all_workloads
-from .bench import WorkloadRecord, _budget_key, budget_metrics
+from .bench import EvaluationEngine, WorkloadRecord, _budget_key
 from .formats import render_table
-from .runner import BenchmarkComparison, ComparisonRunner
 
 SMALL_BUDGET = 0.25
 LARGE_BUDGET = 0.65
@@ -55,20 +54,6 @@ def _metrics_to_budget_row(metrics: dict) -> BudgetRow:
     )
 
 
-def _budget_row(comparison: BenchmarkComparison, budget: float) -> BudgetRow:
-    return _metrics_to_budget_row(budget_metrics(comparison, budget))
-
-
-def build_row(comparison: BenchmarkComparison) -> Table2Row:
-    return Table2Row(
-        suite=comparison.suite,
-        benchmark=comparison.name,
-        small=_budget_row(comparison, SMALL_BUDGET),
-        large=_budget_row(comparison, LARGE_BUDGET),
-        runtime_seconds=comparison.cayman.runtime_seconds,
-    )
-
-
 def row_from_record(record: WorkloadRecord) -> Table2Row:
     """Table II row from a (possibly cache-loaded) bench record.
 
@@ -87,31 +72,17 @@ def row_from_record(record: WorkloadRecord) -> Table2Row:
 
 def generate_table2(
     benchmarks: Optional[Sequence[str]] = None,
-    runner: Optional[ComparisonRunner] = None,
+    engine: Optional[EvaluationEngine] = None,
     progress=None,
     jobs: int = 1,
 ) -> List[Table2Row]:
-    """Run the full comparison and return all Table II rows.
-
-    With ``jobs > 1`` the rows are built from the engine's (possibly
-    cache-resident) records evaluated across a process pool; results are
-    identical to the serial full-object path.
-    """
-    runner = runner or ComparisonRunner()
+    """Table II rows of ``benchmarks`` (default: every workload), built
+    from ``engine``'s records.  ``progress`` and ``jobs`` are passed on to
+    :meth:`~.bench.EvaluationEngine.evaluate`."""
+    engine = engine or EvaluationEngine()
     names = list(benchmarks) if benchmarks else [w.name for w in all_workloads()]
-    if jobs > 1:
-        records = runner.engine.evaluate(
-            names,
-            jobs=jobs,
-            progress=(lambda name, status: progress(name)) if progress else None,
-        )
-        return [row_from_record(record) for record in records]
-    rows = []
-    for name in names:
-        if progress is not None:
-            progress(name)
-        rows.append(build_row(runner.run(name)))
-    return rows
+    records = engine.evaluate(names, jobs=jobs, progress=progress)
+    return [row_from_record(record) for record in records]
 
 
 def averages(rows: Sequence[Table2Row]) -> Table2Row:

@@ -631,6 +631,47 @@ class TestEarlyErrors:
             main(["emit-rtl", "--workload", "trisolv", "-o", str(path)])
         assert not path.exists()
 
+    @pytest.mark.parametrize("option", [
+        ["table2", "--cache-dir"], ["fig6", "--cache-dir"],
+        ["bench", "--cache-dir"], ["bench", "--output-dir"],
+    ])
+    def test_unwritable_directory_exits_two(
+        self, option, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "file").write_text("")
+        path = str(tmp_path / "file" / "dir")
+        with pytest.raises(SystemExit) as info:
+            main([option[0], "trisolv", option[1], path])
+        assert info.value.code == 2
+        assert capsys.readouterr().err == (
+            f"error: cannot write {path!r}: Not a directory\n"
+        )
+
+    def test_directory_probe_leaves_no_directory(self, tmp_path, capsys):
+        path = tmp_path / "cache"
+        with pytest.raises(AssertionError, match="the flow ran"):
+            main(["table2", "trisolv", "--quiet", "--cache-dir", str(path)])
+        assert not path.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["bench", "--interp-bench-count", "-1"],
+        ["bench", "--ablation-count", "-1"],
+        ["bench", "--jobs", "0"], ["table2", "-j", "0"], ["fig6", "-j", "0"],
+    ])
+    def test_count_below_minimum_exits_two(
+        self, argv, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as info:
+            main([argv[0], "trisolv", *argv[1:]])
+        assert info.value.code == 2
+        minimum = 1 if argv[1] in ("-j", "--jobs") else 0
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: repro {argv[0]}: argument ")
+        assert err.endswith(f": must be at least {minimum}, got {argv[2]}\n")
+        assert len(err.splitlines()) == 1
+
 
 class TestBenchInput:
     """``repro bench`` checks its inputs before evaluating anything: a bad

@@ -5,22 +5,24 @@ import os
 
 import pytest
 
-from repro.reporting import build_row, build_series
+from repro.reporting import bench
 from repro.reporting.bench import (
     BenchCache,
     EvaluationEngine,
     FlowParams,
     WorkloadRecord,
+    budget_metrics,
     build_report,
     cache_key,
     compare_reports,
     default_tag,
     load_report,
     module_ir_hash,
+    run_comparison,
     write_report,
 )
-from repro.reporting.figure6 import series_from_record
-from repro.reporting.table2 import row_from_record
+from repro.reporting.figure6 import generate_figure6
+from repro.reporting.table2 import generate_table2
 
 NAMES = ["trisolv", "bicg"]
 
@@ -34,6 +36,12 @@ def params():
 def serial_records(params):
     engine = EvaluationEngine(params)
     return engine.evaluate(NAMES, jobs=1)
+
+
+@pytest.fixture(scope="module")
+def fresh_results(params):
+    """Each workload's four flow results, run outside any engine."""
+    return {name: run_comparison(name, params)[0] for name in NAMES}
 
 
 class TestCacheKey:
@@ -79,22 +87,23 @@ class TestRecords:
                 assert record.stage_seconds[stage] >= 0.0
             assert record.selector_stats["cayman"]["evaluated_vertices"] > 0
 
-    def test_table2_row_matches_full_object_path(self, serial_records):
-        engine = EvaluationEngine(FlowParams())
+    def test_table2_metrics_match_a_fresh_comparison(
+        self, serial_records, fresh_results, params
+    ):
         for record in serial_records:
-            comparison = engine.comparison(record.name)
-            expected = build_row(comparison)
-            actual = row_from_record(record)
-            assert actual.small == expected.small
-            assert actual.large == expected.large
-            assert actual.suite == expected.suite
+            for budget in params.budgets:
+                assert record.table2[format(budget, ".6g")] == budget_metrics(
+                    fresh_results[record.name], budget
+                )
 
-    def test_fig6_series_matches_full_object_path(self, serial_records):
-        engine = EvaluationEngine(FlowParams())
+    def test_fig6_series_match_a_fresh_comparison(
+        self, serial_records, fresh_results
+    ):
         for record in serial_records:
-            expected = build_series(engine.comparison(record.name))
-            actual = series_from_record(record)
-            assert actual.as_dict() == expected.as_dict()
+            for flow, result in fresh_results[record.name].items():
+                assert record.flows[flow]["pareto"] == [
+                    list(point) for point in result.pareto_points()
+                ]
 
 
 class TestPersistentCache:
@@ -108,19 +117,29 @@ class TestPersistentCache:
         warm_records = warm.evaluate(NAMES)
         assert warm.hits == len(NAMES) and warm.misses == 0
         # The warm engine never ran a flow.
-        assert warm._comparisons == {}
+        assert warm.telemetry_snapshots == {}
         for a, b in zip(cold_records, warm_records):
             assert a.to_dict() == b.to_dict()
         # Warm results equal the plain serial (uncached) evaluation too.
         for a, b in zip(serial_records, warm_records):
             assert a.flows == b.flows and a.table2 == b.table2
 
-    def test_comparison_path_populates_cache(self, tmp_path, params):
+    def test_serial_reports_read_a_warm_cache(
+        self, tmp_path, params, monkeypatch
+    ):
         cache_dir = str(tmp_path / "cache")
-        engine = EvaluationEngine(params, cache=BenchCache(cache_dir))
-        engine.comparison("trisolv")
+        EvaluationEngine(params, cache=BenchCache(cache_dir)).evaluate(NAMES)
+
+        def run(*args, **kwargs):
+            raise AssertionError("a flow ran on a warm cache")
+
+        monkeypatch.setattr(bench, "run_comparison", run)
         warm = EvaluationEngine(params, cache=BenchCache(cache_dir))
-        assert warm.cached_record("trisolv") is not None
+        rows = generate_table2(NAMES, engine=warm, jobs=1)
+        series = generate_figure6(NAMES, engine=warm, jobs=1)
+        assert [r.benchmark for r in rows] == NAMES
+        assert [s.benchmark for s in series] == NAMES
+        assert warm.misses == 0 and warm.hits == 2 * len(NAMES)
 
     def test_corrupt_entry_is_a_miss(self, tmp_path, params):
         cache_dir = tmp_path / "cache"
@@ -133,7 +152,7 @@ class TestPersistentCache:
     def test_estimator_version_mismatch_is_a_miss(self, tmp_path, params):
         cache_dir = str(tmp_path / "cache")
         engine = EvaluationEngine(params, cache=BenchCache(cache_dir))
-        record = engine.record("trisolv")
+        [record] = engine.evaluate(["trisolv"])
         stale = dict(record.to_dict(), estimator_version="0-stale")
         path = os.path.join(cache_dir, f"{record.key}.json")
         with open(path, "w") as handle:
@@ -227,7 +246,7 @@ class TestBenchCacheStats:
     def test_get_counts_hits_and_misses(self, tmp_path, params):
         cache_dir = str(tmp_path / "cache")
         engine = EvaluationEngine(params, cache=BenchCache(cache_dir))
-        record = engine.record("trisolv")
+        [record] = engine.evaluate(["trisolv"])
         warm = BenchCache(cache_dir)
         assert warm.get(record.key) is not None
         assert warm.get("0" * 64) is None
