@@ -734,7 +734,9 @@ def _cmd_bench(args) -> int:
         )
     if args.ablation_count > 0:
         # Each proof priced without and with it by the estimator.
-        sections.update(ablation_stats(names[: args.ablation_count]))
+        sections.update(
+            ablation_stats(names[: args.ablation_count], cache=engine.cache)
+        )
 
     tag = args.tag or default_tag(params)
     payload = build_report(

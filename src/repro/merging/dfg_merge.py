@@ -14,7 +14,7 @@ from typing import List, Optional, Tuple
 
 from ..hls.dfg import DFG, DFGNode
 from ..hls.techlib import CONFIG_BIT_AREA_UM2, TechLibrary
-from .opmatch import MatchResult, match_units, unit_fu_area
+from .opmatch import MatchResult, index_merged, match_units, unit_fu_area
 
 
 @dataclass
@@ -49,7 +49,8 @@ def merge_pair(
 
     The merged op set keeps one instance per matched pair plus all unmatched
     ops from both sides; the match's mux/config overhead accumulates on top
-    of any overhead the members already carried.
+    of any overhead the members already carried. The merged DFG's op-key
+    index is derived from the members' indexes, not rebuilt from its nodes.
     """
     if match is None:
         match = match_units(unit_a.dfg, unit_b.dfg, techlib)
@@ -88,9 +89,11 @@ def merge_pair(
             copy.order_preds.append(resolved)
             resolved.succs.append(copy)
 
+    merged = DFG(merged_nodes)
+    index_merged(merged, unit_a.dfg, unit_b.dfg, match)
     return MergedUnit(
         name=f"({unit_a.name}+{unit_b.name})",
-        dfg=DFG(merged_nodes),
+        dfg=merged,
         owner=unit_a.owner,
         member_names=unit_a.member_names + unit_b.member_names,
         mux_area=(

@@ -2,15 +2,21 @@
 
 For every Pareto-optimal selection solution Cayman repeatedly
 
-1. estimates the area saving of merging every pair of datapath units
-   contained in the solution,
-2. merges the pair with the maximum positive saving into a reconfigurable
+1. finds the pair of datapath units contained in the solution whose merge
+   saves the most area,
+2. merges that pair, if its saving is positive, into a reconfigurable
    datapath unit, combining their owning accelerators into one reusable
    accelerator (each member kernel keeps its own FSM; a global *Ctrl* unit
    dispatches configurations), and
 3. treats the merged unit/accelerator as a normal one for further rounds,
 
 until no positive saving remains.
+
+The search is lazy: a pair enters the priority queue on an admissible
+upper bound of its saving (:func:`~.opmatch.saving_bound`) and is matched
+exactly only when that bound reaches the top, so most pairs are never
+matched at all, yet every step takes the pair an exact scan of all pairs
+would take.
 """
 
 from __future__ import annotations
@@ -24,6 +30,7 @@ from ..hls.techlib import ACCELERATOR_BASE_AREA_UM2, DEFAULT_TECHLIB, TechLibrar
 from ..selection.solution import Solution
 from ..telemetry import current as current_telemetry
 from .dfg_merge import MergedUnit, estimate_pair_saving, merge_pair
+from .opmatch import MatchResult, saving_bound
 
 
 @dataclass
@@ -118,7 +125,8 @@ class AcceleratorMerger:
     ordered pair of units it was merged from (matching B onto A is not
     symmetric). Matching is a deterministic function of the two DFGs and
     the techlib, and a merged DFG of its derivation, so a cached saving is
-    exactly what matching again would give.
+    exactly what matching again would give. Saving bounds are memoized the
+    same way.
     """
 
     def __init__(
@@ -140,8 +148,12 @@ class AcceleratorMerger:
         #: not held, so each solution's intermediate units die with it.
         self._serials: Dict[object, int] = {}
         #: serial_b -> serial_a -> net saving of matching B onto A, after
-        #: ``min_match_fraction``; 0.0 when it is not positive.
+        #: ``min_match_fraction``; 0.0 when it is not positive, including
+        #: when the pair's bound already shows that.
         self._savings: Dict[int, Dict[int, float]] = {}
+        #: serial_b -> serial_a -> positive upper bound on that saving, for
+        #: pairs not matched exactly yet.
+        self._bounds: Dict[int, Dict[int, float]] = {}
 
     def merge(self, solution: Solution) -> MergedSolution:
         tele = current_telemetry()
@@ -189,34 +201,76 @@ class AcceleratorMerger:
         # survivors' order and appends the merged unit, so ranks never
         # reorder. Each step takes the largest positive saving, the first
         # such pair in pool order on a tie, as a scan over all pairs with a
-        # strict ``>`` would; the heap finds it without revisiting every pair.
+        # strict ``>`` would. Heap entries are ``(-value, rank_a, rank_b,
+        # is_bound)``: a pair not matched yet enters on its bound, and when
+        # a bound is on top it is matched and re-entered on its exact
+        # saving. An exact entry on top is then the step's pair, because
+        # every other pair's entry, bound or exact, is at least its saving
+        # and orders after it.
         pool: Dict[int, Tuple[int, MergedUnit]] = {
             rank: (self._serial(unit.dfg), unit)
             for rank, unit in enumerate(units)
         }
-        heap: List[Tuple[float, int, int]] = []
+        heap: List[Tuple[float, int, int, bool]] = []
+        # Positive matches made for this solution, so a winner is not
+        # matched twice; pairs whose saving came from the cache have none.
+        matches: Dict[Tuple[int, int], MatchResult] = {}
+        bounded = 0
         fresh = list(pool)
         while self.max_steps is None or steps < self.max_steps:
             for rank_b in fresh:
                 serial_b, unit_b = pool[rank_b]
                 savings = self._savings.setdefault(serial_b, {})
+                bounds = self._bounds.setdefault(serial_b, {})
                 for rank_a, (serial_a, unit_a) in pool.items():
                     if rank_a == rank_b:
                         break
                     saving = savings.get(serial_a)
-                    if saving is None:
-                        saving = savings[serial_a] = self._pair_saving(
-                            unit_a, unit_b)
-                    if saving > 0.0:
-                        heappush(heap, (-saving, rank_a, rank_b))
-            while heap and not (heap[0][1] in pool and heap[0][2] in pool):
+                    if saving is not None:
+                        if saving > 0.0:
+                            heappush(heap, (-saving, rank_a, rank_b, False))
+                        continue
+                    bound = bounds.get(serial_a)
+                    if bound is None:
+                        bound = self._pair_bound(unit_a, unit_b)
+                        if bound <= 0.0:
+                            savings[serial_a] = 0.0
+                            continue
+                        bounds[serial_a] = bound
+                    heappush(heap, (-bound, rank_a, rank_b, True))
+                    bounded += 1
+            while heap:
+                _, rank_a, rank_b, is_bound = heap[0]
+                if not (rank_a in pool and rank_b in pool):
+                    heappop(heap)
+                    matches.pop((rank_a, rank_b), None)
+                    continue
+                if not is_bound:
+                    break
                 heappop(heap)
+                bounded -= 1
+                (serial_a, unit_a), (serial_b, unit_b) = (
+                    pool[rank_a], pool[rank_b])
+                # A pool may hold one derivation twice, so the pair's
+                # serials can have been matched since this entry went in.
+                savings = self._savings[serial_b]
+                saving = savings.get(serial_a)
+                if saving is None:
+                    del self._bounds[serial_b][serial_a]
+                    saving, match = self._pair_saving(unit_a, unit_b)
+                    savings[serial_a] = saving
+                    if saving > 0.0:
+                        matches[(rank_a, rank_b)] = match
+                if saving > 0.0:
+                    heappush(heap, (-saving, rank_a, rank_b, False))
             if not heap:
                 break
-            negated, rank_a, rank_b = heappop(heap)
+            negated, rank_a, rank_b, _ = heappop(heap)
             (serial_a, unit_a), (serial_b, unit_b) = (
                 pool.pop(rank_a), pool.pop(rank_b))
-            _, match = estimate_pair_saving(unit_a, unit_b, self.techlib)
+            match = matches.pop((rank_a, rank_b), None)
+            if match is None:
+                _, match = estimate_pair_saving(unit_a, unit_b, self.techlib)
             merged = merge_pair(unit_a, unit_b, self.techlib, match)
             uf.union(uf.find(unit_a.owner), uf.find(unit_b.owner))
             merged.owner = uf.find(unit_a.owner)
@@ -226,6 +280,7 @@ class AcceleratorMerger:
             total_step_saving += -negated
             width_recovered += match.width_recovered_area
             steps += 1
+        current_telemetry().count("merging.pairs_bounded", bounded)
 
         units = [unit for _, unit in pool.values()]
         return self._finalize(
@@ -236,14 +291,25 @@ class AcceleratorMerger:
     def _serial(self, derivation) -> int:
         return self._serials.setdefault(derivation, len(self._serials))
 
-    def _pair_saving(self, unit_a: MergedUnit, unit_b: MergedUnit) -> float:
+    def _pair_saving(
+        self, unit_a: MergedUnit, unit_b: MergedUnit
+    ) -> Tuple[float, MatchResult]:
         current_telemetry().count("merging.pairs_evaluated")
         saving, match = estimate_pair_saving(unit_a, unit_b, self.techlib)
         if self.min_match_fraction > 0.0:
             smaller = min(len(unit_a.dfg.nodes), len(unit_b.dfg.nodes))
             if len(match.pairs) / max(1, smaller) < self.min_match_fraction:
+                return 0.0, match
+        return (saving if saving > 0.0 else 0.0), match
+
+    def _pair_bound(self, unit_a: MergedUnit, unit_b: MergedUnit) -> float:
+        """An upper bound on :meth:`_pair_saving`, without matching."""
+        bound, pairs = saving_bound(unit_a.dfg, unit_b.dfg, self.techlib)
+        if self.min_match_fraction > 0.0:
+            smaller = min(len(unit_a.dfg.nodes), len(unit_b.dfg.nodes))
+            if pairs / max(1, smaller) < self.min_match_fraction:
                 return 0.0
-        return saving if saving > 0.0 else 0.0
+        return bound
 
     #: Fraction of redundant interface hardware a reusable accelerator can
     #: actually share between its mutually exclusive member kernels (the

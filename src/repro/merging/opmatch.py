@@ -34,6 +34,9 @@ class MatchResult:
     """Outcome of matching unit B onto unit A."""
 
     pairs: List[Tuple[DFGNode, DFGNode]] = field(default_factory=list)
+    #: ``(position_a, position_b)`` per entry of ``pairs``: where the two
+    #: nodes sit in their DFGs' node lists.
+    positions: List[Tuple[int, int]] = field(default_factory=list)
     shared_area: float = 0.0       # functional-unit area saved by sharing
     mux_area: float = 0.0          # multiplexers inserted on shared inputs
     config_bits: int = 0           # reconfiguration bit registers for muxes
@@ -65,29 +68,118 @@ class _OpIndex:
     node's op key and width, and the positions of each op key's nodes in
     program order."""
 
-    __slots__ = ("keys", "bits", "by_key")
+    __slots__ = ("keys", "bits", "by_key", "_tops")
 
-    def __init__(self, dfg: DFG):
-        self.bits = [node.bits for node in dfg.nodes]
-        self.keys = [
-            _op_key(node.resource, bits)
-            for node, bits in zip(dfg.nodes, self.bits)
-        ]
+    def __init__(self, keys: List[Tuple[str, int]], bits: List[int]):
+        self.keys = keys
+        self.bits = bits
         self.by_key: Dict[Tuple[str, int], List[int]] = {}
-        for position, key in enumerate(self.keys):
+        for position, key in enumerate(keys):
             self.by_key.setdefault(key, []).append(position)
+        #: ``(techlib, {key: prefix sums of the key's FU areas, largest
+        #: first})``, built on the first bound query.
+        self._tops = None
+
+    @classmethod
+    def of(cls, dfg: DFG) -> "_OpIndex":
+        bits = [node.bits for node in dfg.nodes]
+        keys = [
+            _op_key(node.resource, width)
+            for node, width in zip(dfg.nodes, bits)
+        ]
+        return cls(keys, bits)
+
+    def tops(self, techlib: TechLibrary) -> Dict[Tuple[str, int], List[float]]:
+        """Per op key, entry ``k - 1`` is the summed FU area of the key's
+        ``k`` largest nodes."""
+        if self._tops is None or self._tops[0] is not techlib:
+            widths: Dict[Tuple[str, int], List[int]] = {}
+            for key, width in zip(self.keys, self.bits):
+                widths.setdefault(key, []).append(width)
+            tops: Dict[Tuple[str, int], List[float]] = {}
+            for key, values in widths.items():
+                # Area is nondecreasing in width: widest first is largest
+                # first, and equal widths repeat one area lookup.
+                values.sort(reverse=True)
+                resource = key[0]
+                prefix = tops[key] = []
+                total = 0.0
+                last = None
+                for width in values:
+                    if width != last:
+                        area, last = techlib.area(resource, width), width
+                    total += area
+                    prefix.append(total)
+            self._tops = (techlib, tops)
+        return self._tops[1]
 
 
 #: A DFG's nodes never change once it is built, so its index is computed
-#: on its first match and reused by every later one.
+#: on its first match (or derived when the DFG is a merge) and reused by
+#: every later one.
 _INDEXES: "WeakKeyDictionary[DFG, _OpIndex]" = WeakKeyDictionary()
 
 
 def _op_index(dfg: DFG) -> _OpIndex:
     index = _INDEXES.get(dfg)
     if index is None:
-        index = _INDEXES[dfg] = _OpIndex(dfg)
+        index = _INDEXES[dfg] = _OpIndex.of(dfg)
     return index
+
+
+def index_merged(
+    merged: DFG, unit_a: DFG, unit_b: DFG, match: "MatchResult"
+) -> None:
+    """Record ``merged``'s index, derived from its parents' indexes.
+
+    ``merged`` holds A's nodes, each matched one widened to the pair's max
+    width, then B's unmatched nodes, in order. A matched pair shares its
+    op key, and widening keeps a width class, so only widths change."""
+    index_a, index_b = _op_index(unit_a), _op_index(unit_b)
+    bits = list(index_a.bits)
+    matched_b = set()
+    for position_a, position_b in match.positions:
+        bits[position_a] = max(bits[position_a], index_b.bits[position_b])
+        matched_b.add(position_b)
+    keys = list(index_a.keys)
+    for position_b, key in enumerate(index_b.keys):
+        if position_b not in matched_b:
+            keys.append(key)
+            bits.append(index_b.bits[position_b])
+    _INDEXES[merged] = _OpIndex(keys, bits)
+
+
+#: Relative slack on :func:`saving_bound`. Matching sums a few thousand
+#: float terms at most, so its rounding stays many orders below this.
+BOUND_SLACK = 1e-9
+
+
+def saving_bound(
+    unit_a: DFG, unit_b: DFG, techlib: TechLibrary
+) -> Tuple[float, int]:
+    """An upper bound on ``match_units(unit_a, unit_b).net_saving``, and
+    the most pairs that match can hold.
+
+    A pair shares one op key and saves ``area(resource, min(bits))``,
+    since area is nondecreasing in width, so a key whose sides have ``k =
+    min(count_a, count_b)`` nodes saves at most the smaller of each side's
+    ``k`` largest FU areas. Mux, glue and config bits only subtract. The
+    slack keeps the bound above the exact saving under float rounding."""
+    tops_a, tops_b = _op_index(unit_a).tops(techlib), _op_index(unit_b).tops(techlib)
+    if len(tops_b) < len(tops_a):
+        tops_a, tops_b = tops_b, tops_a
+    bound = spread = 0.0
+    pairs = 0
+    for key, prefix_a in tops_a.items():
+        prefix_b = tops_b.get(key)
+        if prefix_b is None:
+            continue
+        k = min(len(prefix_a), len(prefix_b))
+        top_a, top_b = prefix_a[k - 1], prefix_b[k - 1]
+        bound += top_a if top_a < top_b else top_b
+        spread += top_a + top_b
+        pairs += k
+    return bound + BOUND_SLACK * spread, pairs
 
 
 def op_keys(dfg: DFG) -> Set[Tuple[str, int]]:
@@ -153,6 +245,7 @@ def match_units(
             score = (bonus, -abs(bits_a - bits_b))
             if best_score is None or score > best_score:
                 best, best_score, best_bits = node_a, score, bits_a
+                best_position = position_a
                 if score == perfect:
                     break
         if best is None:
@@ -161,6 +254,7 @@ def match_units(
         matched_a.add(best)
         matched_b[node_b] = best
         result.pairs.append((best, node_b))
+        result.positions.append((best_position, position_b))
         widths.append((key[0], best_bits, bits_b))
 
     for (node_a, node_b), (resource, bits_a, bits_b) in zip(

@@ -123,6 +123,26 @@ def _unrolled_loops(
     return tuple(spec)
 
 
+def estimate_key(config: AcceleratorConfig) -> Tuple:
+    """Everything :meth:`AcceleratorModel.estimate` reads of ``config``
+    besides its region: the loop plans, then per access in plan order its
+    interface kind, scratchpad group, bytes and partitions, whether the
+    banking is proven, and its reuse tap. Two configs of one region with
+    equal keys get equal estimates."""
+    return (
+        tuple(
+            (loop, plan.unroll, plan.pipelined)
+            for loop, plan in config.loop_plans.items()
+        ),
+        tuple(
+            (inst, a.kind, a.spad_group, a.spad_bytes, a.partitions,
+             a.banking_proven, a.reuse_source, a.reuse_distance,
+             a.reuse_depth, a.reuse_bits)
+            for inst, a in config.plan.assignments.items()
+        ),
+    )
+
+
 class AcceleratorModel:
     """Generates and evaluates accelerator configurations for wPST regions."""
 
@@ -200,11 +220,20 @@ class AcceleratorModel:
             return []
         ctx = self.context(region.function)
         estimates: List[AcceleratorEstimate] = []
+        estimated: set = set()
         seen: set = set()
         tele = current_telemetry()
 
         for config in self.generate_configs(region):
             tele.count("model.configs_generated")
+            # A config equal to an earlier one in all an estimate reads
+            # would get the same estimate, which the first one's entry
+            # already stands for: skipped here, it would be deduped below.
+            key = estimate_key(config)
+            if key in estimated:
+                tele.count("model.configs_deduped")
+                continue
+            estimated.add(key)
             estimate = self.estimate(config, ctx)
             if estimate is None or not estimate.is_profitable:
                 tele.count("model.configs_unprofitable")

@@ -192,6 +192,21 @@ def cache_key(name: str, params: FlowParams, ir_hash: Optional[str] = None) -> s
     return hashlib.sha256(blob).hexdigest()
 
 
+def ablation_key(name: str) -> str:
+    """Content key of one workload's proof-ablation sections: they read
+    the workload's optimized IR and the estimator, not the flow
+    parameters."""
+    payload = {
+        "schema": CACHE_SCHEMA_VERSION,
+        "kind": "ablation",
+        "workload": name,
+        "ir": module_ir_hash(name),
+        "estimator_version": ESTIMATOR_VERSION,
+    }
+    blob = json.dumps(payload, sort_keys=True).encode("utf-8")
+    return hashlib.sha256(blob).hexdigest()
+
+
 # Records ------------------------------------------------------------------------
 
 
@@ -284,7 +299,9 @@ def _hit_rate(hits: int, misses: int) -> float:
 
 
 class BenchCache:
-    """Content-keyed on-disk store of :class:`WorkloadRecord` JSON blobs."""
+    """Content-keyed on-disk store of :class:`WorkloadRecord` JSON blobs,
+    and of each workload's proof-ablation sections. Only records count
+    into the hit statistics."""
 
     def __init__(self, directory: str = DEFAULT_CACHE_DIR):
         self.directory = directory
@@ -303,6 +320,10 @@ class BenchCache:
         return record
 
     def _load(self, key: str) -> Optional[WorkloadRecord]:
+        payload = self._read(key)
+        return None if payload is None else WorkloadRecord.from_dict(payload)
+
+    def _read(self, key: str) -> Optional[Dict]:
         try:
             with open(self._path(key)) as handle:
                 payload = json.load(handle)
@@ -312,7 +333,19 @@ class BenchCache:
             return None
         if payload.get("estimator_version") != ESTIMATOR_VERSION:
             return None
-        return WorkloadRecord.from_dict(payload)
+        return payload
+
+    def get_ablation(self, key: str) -> Optional[Dict[str, Dict]]:
+        """Section → stats of the workload :func:`ablation_key` names."""
+        payload = self._read(key)
+        return None if payload is None else payload.get("ablation")
+
+    def put_ablation(self, key: str, sections: Dict[str, Dict]) -> None:
+        self._publish(key, {
+            "schema": CACHE_SCHEMA_VERSION,
+            "estimator_version": ESTIMATOR_VERSION,
+            "ablation": sections,
+        })
 
     def hit_rate(self) -> float:
         return _hit_rate(self.hits, self.misses)
@@ -327,16 +360,19 @@ class BenchCache:
         }
 
     def put(self, record: WorkloadRecord) -> None:
+        self._publish(record.key, record.to_dict())
+
+    def _publish(self, key: str, payload: Dict) -> None:
         os.makedirs(self.directory, exist_ok=True)
         # Atomic publish so a crashed/parallel writer never leaves a torn
         # JSON file behind.
         fd, tmp = tempfile.mkstemp(
-            dir=self.directory, prefix=f".{record.key[:16]}.", suffix=".tmp"
+            dir=self.directory, prefix=f".{key[:16]}.", suffix=".tmp"
         )
         try:
             with os.fdopen(fd, "w") as handle:
-                json.dump(record.to_dict(), handle, sort_keys=True)
-            os.replace(tmp, self._path(record.key))
+                json.dump(payload, handle, sort_keys=True)
+            os.replace(tmp, self._path(key))
         except BaseException:
             try:
                 os.unlink(tmp)
@@ -855,21 +891,40 @@ def _ablate(ablation: _Ablation, models, contexts) -> Dict:
     }
 
 
-def ablation_stats(names: Sequence[str]) -> Dict[str, Dict[str, Dict]]:
+def ablation_stats(
+    names: Sequence[str], cache: Optional[BenchCache] = None
+) -> Dict[str, Dict[str, Dict]]:
     """Every proof-ablation section over ``names``: section → workload →
-    stats.  Each workload is compiled and analysed once, and every section
-    shares the model that holds every proof."""
+    stats.  A workload's sections are served from ``cache`` when it holds
+    them under :func:`ablation_key`, and stored there when computed."""
     stats: Dict[str, Dict[str, Dict]] = {s: {} for s in ABLATION_SECTIONS}
     for name in names:
-        workload = get_workload(name)
-        module = compile_source(workload.source, workload.name)
-        full = AcceleratorModel(module, profile=None)
-        contexts = [full.context(f) for f in module.defined_functions()]
-        for section, ablation in ABLATIONS.items():
-            proofs = set(PROOFS) - {ablation.proof}
-            ablated = AcceleratorModel(module, profile=None, proofs=proofs)
-            stats[section][name] = _ablate(ablation, (ablated, full), contexts)
+        key = sections = None
+        if cache is not None:
+            key = ablation_key(name)
+            sections = cache.get_ablation(key)
+        if sections is None:
+            sections = _ablate_workload(name)
+            if cache is not None:
+                cache.put_ablation(key, sections)
+        for section, entry in sections.items():
+            stats[section][name] = entry
     return stats
+
+
+def _ablate_workload(name: str) -> Dict[str, Dict]:
+    """Section → stats of one workload.  It is compiled and analysed once,
+    and every section shares the model that holds every proof."""
+    workload = get_workload(name)
+    module = compile_source(workload.source, workload.name)
+    full = AcceleratorModel(module, profile=None)
+    contexts = [full.context(f) for f in module.defined_functions()]
+    sections = {}
+    for section, ablation in ABLATIONS.items():
+        proofs = set(PROOFS) - {ablation.proof}
+        ablated = AcceleratorModel(module, profile=None, proofs=proofs)
+        sections[section] = _ablate(ablation, (ablated, full), contexts)
+    return sections
 
 
 # BENCH_<tag>.json reports -------------------------------------------------------

@@ -45,6 +45,14 @@ def test_area_monotone_in_width(resource, a, b):
     )
 
 
+@pytest.mark.parametrize("resource", RESOURCES)
+def test_area_nondecreasing_at_every_width(resource):
+    """Exhaustive over widths 1-64: the merge driver's saving bound prices
+    a matched pair at its narrower member, which needs exactly this."""
+    areas = [DEFAULT_TECHLIB.area(resource, bits) for bits in range(1, 65)]
+    assert areas == sorted(areas)
+
+
 @given(st.sampled_from(RESOURCES), widths)
 @settings(max_examples=300, deadline=None)
 def test_area_positive_and_bounded_by_64bit(resource, bits):

@@ -38,6 +38,16 @@ def random_unit(draw):
     return DFG.from_blocks([block])
 
 
+@st.composite
+def narrowed_unit(draw):
+    """A random unit whose nodes carry random proven widths."""
+    dfg = draw(random_unit())
+    for node in dfg.nodes:
+        if draw(st.booleans()):
+            node.width = draw(st.integers(1, 64))
+    return dfg
+
+
 @given(random_unit(), random_unit())
 @settings(max_examples=60, deadline=None)
 def test_match_never_pairs_across_resources(dfg_a, dfg_b):
@@ -113,3 +123,19 @@ def test_reused_op_index_gives_the_first_match(dfg_a, dfg_b, others):
         match_units(other, dfg_b, DEFAULT_TECHLIB)
         match_units(dfg_b, other, DEFAULT_TECHLIB)
     assert _match_facts(match_units(dfg_a, dfg_b, DEFAULT_TECHLIB)) == first
+
+
+@given(narrowed_unit(), narrowed_unit())
+@settings(max_examples=60, deadline=None)
+def test_merged_index_is_derived_exactly(dfg_a, dfg_b):
+    """A merged DFG's op-key index, derived from its members' indexes,
+    equals the index rebuilt from its nodes."""
+    from repro.merging.opmatch import _OpIndex, _op_index
+
+    a = MergedUnit("a", dfg_a, owner=0, member_names=["a"])
+    b = MergedUnit("b", dfg_b, owner=1, member_names=["b"])
+    merged = merge_pair(a, b, DEFAULT_TECHLIB)
+    derived, rebuilt = _op_index(merged.dfg), _OpIndex.of(merged.dfg)
+    assert derived is not rebuilt
+    assert (derived.keys, derived.bits, derived.by_key) == (
+        rebuilt.keys, rebuilt.bits, rebuilt.by_key)

@@ -141,6 +141,32 @@ class TestPersistentCache:
         assert [s.benchmark for s in series] == NAMES
         assert warm.misses == 0 and warm.hits == 2 * len(NAMES)
 
+    def test_warm_bench_runs_no_ablation(self, tmp_path, monkeypatch):
+        """A warm ``repro bench`` serves every proof-ablation section from
+        its cache directory and reports the same sections."""
+        from repro.cli import main
+
+        def bench_report(tag):
+            assert main([
+                "bench", *NAMES, "--cache-dir", str(tmp_path / "cache"),
+                "--output-dir", str(tmp_path), "--tag", tag, "--quiet",
+                "--no-interp-bench", "--ablation-count", str(len(NAMES)),
+            ]) == 0
+            return load_report(str(tmp_path / f"BENCH_{tag}.json"))
+
+        cold = bench_report("cold")
+
+        def price(*args, **kwargs):
+            raise AssertionError("an ablation ran on a warm cache")
+
+        monkeypatch.setattr(bench, "_price", price)
+        warm = bench_report("warm")
+        assert compare_reports(cold, warm) == []
+        for section in bench.ABLATION_SECTIONS:
+            assert sorted(warm[section]) == sorted(NAMES)
+            assert warm[section] == cold[section]
+        assert warm["cache"]["hits"] == len(NAMES)
+
     def test_corrupt_entry_is_a_miss(self, tmp_path, params):
         cache_dir = tmp_path / "cache"
         cache_dir.mkdir()

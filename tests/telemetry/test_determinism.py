@@ -54,6 +54,7 @@ class TestPipelineSpans:
         assert counters["model.units_built"] > 0
         assert counters["selection.vertices_evaluated"] > 0
         assert counters["merging.solutions"] > 0
+        assert "merging.pairs_bounded" in counters
         assert counters["interp.instructions"] > 0
         assert counters["interp.runs"] >= 1
 
