@@ -11,13 +11,20 @@ widening threw away.
 
 Determinism: the solver iterates blocks strictly by reverse-post-order
 index, never by set or id order, so results are identical across runs.
+
+:class:`EnvDataflow` is the engine for map lattices (one fact per SSA
+value, as the interval and known-bits analyses use).  Its states share
+every fact object that did not change: a join copies one side and joins
+only the values whose two facts are different objects, and an edge carries
+its refinements as a small overlay instead of a copy of the predecessor's
+whole state.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
-from ..ir import BasicBlock, Function
+from ..ir import BasicBlock, Function, Instruction, Phi, Value
 from ..analysis.cfg import predecessor_map, reverse_postorder
 from ..analysis.loops import LoopInfo
 from ..telemetry import current as current_telemetry
@@ -32,9 +39,13 @@ class ForwardDataflow:
     * :meth:`boundary_state` — state for blocks with no analyzed
       predecessors (defaults to :meth:`initial_state`);
     * :meth:`transfer` — out-state of a block given its in-state;
-    * :meth:`edge_transfer` — refine a predecessor's out-state along one
-      CFG edge (branch-condition refinement, phi binding);
+    * :meth:`edge_transfer` — what holds along one CFG edge only (branch
+      refinement, phi binding), as an overlay over the predecessor's
+      out-state, which it must not mutate (default: none);
     * :meth:`join` — least upper bound of two states;
+    * :meth:`merge_edges` — the in-state from the analyzed incoming edges
+      (default: join the predecessors' out-states, for clients without
+      overlays);
     * :meth:`widen` — extrapolate ``old ∇ new`` at loop headers;
     * :meth:`copy_state` — defensive copy (default: identity, safe for
       immutable states).
@@ -55,6 +66,21 @@ class ForwardDataflow:
             b: i for i, b in enumerate(self.rpo)
         }
         self.preds = predecessor_map(func)
+        self._preds_in_rpo: Dict[BasicBlock, List[BasicBlock]] = {
+            block: sorted(
+                preds, key=lambda b: self.rpo_index.get(b, 1 << 30)
+            )
+            for block, preds in self.preds.items()
+        }
+        self._succ_indices: Dict[BasicBlock, List[int]] = {
+            block: [
+                self.rpo_index[succ] for succ in block.successors
+                if succ in self.rpo_index
+            ]
+            for block in self.rpo
+        }
+        #: Facts joined (not shared by identity) during the last solve.
+        self.values_joined = 0
         self.in_states: Dict[BasicBlock, Any] = {}
         self.out_states: Dict[BasicBlock, Any] = {}
         self._widen_points = {
@@ -73,10 +99,18 @@ class ForwardDataflow:
         raise NotImplementedError
 
     def edge_transfer(self, pred: BasicBlock, succ: BasicBlock, state):
-        return state
+        return None
 
     def join(self, a, b):
         raise NotImplementedError
+
+    def merge_edges(self, edges: List[Tuple[Any, Any]]):
+        """Join of the ``(out_state, overlay)`` pairs of the analyzed
+        incoming edges, in predecessor RPO order (never empty)."""
+        state = None
+        for edge_state, _overlay in edges:
+            state = edge_state if state is None else self.join(state, edge_state)
+        return state
 
     def widen(self, old, new, block: Optional[BasicBlock] = None):
         """Extrapolate ``old ∇ new`` at loop-header ``block``; clients may
@@ -90,17 +124,12 @@ class ForwardDataflow:
 
     def _in_state_of(self, block: BasicBlock):
         """Join of all analyzed incoming edges (None when none analyzed)."""
-        state = None
-        for pred in sorted(
-            self.preds[block], key=lambda b: self.rpo_index.get(b, 1 << 30)
-        ):
-            if pred not in self.out_states:
-                continue
-            edge = self.edge_transfer(
-                pred, block, self.copy_state(self.out_states[pred])
-            )
-            state = edge if state is None else self.join(state, edge)
-        return state
+        edges = []
+        for pred in self._preds_in_rpo[block]:
+            if pred in self.out_states:
+                out = self.out_states[pred]
+                edges.append((out, self.edge_transfer(pred, block, out)))
+        return self.merge_edges(edges) if edges else None
 
     def solve(self) -> "ForwardDataflow":
         entry = self.func.entry
@@ -110,6 +139,7 @@ class ForwardDataflow:
         pending_set = set(pending)
         guard = 0
         widenings = 0
+        self.values_joined = 0
         max_steps = 200 * (len(self.rpo) + 1)
         while pending:
             guard += 1
@@ -140,9 +170,8 @@ class ForwardDataflow:
             if block in self.out_states and out == self.out_states[block]:
                 continue
             self.out_states[block] = out
-            for succ in block.successors:
-                succ_index = self.rpo_index.get(succ)
-                if succ_index is not None and succ_index not in pending_set:
+            for succ_index in self._succ_indices[block]:
+                if succ_index not in pending_set:
                     pending_set.add(succ_index)
                     pending.append(succ_index)
         narrow_sweeps = 0
@@ -157,6 +186,7 @@ class ForwardDataflow:
             tele.count("dataflow.worklist_iterations", guard)
             tele.count("dataflow.widenings", widenings)
             tele.count("dataflow.narrow_sweeps", narrow_sweeps)
+            tele.count("dataflow.values_joined", self.values_joined)
         return self
 
     def _narrow_once(self) -> bool:
@@ -177,3 +207,162 @@ class ForwardDataflow:
                 self.out_states[block] = out
                 changed = True
         return changed
+
+
+class FactEnv:
+    """A map-lattice state: SSA value → fact.
+
+    Facts are immutable values with ``join`` and ``==``; a value without an
+    entry has no fact yet.  A stored state is never mutated: a client
+    writes only to an env it made in the current step.
+    """
+
+    __slots__ = ("values",)
+
+    def __init__(self, values: Optional[Dict[Value, Any]] = None):
+        self.values = values if values is not None else {}
+
+    def copy(self) -> "FactEnv":
+        return FactEnv(dict(self.values))
+
+    def __eq__(self, other):
+        return isinstance(other, FactEnv) and self.values == other.values
+
+    def __hash__(self):  # pragma: no cover - not used as dict key
+        raise TypeError("unhashable")
+
+
+class EnvDataflow(ForwardDataflow):
+    """Forward dataflow over :class:`FactEnv` states.
+
+    Clients supply :meth:`transfer_inst`, :meth:`fact_of` and :meth:`top`,
+    and optionally a branch refinement (:meth:`edge_refinement`,
+    :meth:`refine_edge`).  An edge's facts are an overlay over the
+    predecessor's out-state: the refined operands, then the phi bindings.
+
+    The sharing rule: a fact object that did not change is reused, never
+    rebuilt, so a join whose two sides hold the same object for a value
+    keeps it without calling ``join``.  Fact ``join`` and ``refine``
+    methods return an operand itself when the result equals it.
+    """
+
+    def __init__(self, func: Function, loop_info: Optional[LoopInfo] = None):
+        super().__init__(func, loop_info)
+        self._edge_plans: Dict[Tuple[BasicBlock, BasicBlock], Tuple] = {}
+
+    # Lattice hooks ----------------------------------------------------------
+
+    def initial_state(self) -> FactEnv:
+        return FactEnv()
+
+    def copy_state(self, state: FactEnv) -> FactEnv:
+        return state.copy()
+
+    def join(self, a: FactEnv, b: FactEnv) -> FactEnv:
+        """Key order: ``a``'s keys, then ``b``'s new keys in ``b``'s order."""
+        values = dict(a.values)
+        self._join_into(values, b.values, None)
+        return FactEnv(values)
+
+    def merge_edges(self, edges):
+        """The in-state copied once from the first edge (not at all for a
+        lone edge without refinements), every further edge joined into it
+        in place."""
+        (first, overlay), rest = edges[0], edges[1:]
+        if not rest and not overlay:
+            return first
+        values = dict(first.values)
+        if overlay:
+            values.update(overlay)
+        for state, overlay in rest:
+            self._join_into(values, state.values, overlay)
+        return FactEnv(values)
+
+    def _join_into(self, values: Dict, other: Dict, overlay) -> None:
+        """``values ⊔= other ⊕ overlay`` in place; a key keeps its position,
+        and new keys follow in ``other``'s order, then the overlay's."""
+        saved = [
+            (key, values.get(key), fact) for key, fact in overlay.items()
+        ] if overlay else ()
+        joined = 0
+        get = values.get
+        for key, right in other.items():
+            left = get(key)
+            if left is None:
+                values[key] = right
+            elif left is not right:
+                values[key] = left.join(right)
+                joined += 1
+        for key, left, right in saved:
+            if left is None or left is right:
+                values[key] = right
+            else:
+                values[key] = left.join(right)
+                joined += 1
+        self.values_joined += joined
+
+    def transfer(self, block: BasicBlock, env: FactEnv) -> FactEnv:
+        """Facts of the block's instructions in order.  A fact equal to
+        the one in the block's previous out-state keeps that object, so
+        successor joins and the fixpoint test see it by identity."""
+        previous = self.out_states.get(block)
+        kept = previous.values if previous is not None else {}
+        values = env.values
+        for inst in block.instructions:
+            if isinstance(inst, Phi):
+                # Bound by edge_transfer; ⊤ when no analyzed edge bound it.
+                if inst.type.is_int and inst not in values:
+                    values[inst] = self.top(inst)
+                continue
+            fact = self.transfer_inst(inst, env)
+            if fact is not None:
+                old = kept.get(inst)
+                values[inst] = old if old is not None and old == fact else fact
+        return env
+
+    def edge_transfer(
+        self, pred: BasicBlock, succ: BasicBlock, env: FactEnv
+    ) -> Dict[Value, Any]:
+        plan = self._edge_plans.get((pred, succ))
+        if plan is None:
+            plan = self._edge_plans[pred, succ] = (
+                self.edge_refinement(pred, succ),
+                [
+                    (phi, phi.incoming_for(pred))
+                    for phi in succ.phis() if phi.type.is_int
+                ],
+            )
+        refinement, bindings = plan
+        overlay = {} if refinement is None else self.refine_edge(
+            refinement, env
+        )
+        fact_of = self.fact_of
+        for phi, incoming in bindings:
+            # Bindings see the edge's refinement and earlier bindings.
+            fact = overlay.get(incoming)
+            overlay[phi] = fact if fact is not None else fact_of(incoming, env)
+        return overlay
+
+    # Client hooks -----------------------------------------------------------
+
+    def transfer_inst(self, inst: Instruction, env: FactEnv):
+        """The fact of ``inst`` given the facts before it (None: no fact)."""
+        raise NotImplementedError
+
+    def fact_of(self, value: Value, env: FactEnv):
+        """The fact of an operand ``value`` in ``env``."""
+        raise NotImplementedError
+
+    def top(self, value: Value):
+        """The fact that claims nothing about ``value``."""
+        raise NotImplementedError
+
+    def edge_refinement(self, pred: BasicBlock, succ: BasicBlock):
+        """What the branch from ``pred`` tells on the edge to ``succ``, in
+        a form :meth:`refine_edge` reads; None when nothing (the default).
+        Computed once per edge."""
+        return None
+
+    def refine_edge(self, refinement, env: FactEnv) -> Dict[Value, Any]:
+        """The refined operand facts along an edge, as a fresh overlay."""
+        raise NotImplementedError

@@ -34,14 +34,13 @@ from ..ir import (
     ICmp,
     Instruction,
     Module,
-    Phi,
     Select,
     UnaryOp,
     Value,
 )
 from ..analysis.callgraph import CallGraph
 from ..analysis.loops import Loop, LoopInfo
-from .framework import ForwardDataflow
+from .framework import EnvDataflow, FactEnv
 
 
 class Interval:
@@ -104,16 +103,20 @@ class Interval:
     # Lattice ----------------------------------------------------------------
 
     def join(self, other: "Interval") -> "Interval":
-        if self.is_bottom:
+        """The hull; ``self`` itself when it already covers ``other``."""
+        if self is BOTTOM:
             return other
-        if other.is_bottom:
+        if other is BOTTOM:
             return self
         lo = None if self.lo is None or other.lo is None else min(self.lo, other.lo)
         hi = None if self.hi is None or other.hi is None else max(self.hi, other.hi)
+        if lo == self.lo and hi == self.hi:
+            return self
         return Interval(lo, hi)
 
     def intersect(self, other: "Interval") -> "Interval":
-        if self.is_bottom or other.is_bottom:
+        """The meet; ``self`` itself when ``other`` does not cut it."""
+        if self is BOTTOM or other is BOTTOM:
             return BOTTOM
         lo = self.lo if other.lo is None else (
             other.lo if self.lo is None else max(self.lo, other.lo)
@@ -123,6 +126,8 @@ class Interval:
         )
         if lo is not None and hi is not None and lo > hi:
             return BOTTOM
+        if lo == self.lo and hi == self.hi:
+            return self
         return Interval(lo, hi)
 
     def widen(self, newer: "Interval") -> "Interval":
@@ -215,7 +220,7 @@ class Interval:
     # Plumbing ---------------------------------------------------------------
 
     def __eq__(self, other):
-        return (
+        return self is other or (
             isinstance(other, Interval)
             and (self is BOTTOM) == (other is BOTTOM)
             and self.lo == other.lo
@@ -282,25 +287,7 @@ def _refine_pair(
     return lhs, rhs
 
 
-class _Env:
-    """Immutable-by-convention mapping Value → Interval with sharing."""
-
-    __slots__ = ("values",)
-
-    def __init__(self, values: Optional[Dict[Value, Interval]] = None):
-        self.values = values if values is not None else {}
-
-    def copy(self) -> "_Env":
-        return _Env(dict(self.values))
-
-    def __eq__(self, other):
-        return isinstance(other, _Env) and self.values == other.values
-
-    def __hash__(self):  # pragma: no cover - not used as dict key
-        raise TypeError("unhashable")
-
-
-class IntervalAnalysis(ForwardDataflow):
+class IntervalAnalysis(EnvDataflow):
     """Per-function interval analysis.
 
     ``arg_intervals`` optionally seeds argument ranges (from the
@@ -392,29 +379,18 @@ class IntervalAnalysis(ForwardDataflow):
         hi = newer.hi
         if older.hi is not None and (newer.hi is None or newer.hi > older.hi):
             hi = self._widen_bound_up(newer.hi)
+        if lo == newer.lo and hi == newer.hi:
+            return newer
         return Interval(lo, hi)
 
     # Lattice ----------------------------------------------------------------
 
-    def initial_state(self) -> _Env:
-        return _Env()
-
-    def join(self, a: _Env, b: _Env) -> _Env:
-        values: Dict[Value, Interval] = {}
-        for key, left in a.values.items():
-            right = b.values.get(key)
-            values[key] = left if right is None else left.join(right)
-        for key, right in b.values.items():
-            if key not in values:
-                values[key] = right
-        return _Env(values)
-
-    def widen(self, old: _Env, new: _Env, block=None) -> _Env:
+    def widen(self, old: FactEnv, new: FactEnv, block=None) -> FactEnv:
         loop_defs = self._loop_defs.get(block) if block is not None else None
         values: Dict[Value, Interval] = {}
         for key, newer in new.values.items():
             older = old.values.get(key)
-            if older is None:
+            if older is None or older is newer:
                 values[key] = newer
             elif loop_defs is not None and key not in loop_defs:
                 # The loop headed at ``block`` cannot grow this value's
@@ -422,14 +398,14 @@ class IntervalAnalysis(ForwardDataflow):
                 values[key] = newer
             else:
                 values[key] = self._widen_interval(older, newer)
-        return _Env(values)
-
-    def copy_state(self, state: _Env) -> _Env:
-        return state.copy()
+        return FactEnv(values)
 
     # Evaluation -------------------------------------------------------------
 
-    def _eval(self, value: Value, env: _Env) -> Interval:
+    def top(self, value: Value) -> Interval:
+        return Interval.of_type(value.type.bits)
+
+    def fact_of(self, value: Value, env: FactEnv) -> Interval:
         if isinstance(value, Constant):
             if value.type.is_int or value.type.is_bool:
                 return Interval.constant(int(value.value))
@@ -448,49 +424,38 @@ class IntervalAnalysis(ForwardDataflow):
             return Interval.of_type(value.type.bits)
         return Interval.top()
 
-    def transfer(self, block: BasicBlock, env: _Env) -> _Env:
-        for inst in block.instructions:
-            if isinstance(inst, Phi):
-                # Bound by edge_transfer; default to type range when no
-                # analyzed edge bound it yet.
-                if inst.type.is_int and inst not in env.values:
-                    env.values[inst] = Interval.of_type(inst.type.bits)
-                continue
-            result = self._transfer_inst(inst, env)
-            if result is not None:
-                env.values[inst] = result
-        return env
-
-    def _transfer_inst(self, inst: Instruction, env: _Env) -> Optional[Interval]:
-        if isinstance(inst, BinaryOp) and inst.type.is_int:
-            lhs = self._eval(inst.lhs, env)
-            rhs = self._eval(inst.rhs, env)
+    def transfer_inst(
+        self, inst: Instruction, env: FactEnv
+    ) -> Optional[Interval]:
+        if not inst.type.is_int:
+            return None
+        if isinstance(inst, BinaryOp):
+            lhs = self.fact_of(inst.lhs, env)
+            rhs = self.fact_of(inst.rhs, env)
             exact = self._exact_binary(inst.opcode, lhs, rhs)
             return _clamp(exact, inst.type.bits)
         if isinstance(inst, ICmp):
             return Interval(0, 1)
-        if isinstance(inst, Select) and inst.type.is_int:
-            return self._eval(inst.operands[1], env).join(
-                self._eval(inst.operands[2], env)
+        if isinstance(inst, Select):
+            return self.fact_of(inst.operands[1], env).join(
+                self.fact_of(inst.operands[2], env)
             )
-        if isinstance(inst, Cast) and inst.type.is_int:
+        if isinstance(inst, Cast):
             if inst.opcode in ("sext", "zext", "trunc"):
-                inner = self._eval(inst.operands[0], env)
+                inner = self.fact_of(inst.operands[0], env)
                 if inst.opcode == "zext":
                     src_bits = inst.operands[0].type.bits
                     if inner.lo is not None and inner.lo < 0:
                         inner = Interval(0, (1 << src_bits) - 1)
                 return _clamp(inner, inst.type.bits)
             return Interval.of_type(inst.type.bits)  # fptosi
-        if isinstance(inst, UnaryOp) and inst.type.is_int:
+        if isinstance(inst, UnaryOp):
             if inst.opcode == "neg":
-                inner = self._eval(inst.operands[0], env)
+                inner = self.fact_of(inst.operands[0], env)
                 return _clamp(inner.neg(), inst.type.bits)
             return Interval.of_type(inst.type.bits)  # not
-        if inst.type.is_int or inst.type.is_bool:
-            # Loads, calls and anything unhandled: the type range.
-            return Interval.of_type(inst.type.bits)
-        return None
+        # Loads, calls and anything unhandled: the type range.
+        return Interval.of_type(inst.type.bits)
 
     @staticmethod
     def _exact_binary(opcode: str, lhs: Interval, rhs: Interval) -> Interval:
@@ -536,32 +501,34 @@ class IntervalAnalysis(ForwardDataflow):
             return Interval.top()
         return Interval.top()  # or, xor
 
-    # Branch refinement + phi binding ----------------------------------------
+    # Branch refinement -----------------------------------------------------
 
-    def edge_transfer(self, pred: BasicBlock, succ: BasicBlock, env: _Env) -> _Env:
+    def edge_refinement(self, pred: BasicBlock, succ: BasicBlock):
+        """``(predicate, lhs, rhs)`` holding on the edge when ``pred`` ends
+        in a ``condbr`` on an ``icmp``: the predicate on the true edge, its
+        negation on the false one.  A two-way branch where both targets are
+        ``succ`` refines nothing."""
         term = pred.terminator
-        if isinstance(term, CondBranch):
-            cond = term.condition
-            if isinstance(cond, ICmp):
-                taken = succ is term.true_target
-                # A two-way branch where both targets are ``succ`` refines
-                # nothing; otherwise apply the (possibly negated) predicate.
-                if term.true_target is not term.false_target:
-                    pred_name = (
-                        cond.predicate if taken else _NEGATE[cond.predicate]
-                    )
-                    lhs_v, rhs_v = cond.operands[0], cond.operands[1]
-                    lhs, rhs = _refine_pair(
-                        pred_name, self._eval(lhs_v, env), self._eval(rhs_v, env)
-                    )
-                    if not isinstance(lhs_v, Constant):
-                        env.values[lhs_v] = lhs
-                    if not isinstance(rhs_v, Constant):
-                        env.values[rhs_v] = rhs
-        for phi in succ.phis():
-            if phi.type.is_int:
-                env.values[phi] = self._eval(phi.incoming_for(pred), env)
-        return env
+        if not isinstance(term, CondBranch):
+            return None
+        cond = term.condition
+        if not isinstance(cond, ICmp) or term.true_target is term.false_target:
+            return None
+        taken = succ is term.true_target
+        pred_name = cond.predicate if taken else _NEGATE[cond.predicate]
+        return pred_name, cond.operands[0], cond.operands[1]
+
+    def refine_edge(self, refinement, env: FactEnv) -> Dict[Value, Interval]:
+        pred_name, lhs_v, rhs_v = refinement
+        lhs, rhs = _refine_pair(
+            pred_name, self.fact_of(lhs_v, env), self.fact_of(rhs_v, env)
+        )
+        overlay: Dict[Value, Interval] = {}
+        if not isinstance(lhs_v, Constant):
+            overlay[lhs_v] = lhs
+        if not isinstance(rhs_v, Constant):
+            overlay[rhs_v] = rhs
+        return overlay
 
     # Queries ----------------------------------------------------------------
 
