@@ -220,6 +220,18 @@ class TestSemantics:
         result, _ = run_c("int main() { int x = 2147483647; return x + 1 < 0; }")
         assert result == 1
 
+    @pytest.mark.parametrize("source, expected", [
+        # A literal past int's range is a long, as in C.
+        ("long main() { long x = 3000000000; return x + 1; }", 3000000001),
+        ("long main() { return 5000000000 * 2; }", 10000000000),
+        # Converting it to int wraps it, as trunc does at run time.
+        ("int main() { int x = 3000000000; return x; }", -1294967296),
+        ("int main() { return 4294967301; }", 5),
+    ])
+    def test_literal_past_int_range(self, source, expected):
+        result, _ = run_c(source)
+        assert result == expected
+
 
 class TestSemanticErrors:
     def test_undeclared_variable(self):
