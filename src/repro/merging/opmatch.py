@@ -9,6 +9,10 @@ classes — an f32 adder never absorbs an f64 one.  A matched operation pair
 needs operand multiplexers unless its producers are matched to each other
 as well — so the matcher greedily prefers pairs whose operands are already
 matched, maximizing shared wiring and minimizing mux overhead.
+
+Matching, its bound and merging read a unit's positional form
+(:class:`_OpIndex`), never DFG nodes: :func:`op_index` builds a DFG's,
+:meth:`_OpIndex.merged` a merged unit's.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ from weakref import WeakKeyDictionary
 
 from ..hls.dfg import DFG, DFGNode
 from ..hls.techlib import CONFIG_BIT_AREA_UM2, TechLibrary
+from ..ir import Instruction
 
 #: Integer resource classes whose instances merge at ``max(width_a,
 #: width_b)`` with zero-extend glue on the narrower member's operands.
@@ -33,9 +38,7 @@ _INT_MERGEABLE = frozenset({
 class MatchResult:
     """Outcome of matching unit B onto unit A."""
 
-    pairs: List[Tuple[DFGNode, DFGNode]] = field(default_factory=list)
-    #: ``(position_a, position_b)`` per entry of ``pairs``: where the two
-    #: nodes sit in their DFGs' node lists.
+    #: ``(position_a, position_b)`` per matched op pair, in B's order.
     positions: List[Tuple[int, int]] = field(default_factory=list)
     shared_area: float = 0.0       # functional-unit area saved by sharing
     mux_area: float = 0.0          # multiplexers inserted on shared inputs
@@ -64,15 +67,25 @@ def _op_key(resource: str, bits: int) -> Tuple[str, int]:
 
 
 class _OpIndex:
-    """What matching reads of one DFG, aligned with ``dfg.nodes``: each
-    node's op key and width, and the positions of each op key's nodes in
-    program order."""
+    """The positional form of a datapath unit: what matching, bounds, area
+    and merging read. Entry ``i`` is the unit's ``i``-th op: its op key and
+    width, the positions of its data and memory-order predecessors, and
+    its ``(inst, copy)`` origin. ``by_key`` lists each op key's positions
+    in program order."""
 
-    __slots__ = ("keys", "bits", "by_key", "_tops")
+    __slots__ = (
+        "keys", "bits", "preds", "order_preds", "origins", "by_key", "_tops")
 
-    def __init__(self, keys: List[Tuple[str, int]], bits: List[int]):
+    def __init__(
+        self, keys: List[Tuple[str, int]], bits: List[int],
+        preds: List[Tuple[int, ...]], order_preds: List[Tuple[int, ...]],
+        origins: List[Tuple[Instruction, int]],
+    ):
         self.keys = keys
         self.bits = bits
+        self.preds = preds
+        self.order_preds = order_preds
+        self.origins = origins
         self.by_key: Dict[Tuple[str, int], List[int]] = {}
         for position, key in enumerate(keys):
             self.by_key.setdefault(key, []).append(position)
@@ -80,27 +93,69 @@ class _OpIndex:
         #: first})``, built on the first bound query.
         self._tops = None
 
-    @classmethod
-    def of(cls, dfg: DFG) -> "_OpIndex":
-        bits = [node.bits for node in dfg.nodes]
-        keys = [
-            _op_key(node.resource, width)
-            for node, width in zip(dfg.nodes, bits)
+    def __len__(self) -> int:
+        return len(self.keys)
+
+    def merged(
+        self, other: "_OpIndex", positions: List[Tuple[int, int]]
+    ) -> "_OpIndex":
+        """``other`` merged onto this unit by the matched ``(position,
+        position_in_other)`` pairs: these entries, each matched one widened
+        to its pair's max width (which keeps its key), then ``other``'s
+        unmatched entries, predecessors remapped onto the new positions."""
+        bits = list(self.bits)
+        where: Dict[int, int] = {}
+        for position, position_other in positions:
+            bits[position] = max(bits[position], other.bits[position_other])
+            where[position_other] = position
+        unmatched = [p for p in range(len(other)) if p not in where]
+        where.update((p, new) for new, p in enumerate(unmatched, len(self)))
+
+        def remapped(edges):
+            return [tuple(where[q] for q in edges[p]) for p in unmatched]
+
+        return _OpIndex(
+            self.keys + [other.keys[p] for p in unmatched],
+            bits + [other.bits[p] for p in unmatched],
+            self.preds + remapped(other.preds),
+            self.order_preds + remapped(other.order_preds),
+            self.origins + [other.origins[p] for p in unmatched],
+        )
+
+    def to_dfg(self) -> DFG:
+        """A fresh DFG of the unit, one node per entry in position order.
+        Each node is added to its data, then its order predecessors'
+        ``succs``, node by node, as :meth:`DFG.replicate` wires them."""
+        nodes = [
+            DFGNode(inst, copy, width)
+            for (inst, copy), width in zip(self.origins, self.bits)
         ]
-        return cls(keys, bits)
+        for node, preds, order_preds in zip(
+            nodes, self.preds, self.order_preds
+        ):
+            node.preds = [nodes[p] for p in preds]
+            node.order_preds = [nodes[p] for p in order_preds]
+            for pred in node.preds + node.order_preds:
+                pred.succs.append(node)
+        return DFG(nodes)
+
+    def fu_area(self, techlib: TechLibrary) -> float:
+        """Raw functional-unit area of the unit (no sharing)."""
+        total = 0.0
+        for key, width in zip(self.keys, self.bits):
+            total += techlib.area(key[0], width)
+        return total
 
     def tops(self, techlib: TechLibrary) -> Dict[Tuple[str, int], List[float]]:
         """Per op key, entry ``k - 1`` is the summed FU area of the key's
         ``k`` largest nodes."""
         if self._tops is None or self._tops[0] is not techlib:
-            widths: Dict[Tuple[str, int], List[int]] = {}
-            for key, width in zip(self.keys, self.bits):
-                widths.setdefault(key, []).append(width)
             tops: Dict[Tuple[str, int], List[float]] = {}
-            for key, values in widths.items():
+            for key, positions in self.by_key.items():
                 # Area is nondecreasing in width: widest first is largest
                 # first, and equal widths repeat one area lookup.
-                values.sort(reverse=True)
+                values = sorted(
+                    (self.bits[p] for p in positions), reverse=True)
                 resource = key[0]
                 prefix = tops[key] = []
                 total = 0.0
@@ -114,39 +169,25 @@ class _OpIndex:
         return self._tops[1]
 
 
-#: A DFG's nodes never change once it is built, so its index is computed
-#: on its first match (or derived when the DFG is a merge) and reused by
-#: every later one.
+#: A DFG's nodes never change once it is built, so its positional form is
+#: built once and shared by every unit built on it.
 _INDEXES: "WeakKeyDictionary[DFG, _OpIndex]" = WeakKeyDictionary()
 
 
-def _op_index(dfg: DFG) -> _OpIndex:
+def op_index(dfg: DFG) -> _OpIndex:
+    """``dfg``'s positional form; the same object on every call."""
     index = _INDEXES.get(dfg)
     if index is None:
-        index = _INDEXES[dfg] = _OpIndex.of(dfg)
+        nodes = dfg.nodes
+        position = {node: i for i, node in enumerate(nodes)}
+        index = _INDEXES[dfg] = _OpIndex(
+            [_op_key(node.resource, node.bits) for node in nodes],
+            [node.bits for node in nodes],
+            [tuple(position[p] for p in node.preds) for node in nodes],
+            [tuple(position[p] for p in node.order_preds) for node in nodes],
+            [(node.inst, node.copy) for node in nodes],
+        )
     return index
-
-
-def index_merged(
-    merged: DFG, unit_a: DFG, unit_b: DFG, match: "MatchResult"
-) -> None:
-    """Record ``merged``'s index, derived from its parents' indexes.
-
-    ``merged`` holds A's nodes, each matched one widened to the pair's max
-    width, then B's unmatched nodes, in order. A matched pair shares its
-    op key, and widening keeps a width class, so only widths change."""
-    index_a, index_b = _op_index(unit_a), _op_index(unit_b)
-    bits = list(index_a.bits)
-    matched_b = set()
-    for position_a, position_b in match.positions:
-        bits[position_a] = max(bits[position_a], index_b.bits[position_b])
-        matched_b.add(position_b)
-    keys = list(index_a.keys)
-    for position_b, key in enumerate(index_b.keys):
-        if position_b not in matched_b:
-            keys.append(key)
-            bits.append(index_b.bits[position_b])
-    _INDEXES[merged] = _OpIndex(keys, bits)
 
 
 #: Relative slack on :func:`saving_bound`. Matching sums a few thousand
@@ -155,9 +196,9 @@ BOUND_SLACK = 1e-9
 
 
 def saving_bound(
-    unit_a: DFG, unit_b: DFG, techlib: TechLibrary
+    index_a: _OpIndex, index_b: _OpIndex, techlib: TechLibrary
 ) -> Tuple[float, int]:
-    """An upper bound on ``match_units(unit_a, unit_b).net_saving``, and
+    """An upper bound on ``match_units(index_a, index_b).net_saving``, and
     the most pairs that match can hold.
 
     A pair shares one op key and saves ``area(resource, min(bits))``,
@@ -165,7 +206,7 @@ def saving_bound(
     min(count_a, count_b)`` nodes saves at most the smaller of each side's
     ``k`` largest FU areas. Mux, glue and config bits only subtract. The
     slack keeps the bound above the exact saving under float rounding."""
-    tops_a, tops_b = _op_index(unit_a).tops(techlib), _op_index(unit_b).tops(techlib)
+    tops_a, tops_b = index_a.tops(techlib), index_b.tops(techlib)
     if len(tops_b) < len(tops_a):
         tops_a, tops_b = tops_b, tops_a
     bound = spread = 0.0
@@ -188,12 +229,10 @@ def op_keys(dfg: DFG) -> Set[Tuple[str, int]]:
 
 
 def match_units(
-    unit_a: DFG, unit_b: DFG, techlib: TechLibrary
+    index_a: _OpIndex, index_b: _OpIndex, techlib: TechLibrary
 ) -> MatchResult:
-    """Greedy producer-aware matching of ``unit_b``'s ops onto ``unit_a``."""
+    """Greedy producer-aware matching of unit B's ops onto unit A's."""
     result = MatchResult()
-    index_a, index_b = _op_index(unit_a), _op_index(unit_b)
-    nodes_a, nodes_b = unit_a.nodes, unit_b.nodes
     # Only B ops whose key A also has can match. ``left`` counts the A ops
     # of each key still unmatched; a key with none left matches no more.
     left = {
@@ -205,9 +244,10 @@ def match_units(
         position for key in left for position in index_b.by_key[key]
     )
 
-    matched_a: Set[DFGNode] = set()
-    matched_b: Dict[DFGNode, DFGNode] = {}
-    #: ``(resource, bits_a, bits_b)`` per entry of ``result.pairs``.
+    matched_a: Set[int] = set()
+    #: B position -> the A position it is matched to.
+    matched_b: Dict[int, int] = {}
+    #: ``(resource, bits_a, bits_b)`` per entry of ``result.positions``.
     widths: List[Tuple[str, int, int]] = []
 
     # Single pass in program order: producers precede consumers, so matched
@@ -216,12 +256,11 @@ def match_units(
         key = index_b.keys[position_b]
         if not left[key]:
             continue
-        node_b = nodes_b[position_b]
         bits_b = index_b.bits[position_b]
         # Operand slots whose producer is already matched, with its partner.
         wanted = [
             (slot, matched_b[pred])
-            for slot, pred in enumerate(node_b.preds)
+            for slot, pred in enumerate(index_b.preds[position_b])
             if pred in matched_b
         ]
         # No candidate can beat a perfect score, and a later one that only
@@ -230,35 +269,32 @@ def match_units(
         best = None
         best_score = None
         for position_a in index_a.by_key[key]:
-            node_a = nodes_a[position_a]
-            if node_a in matched_a:
+            if position_a in matched_a:
                 continue
             bits_a = index_a.bits[position_a]
             # Prefer already-matched producers, then the closest width (a
             # wider partner wastes shared-unit bits, a narrower one buys
             # less) — deterministic because program order breaks ties.
-            preds_a = node_a.preds
+            preds_a = index_a.preds[position_a]
             bonus = 0
             for slot, partner in wanted:
-                if slot < len(preds_a) and preds_a[slot] is partner:
+                if slot < len(preds_a) and preds_a[slot] == partner:
                     bonus += 1
             score = (bonus, -abs(bits_a - bits_b))
             if best_score is None or score > best_score:
-                best, best_score, best_bits = node_a, score, bits_a
-                best_position = position_a
+                best, best_score, best_bits = position_a, score, bits_a
                 if score == perfect:
                     break
         if best is None:
             continue
         left[key] -= 1
         matched_a.add(best)
-        matched_b[node_b] = best
-        result.pairs.append((best, node_b))
-        result.positions.append((best_position, position_b))
+        matched_b[position_b] = best
+        result.positions.append((best, position_b))
         widths.append((key[0], best_bits, bits_b))
 
-    for (node_a, node_b), (resource, bits_a, bits_b) in zip(
-        result.pairs, widths
+    for (position_a, position_b), (resource, bits_a, bits_b) in zip(
+        result.positions, widths
     ):
         shared_bits = max(bits_a, bits_b)
         # Sharing keeps one instance at the max width: the saving is the
@@ -282,20 +318,13 @@ def match_units(
                     - techlib.area(resource, shared_bits)
                 )
         # One mux per operand position whose producers differ.
-        arity = max(len(node_a.preds), len(node_b.preds))
-        for slot in range(arity):
-            prod_a = node_a.preds[slot] if slot < len(node_a.preds) else None
-            prod_b = node_b.preds[slot] if slot < len(node_b.preds) else None
-            if prod_b is not None and matched_b.get(prod_b) is prod_a and prod_a is not None:
+        preds_a, preds_b = index_a.preds[position_a], index_b.preds[position_b]
+        for slot in range(max(len(preds_a), len(preds_b))):
+            if (
+                slot < len(preds_a) and slot < len(preds_b)
+                and matched_b.get(preds_b[slot]) == preds_a[slot]
+            ):
                 continue  # shared wire, no mux
             result.mux_area += techlib.mux_area(shared_bits, 2)
             result.config_bits += 1
     return result
-
-
-def unit_fu_area(unit: DFG, techlib: TechLibrary) -> float:
-    """Raw functional-unit area of one datapath unit (no sharing)."""
-    total = 0.0
-    for node in unit.nodes:
-        total += techlib.area(node.resource, node.bits)
-    return total

@@ -115,8 +115,8 @@ def scan_merge(merger, solution):
             for j in range(i + 1, len(pool)):
                 saving, match = estimate_pair_saving(
                     pool[i], pool[j], DEFAULT_TECHLIB)
-                smaller = min(len(pool[i].dfg.nodes), len(pool[j].dfg.nodes))
-                if len(match.pairs) / max(1, smaller) < \
+                smaller = min(len(pool[i].index), len(pool[j].index))
+                if len(match.positions) / max(1, smaller) < \
                         merger.min_match_fraction:
                     saving = 0.0
                 if saving > best_saving:

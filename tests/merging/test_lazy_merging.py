@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from repro.baselines import Novia, QsCores
 from repro.framework import Cayman
 from repro.hls import DEFAULT_TECHLIB
-from repro.merging import AcceleratorMerger, match_units
+from repro.merging import AcceleratorMerger, match_units, op_index
 from repro.merging.opmatch import saving_bound
 from repro.telemetry import Telemetry, use
 from repro.workloads.registry import get_workload, workload_names
@@ -40,9 +40,10 @@ def test_bound_admits_every_exact_match_on_the_front(name, monkeypatch):
 
     def checked_saving(merger, unit_a, unit_b):
         saving, match = exact(merger, unit_a, unit_b)
-        bound, pairs = saving_bound(unit_a.dfg, unit_b.dfg, merger.techlib)
+        bound, pairs = saving_bound(
+            unit_a.index, unit_b.index, merger.techlib)
         assert match.net_saving <= bound, (unit_a.name, unit_b.name)
-        assert len(match.pairs) <= pairs
+        assert len(match.positions) <= pairs
         assert saving <= merger._pair_bound(unit_a, unit_b)
         checked.append(saving)
         return saving, match
@@ -56,11 +57,12 @@ def test_bound_admits_every_exact_match_on_the_front(name, monkeypatch):
 @given(narrowed_unit(), narrowed_unit())
 @settings(max_examples=80, deadline=None)
 def test_bound_admits_random_pairs(dfg_a, dfg_b):
-    match = match_units(dfg_a, dfg_b, DEFAULT_TECHLIB)
-    bound, pairs = saving_bound(dfg_a, dfg_b, DEFAULT_TECHLIB)
+    index_a, index_b = op_index(dfg_a), op_index(dfg_b)
+    match = match_units(index_a, index_b, DEFAULT_TECHLIB)
+    bound, pairs = saving_bound(index_a, index_b, DEFAULT_TECHLIB)
     assert match.net_saving <= bound
     assert match.shared_area <= bound
-    assert len(match.pairs) <= pairs
+    assert len(match.positions) <= pairs
 
 
 def _merged(merger_type, front, **options):

@@ -10,7 +10,7 @@ from repro.merging import (
     estimate_pair_saving,
     match_units,
     merge_pair,
-    unit_fu_area,
+    op_index,
 )
 
 
@@ -48,15 +48,24 @@ def narrowed_unit(draw):
     return dfg
 
 
+def match_dfgs(dfg_a, dfg_b):
+    return match_units(op_index(dfg_a), op_index(dfg_b), DEFAULT_TECHLIB)
+
+
+def fu_area(dfg):
+    return op_index(dfg).fu_area(DEFAULT_TECHLIB)
+
+
 @given(random_unit(), random_unit())
 @settings(max_examples=60, deadline=None)
 def test_match_never_pairs_across_resources(dfg_a, dfg_b):
-    match = match_units(dfg_a, dfg_b, DEFAULT_TECHLIB)
-    for node_a, node_b in match.pairs:
+    match = match_dfgs(dfg_a, dfg_b)
+    pairs = [(dfg_a.nodes[i], dfg_b.nodes[j]) for i, j in match.positions]
+    for node_a, node_b in pairs:
         assert node_a.resource == node_b.resource
     # Matched sets are injective on both sides.
-    lefts = [a for a, _ in match.pairs]
-    rights = [b for _, b in match.pairs]
+    lefts = [a for a, _ in pairs]
+    rights = [b for _, b in pairs]
     assert len(lefts) == len(set(map(id, lefts)))
     assert len(rights) == len(set(map(id, rights)))
 
@@ -64,10 +73,8 @@ def test_match_never_pairs_across_resources(dfg_a, dfg_b):
 @given(random_unit(), random_unit())
 @settings(max_examples=60, deadline=None)
 def test_shared_area_bounded_by_smaller_unit(dfg_a, dfg_b):
-    match = match_units(dfg_a, dfg_b, DEFAULT_TECHLIB)
-    bound = min(
-        unit_fu_area(dfg_a, DEFAULT_TECHLIB), unit_fu_area(dfg_b, DEFAULT_TECHLIB)
-    )
+    match = match_dfgs(dfg_a, dfg_b)
+    bound = min(fu_area(dfg_a), fu_area(dfg_b))
     assert match.shared_area <= bound + 1e-9
 
 
@@ -84,7 +91,7 @@ def test_merge_conserves_area_accounting(dfg_a, dfg_b):
         total_before - saving
     )
     assert len(merged.dfg.nodes) == (
-        len(dfg_a.nodes) + len(dfg_b.nodes) - len(match.pairs)
+        len(dfg_a.nodes) + len(dfg_b.nodes) - len(match.positions)
     )
 
 
@@ -95,14 +102,14 @@ def test_self_merge_is_full_overlap(dfg):
     import copy
 
     clone = dfg.replicate(1)
-    match = match_units(dfg, clone, DEFAULT_TECHLIB)
-    assert len(match.pairs) == len(dfg.nodes)
-    assert match.shared_area == pytest.approx(unit_fu_area(dfg, DEFAULT_TECHLIB))
+    match = match_dfgs(dfg, clone)
+    assert len(match.positions) == len(dfg.nodes)
+    assert match.shared_area == pytest.approx(fu_area(dfg))
 
 
 def _match_facts(match):
     return (
-        [(id(a), id(b)) for a, b in match.pairs],
+        match.positions,
         match.shared_area,
         match.mux_area,
         match.config_bits,
@@ -116,26 +123,29 @@ def _match_facts(match):
 def test_reused_op_index_gives_the_first_match(dfg_a, dfg_b, others):
     """A DFG's op-key index is built on its first match and reused; matching
     it against other units in either role never changes a later match."""
-    first = _match_facts(match_units(dfg_a, dfg_b, DEFAULT_TECHLIB))
+    first = _match_facts(match_dfgs(dfg_a, dfg_b))
     for other in others + [dfg_a, dfg_b]:
-        match_units(dfg_a, other, DEFAULT_TECHLIB)
-        match_units(other, dfg_a, DEFAULT_TECHLIB)
-        match_units(other, dfg_b, DEFAULT_TECHLIB)
-        match_units(dfg_b, other, DEFAULT_TECHLIB)
-    assert _match_facts(match_units(dfg_a, dfg_b, DEFAULT_TECHLIB)) == first
+        match_dfgs(dfg_a, other)
+        match_dfgs(other, dfg_a)
+        match_dfgs(other, dfg_b)
+        match_dfgs(dfg_b, other)
+    assert _match_facts(match_dfgs(dfg_a, dfg_b)) == first
 
 
 @given(narrowed_unit(), narrowed_unit())
 @settings(max_examples=60, deadline=None)
 def test_merged_index_is_derived_exactly(dfg_a, dfg_b):
-    """A merged DFG's op-key index, derived from its members' indexes,
-    equals the index rebuilt from its nodes."""
-    from repro.merging.opmatch import _OpIndex, _op_index
-
+    """A merged unit's positional form, derived from its members' forms,
+    equals the form rebuilt from the DFG it builds on first read,
+    predecessor positions and origins included."""
     a = MergedUnit("a", dfg_a, owner=0, member_names=["a"])
     b = MergedUnit("b", dfg_b, owner=1, member_names=["b"])
     merged = merge_pair(a, b, DEFAULT_TECHLIB)
-    derived, rebuilt = _op_index(merged.dfg), _OpIndex.of(merged.dfg)
-    assert derived is not rebuilt
-    assert (derived.keys, derived.bits, derived.by_key) == (
-        rebuilt.keys, rebuilt.bits, rebuilt.by_key)
+    assert "dfg" not in vars(merged)  # no nodes until the DFG is read
+    derived, rebuilt = merged.index, op_index(merged.dfg)
+    assert derived is not rebuilt and merged.dfg is merged.dfg
+    assert [getattr(derived, field) for field in _FIELDS] == [
+        getattr(rebuilt, field) for field in _FIELDS]
+
+
+_FIELDS = ("keys", "bits", "preds", "order_preds", "origins", "by_key")

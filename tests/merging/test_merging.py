@@ -12,7 +12,7 @@ from repro.merging import (
     match_units,
     merge_pair,
     merge_solution,
-    unit_fu_area,
+    op_index,
 )
 from repro.selection import Solution
 
@@ -21,6 +21,15 @@ def dfg_of(source, fname="f", block="entry"):
     module = compile_source(source, optimize=False)
     func = module.get_function(fname)
     return DFG.from_blocks([func.block_by_name(block)])
+
+
+def match_dfgs(dfg_a, dfg_b):
+    return match_units(op_index(dfg_a), op_index(dfg_b), DEFAULT_TECHLIB)
+
+
+def matched_resources(match, dfg_a):
+    """The resource class of every matched pair (both sides share it)."""
+    return {dfg_a.nodes[i].resource for i, _ in match.positions}
 
 
 LINEAR = "float x[8]; float y[8]; void f(int i, float k, float b) { y[i] = k * x[i] + b; }"
@@ -32,38 +41,36 @@ class TestOpMatch:
     def test_identical_units_match_fully(self):
         a = dfg_of(LINEAR)
         b = dfg_of(LINEAR)
-        match = match_units(a, b, DEFAULT_TECHLIB)
-        assert len(match.pairs) == min(len(a), len(b))
+        match = match_dfgs(a, b)
+        assert len(match.positions) == min(len(a), len(b))
         # Identical wiring: producers match, so no muxes at all.
         assert match.mux_area == 0
-        assert match.shared_area == pytest.approx(unit_fu_area(a, DEFAULT_TECHLIB))
+        assert match.shared_area == pytest.approx(
+            op_index(a).fu_area(DEFAULT_TECHLIB))
 
     def test_similar_units_share_common_ops(self):
         a = dfg_of(LINEAR)  # fmul + fadd (+ ld/st/gep)
         b = dfg_of(DOT)     # fmul + fadd (+ lds/st/geps)
-        match = match_units(a, b, DEFAULT_TECHLIB)
-        matched_resources = {na.resource for na, _ in match.pairs}
-        assert "fmul" in matched_resources and "fadd" in matched_resources
+        matched = matched_resources(match_dfgs(a, b), a)
+        assert "fmul" in matched and "fadd" in matched
 
     def test_disjoint_resources_no_match(self):
         a = dfg_of(LINEAR)
         b = dfg_of(INTS)
-        match = match_units(a, b, DEFAULT_TECHLIB)
-        matched = {na.resource for na, _ in match.pairs}
+        matched = matched_resources(match_dfgs(a, b), a)
         assert "fmul" not in matched and "fadd" not in matched
 
     def test_mux_cost_for_different_wiring(self):
         a = dfg_of("float g[4]; void f(float p, float q) { g[0] = p * q + p; }")
         b = dfg_of("float g[4]; void f(float p, float q) { g[0] = p * q + (p * q) * q; }")
-        match = match_units(a, b, DEFAULT_TECHLIB)
+        match = match_dfgs(a, b)
         assert match.mux_area > 0
         assert match.config_bits > 0
 
     def test_width_classes_not_mixed(self):
         a = dfg_of("double g[4]; void f(double p) { g[0] = p + p; }")
         b = dfg_of("float g[4]; void f(float p) { g[0] = p + p; }")
-        match = match_units(a, b, DEFAULT_TECHLIB)
-        matched = {na.resource for na, _ in match.pairs if na.resource == "fadd"}
+        matched = matched_resources(match_dfgs(a, b), a) & {"fadd"}
         assert not matched  # f64 adder cannot absorb f32 adder
 
 
@@ -74,7 +81,7 @@ class TestMergePair:
         saving, match = estimate_pair_saving(a, b, DEFAULT_TECHLIB)
         merged = merge_pair(a, b, DEFAULT_TECHLIB, match)
         assert len(merged.dfg.nodes) == (
-            len(a.dfg.nodes) + len(b.dfg.nodes) - len(match.pairs)
+            len(a.dfg.nodes) + len(b.dfg.nodes) - len(match.positions)
         )
         assert merged.member_names == ["a", "b"]
 
@@ -94,7 +101,7 @@ class TestMergePair:
         a = MergedUnit("a", dfg_of(LINEAR), owner=0, member_names=["a"])
         b = MergedUnit("b", dfg_of(LINEAR), owner=1, member_names=["b"])
         saving, _ = estimate_pair_saving(a, b, DEFAULT_TECHLIB)
-        assert saving == pytest.approx(unit_fu_area(a.dfg, DEFAULT_TECHLIB))
+        assert saving == pytest.approx(a.index.fu_area(DEFAULT_TECHLIB))
 
 
 def cayman_solution(source, budget_ratio=2.0):

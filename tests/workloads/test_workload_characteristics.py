@@ -114,7 +114,7 @@ class TestCjpegStructure:
     def test_dct_blocks_similar(self):
         """The two matmul-like DCT passes should merge almost perfectly."""
         from repro.hls import DEFAULT_TECHLIB, DFG
-        from repro.merging import match_units
+        from repro.merging import match_units, op_index
 
         module = analyses_for("cjpeg")
         func = module.get_function("dct_block")
@@ -122,8 +122,8 @@ class TestCjpegStructure:
         loops = {l.name: l for l in apa.loop_info.loops}
         a = DFG.from_blocks(sorted(loops["rowdot"].blocks, key=lambda b: b.name))
         b = DFG.from_blocks(sorted(loops["coldot"].blocks, key=lambda b: b.name))
-        match = match_units(a, b, DEFAULT_TECHLIB)
-        assert len(match.pairs) >= 0.8 * min(len(a), len(b))
+        match = match_units(op_index(a), op_index(b), DEFAULT_TECHLIB)
+        assert len(match.positions) >= 0.8 * min(len(a), len(b))
 
 
 class TestNwBranches:
