@@ -37,17 +37,6 @@ class CallGraph:
             stack.extend(self.callees.get(callee, ()))
         return False
 
-    def transitive_callees(self, func: Function) -> Set[Function]:
-        seen: Set[Function] = set()
-        stack = list(self.callees.get(func, ()))
-        while stack:
-            callee = stack.pop()
-            if callee in seen:
-                continue
-            seen.add(callee)
-            stack.extend(self.callees.get(callee, ()))
-        return seen
-
     def topological_order(self) -> List[Function]:
         """Callees-first order; recursion cycles broken arbitrarily."""
         order: List[Function] = []

@@ -189,12 +189,6 @@ class DependenceVector:
                 return entry
         return None
 
-    def carried_distance(self, loop: Loop) -> Optional[int]:
-        """Proven minimal carried distance at ``loop`` (None when the level
-        cannot carry the dependence or is not part of this vector)."""
-        entry = self.level_for(loop)
-        return entry.distance if entry is not None else None
-
     @property
     def exact(self) -> bool:
         return all(entry.exact for entry in self.entries)

@@ -170,25 +170,6 @@ class DominatorTree:
     def contains(self, block: BasicBlock) -> bool:
         return block in self.idom
 
-    def dominance_frontier(self) -> Dict[BasicBlock, set]:
-        """Classic dominance frontiers (used by tests and optional passes)."""
-        frontier: Dict[BasicBlock, set] = {b: set() for b in self.idom}
-        preds_of = (
-            predecessor_map(self.func)
-            if self.direction == "dom"
-            else {b: b.successors for b in self.func.blocks}
-        )
-        for block in self.idom:
-            preds = [p for p in preds_of.get(block, []) if p in self.idom]
-            if len(preds) < 2:
-                continue
-            for pred in preds:
-                runner: Optional[BasicBlock] = pred
-                while runner is not None and runner is not self.idom.get(block):
-                    frontier[runner].add(block)
-                    runner = self.idom.get(runner)
-        return frontier
-
 
 def dominator_tree(func: Function) -> DominatorTree:
     """Forward dominator tree of ``func``."""

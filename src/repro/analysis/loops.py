@@ -41,9 +41,6 @@ class Loop:
     def is_innermost(self) -> bool:
         return not self.children
 
-    def contains_block(self, block: BasicBlock) -> bool:
-        return block in self.blocks
-
     def contains_loop(self, other: "Loop") -> bool:
         node: Optional[Loop] = other
         while node is not None:
@@ -210,7 +207,3 @@ class LoopInfo:
 
     def innermost_loop(self, block: BasicBlock) -> Optional[Loop]:
         return self._innermost.get(block)
-
-    def loop_depth(self, block: BasicBlock) -> int:
-        loop = self.innermost_loop(block)
-        return loop.depth if loop is not None else 0

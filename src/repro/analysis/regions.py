@@ -69,9 +69,6 @@ class Region:
             return False
         return other.blocks <= self.blocks and other.blocks != self.blocks
 
-    def contains_block(self, block: BasicBlock) -> bool:
-        return block in self.blocks
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Region {self.name} kind={self.kind} size={self.size}>"
 

@@ -232,6 +232,3 @@ class PointsToAnalysis:
         if any(s.is_external for s in sa) and any(s.is_external for s in sb):
             return True
         return False
-
-    def must_not_alias(self, a: Value, b: Value) -> bool:
-        return not self.may_alias(a, b)

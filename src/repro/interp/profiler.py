@@ -17,7 +17,6 @@ from typing import Callable, Dict, List, Optional
 from ..ir import BasicBlock, Function, Module
 from ..analysis.loops import Loop
 from ..analysis.regions import Region
-from ..analysis.wpst import WPST, WPSTNode
 from .cpu_model import CPU_FREQ_HZ
 from .interpreter import Interpreter, ProfileCounters
 
@@ -63,11 +62,6 @@ class RegionProfile:
         """CPU cycles spent executing the region (callee-inclusive)."""
         return sum(self.block_cycles(block) for block in region.blocks)
 
-    def region_instruction_count(self, region: Region) -> int:
-        """Instructions executed inside the region (block executions times
-        block size, not block-entry counts)."""
-        return sum(self.block_instructions(block) for block in region.blocks)
-
     def region_seconds(self, region: Region) -> float:
         return self.region_cycles(region) / CPU_FREQ_HZ
 
@@ -112,15 +106,6 @@ class RegionProfile:
     @property
     def total_seconds(self) -> float:
         return self.total_cycles / CPU_FREQ_HZ
-
-    def hot_regions(self, wpst: WPST, threshold: float = 0.001) -> List[WPSTNode]:
-        """Region vertices whose time share exceeds ``threshold``."""
-        result = []
-        for node in wpst.region_vertices():
-            if node.region is not None:
-                if self.region_time_share(node.region) >= threshold:
-                    result.append(node)
-        return result
 
 
 def profile_module(

@@ -93,9 +93,6 @@ class IRBuilder:
     def and_(self, lhs: Value, rhs: Value, name: str = "") -> BinaryOp:
         return self._binop("and", lhs, rhs, name)
 
-    def or_(self, lhs: Value, rhs: Value, name: str = "") -> BinaryOp:
-        return self._binop("or", lhs, rhs, name)
-
     def xor(self, lhs: Value, rhs: Value, name: str = "") -> BinaryOp:
         return self._binop("xor", lhs, rhs, name)
 

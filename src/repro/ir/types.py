@@ -145,14 +145,6 @@ class ArrayType(Type):
             return self.count * self.element.flattened_count
         return self.count
 
-    @property
-    def scalar_element(self) -> Type:
-        """The innermost non-array element type."""
-        ty: Type = self
-        while isinstance(ty, ArrayType):
-            ty = ty.element
-        return ty
-
 
 class FunctionType(Type):
     """Type of a function: return type plus parameter types."""

@@ -45,12 +45,6 @@ class TestCallGraph:
         assert cg.is_recursive(module.get_function("even"))
         assert cg.is_recursive(module.get_function("odd"))
 
-    def test_transitive_callees(self, callgraph):
-        cg, module = callgraph
-        main = module.get_function("main")
-        names = {f.name for f in cg.transitive_callees(main)}
-        assert names == {"middle", "leaf", "recursive", "even", "odd"}
-
     def test_topological_order_callees_first(self, callgraph):
         cg, module = callgraph
         order = cg.topological_order()

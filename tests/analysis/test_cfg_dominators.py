@@ -128,14 +128,6 @@ class TestDominators:
         assert dom.depth(header) == 1
         assert header in dom.children(entry)
 
-    def test_dominance_frontier_diamond(self):
-        func = build_diamond()
-        dom = dominator_tree(func)
-        frontier = dom.dominance_frontier()
-        merge = func.block_by_name("merge")
-        assert frontier[func.block_by_name("left")] == {merge}
-        assert frontier[func.block_by_name("right")] == {merge}
-
 
 # -- Property test: CHK dominators vs brute force on random CFGs ----------------
 

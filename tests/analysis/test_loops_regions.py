@@ -73,7 +73,6 @@ class TestLoopInfo:
         inner = next(l for l in info.loops if l.name == "inner")
         body = func.block_by_name("inner.body")
         assert info.innermost_loop(body) is inner
-        assert info.loop_depth(body) == 2
 
     def test_while_loop_detected(self):
         module = compile_source(

@@ -81,13 +81,6 @@ class TestRegionAggregation:
         func0 = fig2_module.get_function("func0")
         assert fig2_profile.function_entries(func0) == 4
 
-    def test_hot_regions_filtering(self, fig2_module, fig2_profile):
-        wpst = WPST(fig2_module)
-        hot = fig2_profile.hot_regions(wpst, threshold=0.05)
-        assert hot
-        for node in hot:
-            assert fig2_profile.region_time_share(node.region) >= 0.05
-
 
 class TestInstructionCounts:
     def test_block_instructions_scale_with_block_size(self):
@@ -108,21 +101,6 @@ class TestInstructionCounts:
         # block-entry counts.
         assert profile.block_instructions(body) == 10 * body_size
         assert profile.block_instructions(body) > profile.block_count(body)
-
-    def test_region_instruction_count_counts_instructions(self, fig2_module,
-                                                          fig2_profile):
-        from repro.ir import Phi
-
-        wpst = WPST(fig2_module)
-        for node in wpst.region_vertices():
-            region = node.region
-            expected = sum(
-                fig2_profile.block_count(block)
-                * sum(1 for inst in block.instructions
-                      if not isinstance(inst, Phi))
-                for block in region.blocks
-            )
-            assert fig2_profile.region_instruction_count(region) == expected
 
     def test_region_totals_match_interpreter_total(self, fig2_module):
         profile = profile_module(fig2_module)

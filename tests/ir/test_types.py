@@ -79,10 +79,6 @@ class TestArrays:
         ty = ArrayType(ArrayType(ArrayType(I32, 2), 3), 4)
         assert ty.flattened_count == 24
 
-    def test_scalar_element(self):
-        ty = ArrayType(ArrayType(F64, 4), 3)
-        assert ty.scalar_element == F64
-
 
 class TestSizeof:
     @pytest.mark.parametrize("ty,size", [
