@@ -21,11 +21,9 @@ from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from ..ir import (
     Alloca,
-    Argument,
     Call,
     Function,
     GetElementPtr,
-    GlobalVariable,
     Load,
     Module,
     Phi,

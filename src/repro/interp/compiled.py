@@ -29,13 +29,16 @@ counter updates happen per block instead of per instruction, so a run that
 faults mid-block may report slightly different counter values than the
 reference (never a different result or a missed error).
 
-Subclass instrumentation still fires: ``Interpreter._compile_result_hook``
-and ``_compile_access_hook`` let ``NarrowingInterpreter`` and
-``SanitizingInterpreter`` inject per-value callbacks that the generated
-code invokes at the exact program points where the reference engine's
-``_execute`` overrides would run.  ``_compile_block_hook`` adds a call at
-the entry of just the blocks that ask for one, and ``_compile_tally``
-counts per-execution events as one pre-summed constant per block.
+Subclass instrumentation is source, not callbacks:
+``Interpreter._compile_result``, ``_compile_access`` and ``_compile_edge``
+return lines that ``NarrowingInterpreter`` and ``SanitizingInterpreter``
+splice in after each result, before each Load/Store and on each jump (and
+at function entry), the program points where the reference engine's
+``_execute`` and ``_on_block_transition`` overrides run.  A plain
+``Interpreter`` returns none, so uninstrumented runs pay nothing.
+``_compile_tally`` counts per-execution events as one pre-summed constant
+per block.  Each function's source is compiled on its own, which bounds the
+compiler's transient memory by the largest function, not the module.
 """
 
 from __future__ import annotations
@@ -119,7 +122,7 @@ class CompiledProgram:
         self._ic = [0]
         self._ac = [0, 0]
         self._mx = [0, 0]
-        self._nbind = 0
+        self._bound: Dict[int, str] = {}
         memory = interp.memory
         self.ns: Dict = {
             "InterpreterError": InterpreterError,
@@ -158,23 +161,29 @@ class CompiledProgram:
         defined = list(interp.module.defined_functions())
         for fi, func in enumerate(defined):
             self._func_index[func] = fi
-        lines: List[str] = []
-        for fi, func in enumerate(defined):
-            _FunctionCompiler(self, fi, func).emit(lines)
-        source = "\n".join(lines)
         name = getattr(interp.module, "name", "module")
-        code = compile(source, f"<repro-compiled:{name}:elide={elide}>", "exec")
-        exec(code, self.ns)
+        chunks: List[str] = []
+        for fi, func in enumerate(defined):
+            lines: List[str] = []
+            _FunctionCompiler(self, fi, func).emit(lines)
+            chunks.append("\n".join(lines))
+            code = compile(
+                chunks[-1], f"<repro-compiled:{name}:elide={elide}>", "exec"
+            )
+            exec(code, self.ns)
         self._invokers = {func: self.ns[f"_f{fi}"] for func, fi in self._func_index.items()}
-        self.source = source  # kept for debugging / docs examples
+        self.source = "\n".join(chunks)  # kept for debugging / docs examples
 
     # Namespace plumbing -------------------------------------------------------
 
     def bind(self, obj, prefix: str) -> str:
-        """Bind a Python object into the generated code's namespace."""
-        self._nbind += 1
-        name = f"{prefix}{self._nbind}"
-        self.ns[name] = obj
+        """Bind a Python object into the generated code's namespace; an
+        object bound again keeps its first name."""
+        name = self._bound.get(id(obj))
+        if name is None:
+            name = f"{prefix}{len(self._bound) + 1}"
+            self._bound[id(obj)] = name
+            self.ns[name] = obj
         return name
 
     # Execution ----------------------------------------------------------------
@@ -251,17 +260,6 @@ class _FunctionCompiler:
                 self.slot[inst] = len(self.slot)
         self.block_index = {block: bi for bi, block in enumerate(func.blocks)}
         self.edges: List[Tuple] = []
-        #: block → bound name of its entry hook, for blocks that have one;
-        #: every jump into such a block records its source in ``X[1]``.
-        self.block_hooks: Dict = {}
-        for block in func.blocks:
-            hook = self.interp._compile_block_hook(func, block)
-            if hook is not None:
-                self.block_hooks[block] = program.bind(hook, "BH")
-        if self.block_hooks:
-            self.blk = {
-                block: program.bind(block, "BLK") for block in func.blocks
-            }
         if self.profile:
             nblocks = len(func.blocks)
             ns = program.ns
@@ -320,9 +318,11 @@ class _FunctionCompiler:
         lines.append(f"    S = [0] * {len(self.slot)}")
         for i in range(len(func.arguments)):
             lines.append(f"    S[{i}] = _a{i}")
-        lines.append("    X = [None, None]")
+        lines.append("    X = [None]")
         if self.profile:
             lines.append(f"    PF{fi}[0] += 1")
+        entry_edge = self.interp._compile_edge(None, func.entry, self.program.bind)
+        lines.extend("    " + line for line in entry_edge)
         entry_bi = self.block_index[func.entry]
         lines.append(f"    fn = _f{fi}_b{entry_bi}")
         lines.append("    while fn is not None:")
@@ -346,8 +346,6 @@ class _FunctionCompiler:
             instruction_cycles(resource_class(inst)) for inst in tail
         )
 
-        if block in self.block_hooks:
-            body.append(f"{self.block_hooks[block]}(X[1])")
         if self.profile:
             body.append(f"PB{fi}[{bi}] += 1")
             if n_insts:
@@ -438,7 +436,7 @@ class _FunctionCompiler:
         self, body: List[str], bi: int, block, target, has_call: bool
     ) -> None:
         """Jump to ``target``: edge-specific phi copies, profile epilogue,
-        block-hook bookkeeping, then return the target's block function."""
+        edge instrumentation, then return the target's block function."""
         phis = []
         for inst in target.instructions:
             if not isinstance(inst, Phi):
@@ -463,8 +461,7 @@ class _FunctionCompiler:
         if self.profile:
             ei = self.edge_index(block, target)
             body.append(f"PE{self.fi}[{ei}] += 1")
-        if target in self.block_hooks:
-            body.append(f"X[1] = {self.blk[block]}")
+        body.extend(self.interp._compile_edge(block, target, self.program.bind))
         body.append(f"return _f{self.fi}_b{self.block_index[target]}")
 
     # Per-instruction code ------------------------------------------------------
@@ -476,7 +473,7 @@ class _FunctionCompiler:
             self._emit_load(body, inst)
         elif isinstance(inst, Store):
             self._emit_store(body, inst)
-            return  # void: no result hook
+            return  # void: no result to instrument
         elif isinstance(inst, GetElementPtr):
             self._emit_gep(body, inst)
         elif isinstance(inst, ICmp):
@@ -504,18 +501,12 @@ class _FunctionCompiler:
                 f"raise InterpreterError({f'cannot execute {inst.opcode}'!r})"
             )
             return
-        self._emit_result_hook(body, inst)
-
-    def _emit_result_hook(self, body: List[str], inst) -> None:
         dst = self.dst(inst)
-        if dst is None:
-            return
-        hook = self.interp._compile_result_hook(inst)
-        if hook is None:
-            return
-        name = self.program.bind(hook, "H")
-        operands = "".join(f", {self.expr(op)}" for op in inst.operands)
-        body.append(f"{dst} = {name}({dst}{operands})")
+        if dst is not None:
+            operands = [self.expr(op) for op in inst.operands]
+            body.extend(self.interp._compile_result(
+                inst, dst, operands, self.program.bind
+            ))
 
     def _emit_binary(self, body: List[str], inst) -> None:
         op = inst.opcode
@@ -578,13 +569,11 @@ class _FunctionCompiler:
         body.append(f"{dst} = {_wrap_expr(f'{lhs} {pyop} {t}', bits)}")
 
     def _emit_access_prologue(self, body: List[str], inst, nbytes: int) -> str:
-        """Address temp + access hook + bounds check/elision accounting."""
+        """Address temp + access instrumentation + bounds check/elision
+        accounting."""
         t = self.temp()
         body.append(f"{t} = {self.expr(inst.pointer)}")
-        hook = self.interp._compile_access_hook(inst)
-        if hook is not None:
-            name = self.program.bind(hook, "AH")
-            body.append(f"{name}({t})")
+        body.extend(self.interp._compile_access(inst, t, self.program.bind))
         if self.elide and inst in self.interp._proven:
             body.append("AC[0] += 1")
         else:

@@ -119,7 +119,8 @@ class Interpreter:
         self._depth = 0
         self.elided_accesses = 0
         self.checked_accesses = 0
-        # Subclasses set this to receive _on_block_transition callbacks.
+        # Subclasses set this to receive _on_block_transition callbacks on
+        # the reference engine (the compiled engine emits _compile_edge).
         self._trace_blocks = False
         # Counter cells the compiled engine bumps per block (_compile_tally).
         self._tally: Optional[List[int]] = None
@@ -250,34 +251,29 @@ class Interpreter:
         finally:
             self._elide_enabled = saved
 
-    # Compile-time instrumentation hooks (compiled engine) --------------------
+    # Compile-time instrumentation (compiled engine) ---------------------------
     #
     # Subclasses that post-process results (NarrowingInterpreter) or observe
-    # accesses/values (SanitizingInterpreter) return callables here; the
-    # compiled engine folds them into the generated code at the exact program
-    # points where the reference engine's ``_execute`` override would fire.
+    # accesses/values (SanitizingInterpreter) return source lines here; the
+    # compiled engine splices them into the generated code at the exact
+    # program points where the reference engine's ``_execute`` override and
+    # ``_on_block_transition`` would fire.  ``bind(obj, prefix)`` binds a
+    # Python object into the generated code's namespace and returns its name.
 
-    def _compile_result_hook(self, inst: Instruction):
-        """Optional callable ``hook(result, *operand_values) -> result``
-        applied to ``inst``'s value right after it is computed."""
-        return None
+    def _compile_result(self, inst: Instruction, dst: str, operands, bind):
+        """Lines run right after ``inst``'s value is stored to ``dst``;
+        ``operands`` are the source expressions of its operands."""
+        return []
 
-    def _compile_access_hook(self, inst: Instruction):
-        """Optional callable ``hook(address)`` invoked with the computed
-        address before each Load/Store executes."""
-        return None
+    def _compile_access(self, inst: Instruction, addr: str, bind):
+        """Lines run before a Load/Store executes, with its address in the
+        local ``addr``."""
+        return []
 
-    def _compile_block_hook(self, func: Function, block):
-        """Optional callable ``hook(prev_block)`` invoked on each entry to
-        ``block`` (``prev_block`` is None at function entry).  The default
-        forwards to ``_on_block_transition`` when ``_trace_blocks`` is set."""
-        if not self._trace_blocks:
-            return None
-
-        def hook(prev_block):
-            self._on_block_transition(func, prev_block, block)
-
-        return hook
+    def _compile_edge(self, prev_block, block, bind):
+        """Lines run on each jump from ``prev_block`` to ``block``, and at
+        function entry with ``prev_block`` None."""
+        return []
 
     def _compile_tally(self, inst: Instruction) -> Tuple[int, ...]:
         """Per-execution increments ``inst`` adds to each ``_tally`` cell.

@@ -20,7 +20,8 @@ False) instead of faulting on vacuous claims.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from functools import partial
+from typing import Dict, List, Tuple
 
 from ..ir import Function, Instruction, Module
 from ..analysis.facts import ModuleFacts
@@ -112,11 +113,8 @@ class NarrowingInterpreter(Interpreter):
     def _execute(self, inst: Instruction, env: Dict):
         return self._apply_narrowing(inst, super()._execute(inst, env))
 
-    def _compile_result_hook(self, inst: Instruction):
+    def _compile_result(self, inst: Instruction, dst: str, operands, bind):
         if inst not in self._narrow:
-            return None
-
-        def hook(result, *values, _inst=inst):
-            return self._apply_narrowing(_inst, result)
-
-        return hook
+            return []
+        narrow = bind(partial(self._apply_narrowing, inst), "H")
+        return [f"{dst} = {narrow}({dst})"]

@@ -44,7 +44,7 @@ validation and records a note.
 
 from __future__ import annotations
 
-import math
+from functools import partial
 from itertools import combinations
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
@@ -218,7 +218,8 @@ class SanitizingInterpreter(Interpreter):
         self.violations: List[str] = []
         self.notes: List[str] = []
         self._seen: Set[Tuple] = set()
-        self._claims_active = True
+        #: one cell, read by the compiled engine's generated checks
+        self._claims_active = [True]
         self._trace_blocks = True
 
         # The claims are the module's shared facts, the same objects the
@@ -271,6 +272,8 @@ class SanitizingInterpreter(Interpreter):
         self._last_write: Dict[Loop, Dict[int, Tuple[Instruction, int]]] = {}
         self._last_read: Dict[Loop, Dict[int, Tuple[Instruction, int]]] = {}
         self._touched: Dict = {}  # base value → set of byte addresses
+        #: (base, access bytes) → access start addresses (compiled engine)
+        self._starts: Dict[Tuple, Set[int]] = {}
         #: byte address → sequence number of the last store touching it;
         #: maintained only while reuse claims exist (clobber detection)
         self._write_seq: Dict[int, int] = {}
@@ -286,8 +289,8 @@ class SanitizingInterpreter(Interpreter):
         # Compiled-engine plan: the checks every execution of an
         # instruction makes are counted per block into ``_tally`` (values,
         # known bits, accesses, bank indices) and settled after each
-        # top-level call; ``_tracks`` holds the loops some hook reads the
-        # iteration of; only bases in a disjointness claim record bytes.
+        # top-level call; ``_tracks`` holds the loops some check reads the
+        # iteration of; only bases in a disjointness claim record starts.
         self._tally = [0] * 4
         self._claimed_bases = {
             base for pair in self._disjoint_claims for base in pair
@@ -493,7 +496,7 @@ class SanitizingInterpreter(Interpreter):
         if self._depth:
             return super().call_function(func, args)
         if not self._entry_args_in_seeds(func, args):
-            self._claims_active = False
+            self._claims_active[0] = False
             self.notes.append(
                 f"entry @{func.name} invoked outside its seeded argument "
                 f"ranges; static claims are vacuous and were not validated"
@@ -507,7 +510,7 @@ class SanitizingInterpreter(Interpreter):
         """Move the compiled engine's per-block check counts into the
         stats; they count only while the claims are active."""
         tally = self._tally
-        if self._claims_active:
+        if self._claims_active[0]:
             self.values_checked += tally[0]
             self.bits_checked += tally[1]
             self.accesses_checked += tally[2]
@@ -563,7 +566,7 @@ class SanitizingInterpreter(Interpreter):
         produced value on the reference engine.  ``env`` maps each
         non-constant operand of ``inst`` to its runtime value."""
         if (
-            self._claims_active
+            self._claims_active[0]
             and result is not None
             and inst.type.is_int
         ):
@@ -642,7 +645,7 @@ class SanitizingInterpreter(Interpreter):
         )
 
     def _validate_access(self, inst, address: int) -> None:
-        if not self._claims_active:
+        if not self._claims_active[0]:
             return
         nbytes = _access_bytes(inst)
         self.accesses_checked += 1
@@ -851,11 +854,12 @@ class SanitizingInterpreter(Interpreter):
 
     # Compiled-engine instrumentation ------------------------------------------
     #
-    # Each hook is specialised when its instruction is compiled.  A check
-    # that cannot fail on the compiled engine gets no code, claim constants
-    # are bound into the closure, and the checks every execution makes are
-    # counted per block through ``_compile_tally``.  The results, counters
-    # and violations equal the reference engine's exactly.
+    # Each check is decided when its instruction is compiled and emitted as
+    # source with its claim constants inline.  A check that cannot fail on
+    # the compiled engine gets no code, only the rare paths (violations,
+    # reuse records, byte-keyed conflicts) stay calls, and the checks every
+    # execution makes are counted per block through ``_compile_tally``.  The
+    # results, counters and violations equal the reference engine's exactly.
 
     #: Instruction classes whose compiled code always wraps an int result
     #: into its type's range.  ``Select`` and ``Call`` can pass an unwrapped
@@ -879,70 +883,68 @@ class SanitizingInterpreter(Interpreter):
             if claim.base in self.global_addresses
         ]
 
-    def _compile_block_hook(self, func: Function, block):
+    def _compile_edge(self, prev_block, block, bind) -> List[str]:
+        """A jump into a tracked loop's header from its body counts an
+        iteration; every other entry, function entry included, is fresh."""
         track = self._tracks.get(self._header_loops.get(block))
         if track is None:
-            return None
-        body = track.loop.blocks
+            return []
+        if prev_block is not None and prev_block in track.loop.blocks:
+            return [f"{bind(track, 'TR')}.iteration += 1"]
+        return [f"{bind(track, 'TR')}.enter()"]
 
-        def hook(prev_block):
-            if prev_block is not None and prev_block in body:
-                track.iteration += 1
-            else:
-                track.enter()
-
-        return hook
-
-    def _compile_result_hook(self, inst: Instruction):
+    def _compile_result(self, inst: Instruction, dst: str, operands,
+                        bind) -> List[str]:
         if not inst.type.is_int:
-            return None
+            return []
+        checks = []
         expected = self._expected.get(inst)
-        if (
-            expected is not None
-            and isinstance(inst, self._WRAPPED)
+        if expected is not None and not (
+            isinstance(inst, self._WRAPPED)
             and Interval.of_type(inst.type.bits).subset_of(expected)
-        ):
-            expected = None  # the wrapped result always lies inside
+        ):  # a wrapped result covered by the interval always lies inside
+            tests = [f"{dst} < {expected.lo}"] if expected.lo is not None else []
+            if expected.hi is not None:
+                tests.append(f"{dst} > {expected.hi}")
+            if tests:
+                report = partial(self._interval_violation, inst,
+                                 expected=expected)
+                checks.append(f"if {' or '.join(tests)}: "
+                              f"{bind(report, 'IV')}({dst})")
         claimed = self._claimed_bits.get(inst)
-        if claimed is not None and not (claimed.zeros or claimed.ones):
-            claimed = None  # nothing claimed known
+        if claimed is not None and (claimed.zeros or claimed.ones):
+            tests = [f"{dst} & {claimed.zeros}"] if claimed.zeros else []
+            if claimed.ones:
+                tests.append(f"{dst} & {claimed.ones} != {claimed.ones}")
+            report = partial(self._known_bits_violation, inst, claimed=claimed)
+            checks.append(f"if {' or '.join(tests)}: "
+                          f"{bind(report, 'KB')}({dst})")
         narrowing = self._narrowing_operands(inst)
-        if expected is None and claimed is None and not narrowing:
-            return None
+        if narrowing:
+            check = partial(self._check_narrowed, inst, narrowing)
+            checks.append(f"{bind(check, 'DM')}({dst}, {', '.join(operands)})")
+        return self._guarded(checks, bind)
 
-        if expected is not None:
-            lo = -math.inf if expected.lo is None else expected.lo
-            hi = math.inf if expected.hi is None else expected.hi
-        if claimed is not None:
-            mask = (1 << claimed.bits) - 1
-            zeros, ones = claimed.zeros, claimed.ones
-        demand = self._demanded_mask.get(inst)
-        shadow_ops = [
-            (index, op) for index, op in enumerate(inst.operands)
-            if not isinstance(op, Constant)
-        ]
+    def _guarded(self, lines: List[str], bind) -> List[str]:
+        """``lines`` behind the claims-active guard; nothing if empty."""
+        if not lines:
+            return []
+        return [f"if {bind(self._claims_active, 'CA')}[0]:",
+                *("    " + line for line in lines)]
 
-        def hook(result, *values):
-            if not self._claims_active:
-                return result
-            if expected is not None and not lo <= result <= hi:
-                self._interval_violation(inst, result, expected)
-            if claimed is not None:
-                known = result & mask
-                if known & zeros or known & ones != ones:
-                    self._known_bits_violation(inst, result, claimed)
-            if narrowing:
-                narrowed = list(values)
-                for index, op_demand, bits in narrowing:
-                    narrowed[index] = demanded_truncate(
-                        values[index], op_demand, bits
-                    )
-                if tuple(narrowed) != values:
-                    shadow = {op: narrowed[index] for index, op in shadow_ops}
-                    self._reexecute_narrowed(inst, shadow, result, demand)
-            return result
-
-        return hook
+    def _check_narrowed(self, inst: Instruction, narrowing: Tuple, result,
+                        *values) -> None:
+        """Compiled demanded-bits check: re-execute ``inst`` only when a
+        demanded-bits truncation changes an operand's value."""
+        narrowed = list(values)
+        for index, op_demand, bits in narrowing:
+            narrowed[index] = demanded_truncate(values[index], op_demand, bits)
+        if tuple(narrowed) != values:
+            shadow = {op: narrowed[index]
+                      for index, op in enumerate(inst.operands)
+                      if not isinstance(op, Constant)}
+            self._reexecute_narrowed(inst, shadow, result,
+                                     self._demanded_mask[inst])
 
     def _narrowing_operands(self, inst: Instruction) -> Tuple:
         """``(index, demand, bits)`` of each operand whose demanded-bits
@@ -963,10 +965,13 @@ class SanitizingInterpreter(Interpreter):
                     narrowing.append((index, op_demand, op.type.bits))
         return tuple(narrowing)
 
-    def _compile_access_hook(self, inst: Instruction):
+    def _compile_access(self, inst: Instruction, addr: str,
+                        bind) -> List[str]:
+        """The checks of one access in the reference's order: bounds window,
+        disjointness start set, banking, reuse, then loop conflicts."""
         is_store = isinstance(inst, Store)
         nbytes = _access_bytes(inst)
-        first = last = root = None
+        lines: List[str] = []
         proof = self.bounds.proven.get(inst)
         if proof is not None and isinstance(proof.root, GlobalVariable):
             # The proven window, as its first and last valid start address.
@@ -974,98 +979,101 @@ class SanitizingInterpreter(Interpreter):
             first = root + proof.offset.lo
             last = root + min(proof.offset.hi + proof.access_size,
                               proof.root_size) - nbytes
+            report = bind(partial(self._bounds_violation, inst, proof), "BV")
+            lines.append(f"if not {first} <= {addr} <= {last}: "
+                         f"{report}({addr} - {root})")
         base = self._access_base.get(inst)
-        touched = None
         if base in self._claimed_bases:
-            touched = self._touched.setdefault(base, set())
-        banks = []
+            starts = self._starts.setdefault((base, nbytes), set())
+            lines.append(f"{bind(starts, 'ST')}.add({addr})")
+        iterations: Dict[_LoopTrack, str] = {}
+
+        def iteration(track):  # one read of each track's iteration
+            if track not in iterations:
+                iterations[track] = f"{addr}i{len(iterations)}"
+                lines.append(f"{iterations[track]} = "
+                             f"{bind(track, 'TR')}.iteration")
+            return iterations[track]
+
         for claim in self._checkable_bank_claims(inst):
             track = self._tracks[claim.loop]
             slot = [None, {}]
             track.bank_slots.append(slot)
-            cyclic = claim.kind == "cyclic"
-            banks.append((
-                claim, track, slot, claim.factor,
-                self.global_addresses[claim.base],
-                claim.word if cyclic else claim.block_bytes,
-                claim.banks if cyclic else 0,
-            ))
-        record_write = is_store and self._track_reuse_writes
-        producers = [
-            (claim, self._tracks[claim.loop])
-            for claim in self._reuse_producers.get(inst, ())
-        ]
-        consumers = [
-            (claim, self._tracks[claim.loop])
-            for claim in self._reuse_consumers.get(inst, ())
-        ]
-        tracks = []
+            index = f"({addr} - {self.global_addresses[claim.base]})"
+            if claim.kind == "cyclic":
+                index += f" // {claim.word} % {claim.banks}"
+            else:
+                index += f" // {claim.block_bytes}"
+            cycle = f"{iteration(track)} // {claim.factor}"
+            held, seen = bind(slot, "SL"), bind(slot[1], "SD")
+            report = bind(partial(self._bank_violation, claim, inst), "BK")
+            lines += [
+                f"if {held}[0] != {cycle}: {held}[0] = {cycle}; {seen}.clear()",
+                f"{addr}b = {index}",
+            ]
+            if is_store:
+                lines += [f"{addr}p = {seen}.get({addr}b)",
+                          f"if {addr}p is None: {seen}[{addr}b] = {addr}",
+                          f"else: {report}({addr}p, {addr}, {addr}b)"]
+            else:
+                lines += [f"{addr}p = {seen}.setdefault({addr}b, {addr})",
+                          f"if {addr}p != {addr}: "
+                          f"{report}({addr}p, {addr}, {addr}b)"]
+        if is_store and self._track_reuse_writes:
+            lines.append(f"{bind(self._record_write, 'RW')}({addr}, {nbytes})")
+        for claim in self._reuse_producers.get(inst, ()):
+            record = bind(partial(self._record_reuse, claim), "RR")
+            lines.append(f"{record}({addr}, "
+                         f"{iteration(self._tracks[claim.loop])})")
+        for claim in self._reuse_consumers.get(inst, ()):
+            check = bind(partial(self._check_reuse, claim, inst), "RC")
+            lines.append(f"{check}({addr}, {nbytes}, "
+                         f"{iteration(self._tracks[claim.loop])})")
         for loop in self._loops_of_block.get(inst.parent, ()):
             track = self._tracks.get(loop)
-            if track is not None and track.claims is not None:
-                tracks.append((track, track.writes, track.reads))
-        if not (first is not None or touched is not None or banks
-                or record_write or producers or consumers or tracks):
-            return None
+            if track is None or track.claims is None:
+                continue
+            by_byte = bind(partial(self._conflicts_by_byte, track, inst), "CB")
+            if not track.size:
+                lines.append(f"{by_byte}({addr})")
+                continue
+            i, size = iteration(track), track.size
+            conflict = bind(partial(self._check_conflict, loop, track.claims),
+                            "CC")
+            prior, me = f"{addr}w", bind(inst, "I")
+            check = (f"if {prior} is not None and {prior}[1] < {i}: "
+                     f"{conflict}({prior}[0], {me}, {i} - {prior}[1], {size})")
+            writes, reads = bind(track.writes, "WR"), bind(track.reads, "RD")
+            body = [f"{prior} = {writes}.get({addr})", check]
+            if is_store:
+                body += [f"{prior} = {reads}.get({addr})", check,
+                         f"{writes}[{addr}] = ({me}, {i})"]
+            else:
+                body.append(f"{reads}[{addr}] = ({me}, {i})")
+            lines.append(f"if {bind(track, 'TR')}.size and not {addr} % {size}:")
+            lines += ["    " + line for line in body]
+            lines.append(f"else: {by_byte}({addr})")
+        return self._guarded(lines, bind)
 
-        def hook(address):
-            if not self._claims_active:
-                return
-            if first is not None and not first <= address <= last:
-                self._bounds_violation(inst, proof, address - root)
-            if touched is not None:
-                touched.update(range(address, address + nbytes))
-            for claim, track, slot, factor, base_addr, divisor, modulus \
-                    in banks:
-                seen = slot[1]
-                if slot[0] != track.iteration // factor:
-                    slot[0] = track.iteration // factor
-                    seen.clear()
-                bank = (address - base_addr) // divisor
-                if modulus:
-                    bank %= modulus
-                prior = seen.get(bank)
-                if prior is None:
-                    seen[bank] = address
-                elif prior != address or is_store:
-                    self._bank_violation(claim, inst, prior, address, bank)
-            if record_write:
-                self._record_write(address, nbytes)
-            for claim, track in producers:
-                self._record_reuse(claim, address, track.iteration)
-            for claim, track in consumers:
-                self._check_reuse(
-                    claim, inst, address, nbytes, track.iteration
-                )
-            for track, writes, reads in tracks:
-                size = track.size
-                if size and address % size:
-                    track.to_bytes()
-                    size = 0
-                if size:
-                    keys = (address,)
-                else:  # byte keys, as the reference does it
-                    keys, size = range(address, address + nbytes), 1
-                iteration = track.iteration
-                for key in keys:
-                    prev = writes.get(key)
-                    if prev is not None and prev[1] < iteration:
-                        self._check_conflict(
-                            track.loop, track.claims, prev[0], inst,
-                            iteration - prev[1], size,
-                        )
-                    if is_store:
-                        prev = reads.get(key)
-                        if prev is not None and prev[1] < iteration:
-                            self._check_conflict(
-                                track.loop, track.claims, prev[0], inst,
-                                iteration - prev[1], size,
-                            )
-                        writes[key] = (inst, iteration)
-                    else:
-                        reads[key] = (inst, iteration)
-
-        return hook
+    def _conflicts_by_byte(self, track: _LoopTrack, inst, address: int) -> None:
+        """Byte-keyed conflict check of one access: the loop mixes access
+        sizes, or this access is misaligned and re-keys it for good."""
+        if track.size:
+            track.to_bytes()
+        iteration = track.iteration
+        for byte in range(address, address + _access_bytes(inst)):
+            prev = track.writes.get(byte)
+            if prev is not None and prev[1] < iteration:
+                self._check_conflict(track.loop, track.claims, prev[0], inst,
+                                     iteration - prev[1])
+            if isinstance(inst, Store):
+                prev = track.reads.get(byte)
+                if prev is not None and prev[1] < iteration:
+                    self._check_conflict(track.loop, track.claims, prev[0],
+                                         inst, iteration - prev[1])
+                track.writes[byte] = (inst, iteration)
+            else:
+                track.reads[byte] = (inst, iteration)
 
     # Finalization ------------------------------------------------------------
 
@@ -1075,7 +1083,13 @@ class SanitizingInterpreter(Interpreter):
         return result
 
     def _finalize(self) -> None:
-        if self._claims_active:
+        # The compiled engine records start addresses; expand them to bytes.
+        for (base, nbytes), starts in self._starts.items():
+            touched = self._touched.setdefault(base, set())
+            for start in starts:
+                touched.update(range(start, start + nbytes))
+            starts.clear()
+        if self._claims_active[0]:
             for base_a, base_b in self._disjoint_claims:
                 touched_a = self._touched.get(base_a)
                 touched_b = self._touched.get(base_b)

@@ -5,17 +5,23 @@ be bit-identical to the reference interpreter — results, final memory image,
 narrowing interpreter.
 """
 
+import re
+from types import SimpleNamespace
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.analysis.facts import ModuleFacts
+from repro.dataflow import Interval
+from repro.dataflow.bounds import AccessWindow
 from repro.frontend import compile_source
 from repro.interp import Interpreter, InterpreterError, NarrowingInterpreter
 from repro.interp.sanitizer import SanitizingInterpreter
 from repro.ir import I32, Module
+from repro.ir.parser import parse_module
 from repro.workloads import get_workload
 
-from ..conftest import sanitize_both
+from ..conftest import sanitize_both, sanitized_output
 
 # Registry cross-section: PolyBench dense/triangular kernels, a MachSuite
 # kernel with calls, and the synthetic soundness stress workloads.
@@ -123,6 +129,49 @@ int main() {
 """
 
 
+# ``k``'s entry block is its loop header, so only the invoker's function
+# entry starts a fresh instance of the loop; ``main`` runs ``k`` twice.
+ENTRY_HEADER = """
+@A = global [8 x i32]
+
+@N = global i32
+
+func void @k() {
+head:
+  %i = load i32 @N
+  %c = icmp slt i32 %i, 8
+  condbr %c, body, exit
+body:
+  %p = gep i32* @A, 0, %i
+  store %i, %p
+  %j = add i32 %i, 1
+  store %j, @N
+  br head
+exit:
+  ret
+}
+
+func i32 @main() {
+entry:
+  store 0, @N
+  call @k()
+  store 2, @N
+  call @k()
+  ret 0
+}
+"""
+
+#: Names the sanitizer binds into generated code: the claims-active cell
+#: its checks read and the loop tracks its edges update.
+SANITIZER_NAMES = re.compile(r"\b(?:CA|TR)\d+\b")
+
+
+def compiled_source(interp):
+    interp.precompile()
+    (program,) = interp._programs.values()
+    return program.source
+
+
 class TestInstrumentedEquivalence:
     @pytest.mark.parametrize("name", ["trisolv", "smooth-alias", "wave-lag"])
     def test_sanitizer_identical(self, name):
@@ -146,6 +195,54 @@ class TestInstrumentedEquivalence:
         runs = sanitize_both(module, calls)
         assert_sanitized_identical(runs)
         assert runs["compiled"][1].conflicts_observed > 0
+
+    def test_sanitizer_identical_on_entry_header(self):
+        runs = sanitize_both(parse_module(ENTRY_HEADER))
+        assert_sanitized_identical(runs)
+        assert runs["compiled"][1].conflicts_observed > 0
+
+    @pytest.mark.parametrize("claim", ["interval-lo", "interval-hi", "bounds"])
+    def test_sanitizer_identical_on_broken_claims(self, claim):
+        # No injection mode breaks value ranges or bounds proofs, so break
+        # them on each interpreter before it compiles or runs anything.
+        workload = get_workload("trisolv")
+        module = compile_source(workload.source, workload.name)
+        runs = {}
+        for engine in ("reference", "compiled"):
+            interp = SanitizingInterpreter(
+                module, fail_fast=False, engine=engine
+            )
+            if claim == "bounds":  # each window shifted off the elements
+                interp.bounds = SimpleNamespace(
+                    intervals=interp.bounds.intervals,
+                    proven={
+                        inst: AccessWindow(
+                            inst, w.root, Interval.constant(w.offset.lo + 1),
+                            w.access_size, w.root_size,
+                        )
+                        for inst, w in interp.bounds.proven.items()
+                    },
+                )
+            else:
+                broken = (Interval(1, None) if claim == "interval-lo"
+                          else Interval(None, -1))
+                interp._expected = dict.fromkeys(interp._expected, broken)
+            returned = interp.run(workload.entry)
+            runs[engine] = (sanitized_output(interp, returned), interp)
+        assert_sanitized_identical(runs)
+        assert runs["compiled"][0]["violations"]
+
+    def test_only_instrumented_interpreters_emit_code(self):
+        workload = get_workload("trisolv")
+        module = compile_source(workload.source, workload.name)
+        assert SANITIZER_NAMES.search(
+            compiled_source(SanitizingInterpreter(module))
+        )
+        assert not SANITIZER_NAMES.search(compiled_source(Interpreter(module)))
+        assert re.search(
+            r"S\[\d+\] = H\d+\(S\[\d+\]\)",
+            compiled_source(NarrowingInterpreter(module)),
+        )
 
     def test_sanitizer_identical_on_unwrapped_results(self):
         module = compile_source(UNWRAPPED, "unwrapped")
