@@ -183,12 +183,6 @@ class DependenceVector:
     def __init__(self, entries: List[LevelEntry]):
         self.entries = tuple(entries)
 
-    def level_for(self, loop: Loop) -> Optional[LevelEntry]:
-        for entry in self.entries:
-            if entry.loop is loop:
-                return entry
-        return None
-
     @property
     def exact(self) -> bool:
         return all(entry.exact for entry in self.entries)

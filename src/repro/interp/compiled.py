@@ -1,86 +1,53 @@
-"""Compile-once execution engine: IR functions as specialized Python code.
+"""Compile-once execution engine: each IR function as one Python function.
 
-The reference interpreter (``interpreter.py``) re-decides everything per
-executed instruction: an isinstance dispatch chain, a dict lookup per
-operand, a cost-table lookup per cycle charge, and a bounds-elision branch
-per memory access.  This module removes all of that by translating each IR
-function *once* into specialized Python code:
+Where the reference interpreter (``interpreter.py``) re-decides everything
+per executed instruction, this module translates each IR function once
+(``docs/interpreter.md`` has the details).  SSA values are locals, phis one
+tuple assignment per edge, and each Load/Store is checked or not per
+elision mode (one program per mode, cached on the interpreter).
 
-* **one function per basic block**, direct-threaded — each block function
-  returns the next block's function (or ``None`` on return), so the driver
-  loop is just ``while fn is not None: fn = fn(S, X)``;
-* **operand fetch specialization** — ``Constant``/``GlobalVariable``/
-  ``UndefValue`` operands are resolved to literals at compile time, and SSA
-  values live in a flat slot list ``S`` indexed by compile-time-assigned
-  integers (no per-operand dict hashing);
-* **elision verdict baked in** — each Load/Store compiles to either the
-  checked or the unchecked access sequence, chosen once per elision mode
-  (one ``CompiledProgram`` per mode, cached on the interpreter);
-* **phi nodes as edge-specific copies** — every jump site writes exactly
-  the phi slots of its target, two-phase so parallel-copy semantics hold;
-* **cycle costs pre-summed per block** — the CPU cost model charge for a
-  block is a compile-time float constant added once per execution.
+* **Structured control flow**: each natural loop is a ``while True:`` (back
+  edges ``continue``, its exit ``break``) and every other block is emitted
+  once, in place, placed by the dominator tree as in Ramsey's "Beyond
+  Relooper" (Calyx's ``seq``/``if``/``while`` shape).  A function Python
+  cannot express so (irreducible, a jump no ``if``/``break``/``continue``
+  reaches, over 20 nested loops or 99 indentation levels) gets the
+  **dispatch shape**: a ``while True:`` over a local block index, built
+  from the same per-block code.
+* **Derived counters** (Knuth-Stevenson / Ball-Larus optimal edge
+  profiling): only function entries and the chords off a spanning tree of
+  the CFG plus a virtual exit→entry edge are counted.  After each top-level
+  call ``_flush`` derives every edge and block count by flow conservation,
+  and the rest as per-block constants times block counts.  A profiled block
+  that calls keeps a dynamic cycle delta (its cycles include the callee's).
 
-The engine is **bit-identical** to the reference interpreter on every
-successful run: results, memory image, ``cycles``, ``instructions``,
-elided/checked access counts, and all ``ProfileCounters``.  The one
-documented divergence is *error timing*: the instruction-limit check and
-counter updates happen per block instead of per instruction, so a run that
-faults mid-block may report slightly different counter values than the
-reference (never a different result or a missed error).
-
-Subclass instrumentation is source, not callbacks:
-``Interpreter._compile_result``, ``_compile_access`` and ``_compile_edge``
-return lines that ``NarrowingInterpreter`` and ``SanitizingInterpreter``
-splice in after each result, before each Load/Store and on each jump (and
-at function entry), the program points where the reference engine's
-``_execute`` and ``_on_block_transition`` overrides run.  A plain
-``Interpreter`` returns none, so uninstrumented runs pay nothing.
-``_compile_tally`` counts per-execution events as one pre-summed constant
-per block.  Each function's source is compiled on its own, which bounds the
-compiler's transient memory by the largest function, not the module.
+Every successful run is **bit-identical** to the reference: results,
+memory, ``cycles``, ``instructions``, access counts and ``ProfileCounters``.
+The divergence is *error timing*: the instruction limit is checked against
+a lower bound at loop headers and function entries, and exactly once the
+top-level call returns; a run within it never raises.  A run that raises
+leaves the counters as they were.  Instrumentation is source lines
+(``Interpreter._compile_result``, ``_compile_access``, ``_compile_edge``)
+spliced in where the reference's ``_execute`` and ``_on_block_transition``
+overrides run.
 """
 
 from __future__ import annotations
 
 import math
 import struct
+from itertools import takewhile
 from typing import Dict, List, Optional, Tuple
 
+from ..analysis.cfg import predecessor_map, reverse_postorder
+from ..analysis.loops import LoopInfo
 from ..ir import (
-    Alloca,
-    ArrayType,
-    BinaryOp,
-    Branch,
-    Call,
-    Cast,
-    CondBranch,
-    Constant,
-    FCmp,
-    FloatType,
-    Function,
-    GetElementPtr,
-    GlobalVariable,
-    ICmp,
-    IntType,
-    Load,
-    Phi,
-    PointerType,
-    Return,
-    Select,
-    Store,
-    UnaryOp,
-    UndefValue,
-    resource_class,
-    sizeof,
+    Alloca, ArrayType, BinaryOp, Call, Cast, Constant, FCmp, FloatType,
+    Function, GetElementPtr, GlobalVariable, ICmp, Load, Phi, PointerType,
+    Return, Select, Store, UnaryOp, UndefValue, resource_class, sizeof,
 )
 from .cpu_model import instruction_cycles
-from .interpreter import (
-    ExecutionLimitExceeded,
-    InterpreterError,
-    _c_div,
-    _c_rem,
-)
+from .interpreter import ExecutionLimitExceeded, InterpreterError, _c_div, _c_rem
 from .memory import MemoryError_
 
 _F32 = struct.Struct("<f")
@@ -88,11 +55,18 @@ _F64 = struct.Struct("<d")
 
 _ICMP_OP = {"eq": "==", "ne": "!=", "slt": "<", "sle": "<=", "sgt": ">", "sge": ">="}
 _FCMP_OP = {"oeq": "==", "one": "!=", "olt": "<", "ole": "<=", "ogt": ">", "oge": ">="}
+_PYOP = {
+    "fadd": "+", "fsub": "-", "fmul": "*", "fdiv": "/", "add": "+", "sub": "-",
+    "mul": "*", "and": "&", "or": "|", "xor": "^", "shl": "<<", "shr": ">>",
+    "neg": "-", "not": "~",
+}
 
+#: CPython 3.11 compiles 20 nested ``while`` statements but not 21, and 99
+#: indentation levels but not 100.
+_MAX_LOOPS, _MAX_INDENT = 20, 99
 
-def _f32(value: float) -> float:
-    """Round a float to storable float32 precision (same as the reference)."""
-    return _F32.unpack(_F32.pack(value))[0]
+#: The virtual exit node every return edge enters.
+_EXIT = object()
 
 
 def _wrap_expr(expr: str, bits: int) -> str:
@@ -104,69 +78,73 @@ def _wrap_expr(expr: str, bits: int) -> str:
     return f"(((({expr}) & {mask}) ^ {sign}) - {sign})"
 
 
+def _round32(expr: str) -> str:
+    """Source rounding a float to storable float32 precision."""
+    return f"_UPK4(_PK4({expr}))[0]"
+
+
+def _raise(message: str) -> str:
+    return f"raise InterpreterError({message!r})"
+
+
+def _indent(lines: List[str]) -> List[str]:
+    return ["    " + line for line in lines]
+
+
+def _phis(block) -> List:
+    """The block's leading phis, which the edges into it assign."""
+    return list(takewhile(lambda inst: isinstance(inst, Phi), block.instructions))
+
+
+def _tail(block) -> List:
+    """The block's instructions from the first non-phi on."""
+    return block.instructions[len(_phis(block)):]
+
+
+class _Unstructured(Exception):
+    """A CFG shape structured emission cannot express."""
+
+
 class CompiledProgram:
     """All defined functions of a module compiled for one elision mode.
 
     Instances are created lazily by :meth:`Interpreter._program` and cached
-    per ``elide`` flag; ``invoke`` runs one top-level call and flushes the
-    hot counter cells back into the owning interpreter's attributes.
+    per ``elide`` flag; ``invoke`` runs one top-level call and derives the
+    counters into the owning interpreter.  ``shapes`` maps each function to
+    ``"structured"`` or ``"dispatch"``.
     """
 
     def __init__(self, interp, elide: bool):
         self.interp = interp
         self.elide = elide
         self.profile = interp.profile
-        # Hot counter cells shared by all generated code: cycles,
-        # instructions, (elided, checked) accesses, (budget, limit).
-        self._cy = [0.0]
-        self._ic = [0]
-        self._ac = [0, 0]
-        self._mx = [0, 0]
+        # The limit lower bound finished activations retired, and their own
+        # cycles (a profiled call block reads the delta over its calls).
+        self._ic, self._cy = [0], [0]
         self._bound: Dict[int, str] = {}
         memory = interp.memory
         self.ns: Dict = {
-            "InterpreterError": InterpreterError,
-            "ExecutionLimitExceeded": ExecutionLimitExceeded,
-            "MemoryError_": MemoryError_,
-            "_c_div": _c_div,
-            "_c_rem": _c_rem,
-            "_sqrt": math.sqrt,
-            "_f32": _f32,
-            "_PK4": _F32.pack,
-            "_UPK4": _F32.unpack,
-            "_UPF4": _F32.unpack_from,
-            "_PKI4": _F32.pack_into,
-            "_UPF8": _F64.unpack_from,
-            "_PKI8": _F64.pack_into,
-            "_ifb": int.from_bytes,
-            # ``data`` is mutated in place and never reassigned, so it is
-            # safe to capture once at compile time.
-            "D": memory.data,
-            "ALLOC": memory.allocate,
-            "T": interp._tally,
-            "CY": self._cy,
-            "IC": self._ic,
-            "AC": self._ac,
-            "MX": self._mx,
+            "InterpreterError": InterpreterError, "MemoryError_": MemoryError_,
+            "_c_div": _c_div, "_c_rem": _c_rem, "_sqrt": math.sqrt,
+            "_PK4": _F32.pack, "_UPK4": _F32.unpack, "_UPF4": _F32.unpack_from,
+            "_PKI4": _F32.pack_into, "_UPF8": _F64.unpack_from,
+            "_PKI8": _F64.pack_into, "_ifb": int.from_bytes,
+            # ``data`` is mutated in place and never reassigned.
+            "D": memory.data, "ALLOC": memory.allocate,
+            "IC": self._ic, "CY": self._cy, "MX": 0, "LIM": self._limit,
         }
         self._mem_size = memory.size
-        self._func_index: Dict[Function, int] = {}
-        #: per function: (blocks, PB, PBI, PBC) for profile flushing
-        self._block_flush: List[Tuple] = []
-        #: per function: (edges, PE)
-        self._edge_flush: List[Tuple] = []
-        #: per function: (func, PF)
-        self._entry_flush: List[Tuple] = []
-
         defined = list(interp.module.defined_functions())
-        for fi, func in enumerate(defined):
-            self._func_index[func] = fi
+        self._func_index = {func: fi for fi, func in enumerate(defined)}
+        self._callees = {inst.callee for func in defined
+                         for inst in func.instructions() if isinstance(inst, Call)}
+        #: per function: (func, cells, weights, flows, blocks), see _counting
+        self._counts: List[Tuple] = []
+        self.shapes: Dict[Function, str] = {}
         name = getattr(interp.module, "name", "module")
         chunks: List[str] = []
         for fi, func in enumerate(defined):
-            lines: List[str] = []
-            _FunctionCompiler(self, fi, func).emit(lines)
-            chunks.append("\n".join(lines))
+            chunks.append(_FunctionCompiler(self, fi, func).emit())
             code = compile(
                 chunks[-1], f"<repro-compiled:{name}:elide={elide}>", "exec"
             )
@@ -188,89 +166,250 @@ class CompiledProgram:
 
     # Execution ----------------------------------------------------------------
 
+    def _limit(self) -> None:
+        raise ExecutionLimitExceeded(f"exceeded {self.interp.max_instructions} instructions")
+
     def invoke(self, func: Function, args: List):
-        """Run one top-level call of ``func`` and sync counters back."""
-        fn = self._invokers.get(func)
-        if fn is None:  # pragma: no cover - call_function rejects declarations
-            raise InterpreterError(f"call to undefined function {func.name}")
+        """Run one top-level call of ``func`` and derive the counters."""
         interp = self.interp
-        self._mx[0] = interp.max_instructions - interp.instructions
-        self._mx[1] = interp.max_instructions
+        self.ns["MX"] = interp.max_instructions - interp.instructions
+        self._ic[0] = self._cy[0] = 0
         try:
-            return fn(*args)
-        finally:
-            self._flush()
+            result = self._invokers[func](*args)
+        except BaseException:
+            for counts in self._counts:  # open activations break conservation
+                counts[1][:] = [0] * len(counts[1])
+            raise
+        self._flush()
+        if interp.instructions > interp.max_instructions:
+            self._limit()
+        return result
 
     def _flush(self) -> None:
+        """Derive the totals, and under profiling the edge and block
+        counts, from the counter cells; then clear the cells."""
         interp = self.interp
-        interp.cycles += self._cy[0]
-        self._cy[0] = 0.0
-        interp.instructions += self._ic[0]
-        self._ic[0] = 0
-        interp.elided_accesses += self._ac[0]
-        interp.checked_accesses += self._ac[1]
-        self._ac[0] = self._ac[1] = 0
-        if not self.profile:
-            return
-        counters = interp.counters
-        block_count = counters.block_count
-        block_insts = counters.block_instructions
-        block_cycles = counters.block_cycles
-        for blocks, pb, pbi, pbc in self._block_flush:
-            for i, n in enumerate(pb):
+        tally = interp._tally or []
+        totals = [0] * (4 + len(tally))
+        for func, cells, weights, flows, blocks in self._counts:
+            if not cells[0]:  # never entered: every cell is zero
+                continue
+            for n, weight in zip(cells, weights):
                 if n:
-                    block = blocks[i]
-                    block_count[block] = block_count.get(block, 0) + n
-                    block_insts[block] = block_insts.get(block, 0) + pbi[i]
-                    block_cycles[block] = block_cycles.get(block, 0.0) + pbc[i]
-                    pb[i] = 0
-                    pbi[i] = 0
-                    pbc[i] = 0.0
-        edge_count = counters.edge_count
-        for edges, pe in self._edge_flush:
-            for i, n in enumerate(pe):
-                if n:
-                    edge_count[edges[i]] = edge_count.get(edges[i], 0) + n
-                    pe[i] = 0
-        entries = counters.func_entry_count
-        for func, pf in self._entry_flush:
-            if pf[0]:
-                entries[func] = entries.get(func, 0) + pf[0]
-                pf[0] = 0
+                    for row, w in enumerate(weight):
+                        totals[row] += n * w
+            if self.profile:
+                _record(interp.counters, func, cells, flows, blocks)
+            cells[:] = [0] * len(cells)
+        interp.instructions += totals[0]
+        interp.cycles += totals[1]
+        interp.elided_accesses += totals[2]
+        interp.checked_accesses += totals[3]
+        for cell, n in enumerate(totals[4:]):
+            tally[cell] += n
+
+
+def _record(counters, func, cells, flows, blocks) -> None:
+    """Add one function's edge, block and entry counts; a zero count is
+    never written."""
+    counts: Dict = {}
+    for n, flow in zip(cells, flows):
+        if n:
+            for key, coeff in flow:
+                counts[key] = counts.get(key, 0) + coeff * n
+    edges = counters.edge_count
+    for key, n in counts.items():
+        if n and isinstance(key, tuple):
+            edges[key] = edges.get(key, 0) + n
+    for block, insts, own, delta in blocks:
+        n = counts.get(block)
+        if n:
+            for table, value in (
+                (counters.block_count, n), (counters.block_instructions, n * insts),
+                (counters.block_cycles, float(n * own + (cells[delta] if delta else 0))),
+            ):
+                table[block] = table.get(block, 0) + value
+    entries = counters.func_entry_count
+    entries[func] = entries.get(func, 0) + cells[0]
+
+
+def _chords(entry, order, edges, depth_of):
+    """Split ``edges`` into a spanning tree that keeps deeper loops' edges
+    and the chords off it.  Return the chords, the virtual exit→entry edge
+    first, and each chord's unit flow around its cycle through the tree:
+    the signed coefficient of each edge's count and each block's inflow."""
+    leader = {node: node for node in [*order, _EXIT]}
+
+    def find(node):
+        while leader[node] is not node:
+            leader[node] = node = leader[leader[node]]
+        return node
+
+    chords, adjacent = [(_EXIT, entry)], {node: [] for node in leader}
+    for edge in sorted(edges, key=lambda e: -min(map(depth_of, e))):
+        a, b = find(edge[0]), find(edge[1])
+        if a is b:
+            chords.append(edge)
+        else:
+            leader[a] = b
+            adjacent[edge[0]].append((edge[1], edge))
+            adjacent[edge[1]].append((edge[0], edge))
+    parent, depth, stack = {}, {entry: 0}, [entry]
+    while stack:
+        node = stack.pop()
+        for other, edge in adjacent[node]:
+            if other not in depth:
+                parent[other], depth[other] = (node, edge), depth[node] + 1
+                stack.append(other)
+    flows = []
+    for tail, head in chords:
+        flow = {(tail, head): 1, head: 1}
+        a, b = head, tail  # the flow returns from head to tail through the tree
+        while a is not b and a in depth and b in depth:
+            if depth[a] >= depth[b]:  # the path runs a -> up
+                up, edge = parent[a]
+                sign = 1 if edge[0] is a else -1
+                node, a = (up if sign > 0 else a), up
+            else:  # the path runs up -> b
+                up, edge = parent[b]
+                sign = 1 if edge[1] is b else -1
+                node, b = (b if sign > 0 else up), up
+            flow[edge] = flow.get(edge, 0) + sign
+            flow[node] = flow.get(node, 0) + sign
+        flows.append([
+            (key, coeff) for key, coeff in flow.items()
+            if coeff and key is not _EXIT and not (isinstance(key, tuple) and _EXIT in key)
+        ])
+    return chords, flows
 
 
 class _FunctionCompiler:
-    """Translates one IR function into source appended to the program."""
+    """Translates one IR function into the source of one Python function."""
 
     def __init__(self, program: CompiledProgram, fi: int, func: Function):
-        self.program = program
-        self.interp = program.interp
-        self.fi = fi
-        self.func = func
-        self.elide = program.elide
-        self.profile = program.profile
+        self.program, self.interp, self.bind = program, program.interp, program.bind
+        self.fi, self.func, self.elide = fi, func, program.elide
         self._mem_size = program._mem_size
         self._tmp = 0
-        # Slot allocation: arguments first, then every non-void instruction.
-        self.slot: Dict = {}
-        for arg in func.arguments:
-            self.slot[arg] = len(self.slot)
-        for inst in func.instructions():
-            if not inst.type.is_void:
-                self.slot[inst] = len(self.slot)
-        self.block_index = {block: bi for bi, block in enumerate(func.blocks)}
-        self.edges: List[Tuple] = []
-        if self.profile:
-            nblocks = len(func.blocks)
-            ns = program.ns
-            ns[f"PB{fi}"] = [0] * nblocks
-            ns[f"PBI{fi}"] = [0] * nblocks
-            ns[f"PBC{fi}"] = [0.0] * nblocks
-            ns[f"PF{fi}"] = [0]
-            program._block_flush.append(
-                (list(func.blocks), ns[f"PB{fi}"], ns[f"PBI{fi}"], ns[f"PBC{fi}"])
-            )
-            program._entry_flush.append((func, ns[f"PF{fi}"]))
+        self.local: Dict = {}
+        for value in [*func.arguments, *func.instructions()]:
+            if not value.type.is_void:
+                self.local[value] = f"v{len(self.local)}"
+        self._shape()
+        self._counting()
+        self.body = {block: self._block_body(block) for block in self.order}
+        self._edges: Dict[Tuple, List[str]] = {}
+
+    def _shape(self) -> None:
+        """The CFG facts emission places blocks by, over the reachable
+        blocks in reverse postorder."""
+        self.order = reverse_postorder(self.func)
+        rpo = self.rpo = {block: i for i, block in enumerate(self.order)}
+        self.loops = LoopInfo(self.func)
+        domtree = self.loops.domtree
+        preds = predecessor_map(self.func)
+        self.heads = set()  # targets of retreating edges: the limit checks
+        self.fpreds: Dict = {}  # forward predecessors
+        self.reducible = True
+        for block in self.order:
+            self.fpreds[block] = []
+            for pred in dict.fromkeys(p for p in preds[block] if p in rpo):
+                if rpo[pred] < rpo[block]:
+                    self.fpreds[block].append(pred)
+                else:
+                    self.heads.add(block)
+                    self.reducible &= domtree.dominates(block, pred)
+        # A block outside the innermost loop around its idom exits that
+        # loop.  Exits other exits lead to, and exits leading on beyond the
+        # exits, go after the loop's ``while``, reached by ``break``; so
+        # does the exit dominating the most code if no exit does and the
+        # loop leaves only to its exits.  Others, such as returns, stay in
+        # place.  A block several forward edges rejoin at follows its
+        # idom's code.
+        exits: Dict = {}
+        for block in self.order[1:]:
+            loop = self.loops.innermost_loop(domtree.idom[block])
+            if loop is not None and block not in loop.blocks:
+                exits.setdefault(loop.header, []).append(block)
+        self.after: Dict = {}
+        for head, found in exits.items():
+            reach = {block: self._reach(block) for block in found}
+            keep = {b for b in found if any(b in out for out, _ in reach.values())
+                    or not reach[b][0] <= set(found)}
+            if not keep and not self._reach(head)[0]:
+                keep = {max(found, key=lambda b: reach[b][1])}
+            self.after[head] = [b for b in found if b in keep]
+        self.tails = {block for after in self.after.values() for block in after}
+        self.merges: Dict = {}
+        for block in self.order:
+            if len(self.fpreds[block]) > 1 and block not in self.tails:
+                self.merges.setdefault(domtree.idom[block], []).append(block)
+
+    def _reach(self, block) -> Tuple[set, int]:
+        """The blocks edges from the code ``block`` dominates leave to, and
+        how many blocks that code is."""
+        inside, stack = set(), [block]
+        while stack:
+            inside.add(stack[-1])
+            stack.extend(self.loops.domtree.children(stack.pop()))
+        return {s for b in inside for s in b.successors if s not in inside}, len(inside)
+
+    # Counting -------------------------------------------------------------
+
+    def _counting(self) -> None:
+        """Pick the chords, weigh them, and register the counter cells:
+        entries, the chords, then each profiled call block's cycle delta."""
+        program, func = self.program, self.func
+        edges, rows, self.delta = [], {}, {}
+        width = 4 + len(self.interp._tally or ())
+        for block in self.order:
+            if isinstance(block.terminator, Return):
+                edges.append((block, _EXIT))
+            edges += [(block, succ) for succ in dict.fromkeys(block.successors)]
+            # Per execution: instructions, own cycles, elided and checked
+            # accesses, then each _compile_tally cell.
+            tail = _tail(block)
+            rows[block] = row = [len(tail), 0, 0, 0] + [0] * (width - 4)
+            for inst in tail:
+                row[1] += instruction_cycles(resource_class(inst))
+                if isinstance(inst, (Load, Store)):
+                    row[3 - self._elided(inst)] += 1
+                for cell, n in enumerate(self.interp._compile_tally(inst)):
+                    row[4 + cell] += n
+            if program.profile and any(isinstance(inst, Call) for inst in tail):
+                self.delta[block] = len(self.delta)
+
+        def depth_of(node):
+            loop = self.loops.innermost_loop(node)
+            return loop.depth if loop is not None else 0
+
+        chords, flows = _chords(func.entry, self.order, edges, depth_of)
+        self.chord = {edge: k for k, edge in enumerate(chords)}
+        weights = [
+            [sum(c * rows[k][r] for k, c in flow if k in rows) for r in range(width)]
+            for flow in flows
+        ]
+        #: own cycles per unit of each chord, which a called function sums
+        self.beta = [weight[1] for weight in weights]
+        self.needs_cy = program.profile and func in program._callees
+        for block in self.delta:  # delta cells follow the chord cells
+            self.delta[block] += len(chords)
+        cells = program.ns[f"P{self.fi}"] = [0] * (len(chords) + len(self.delta))
+        blocks = [(b, *rows[b][:2], self.delta.get(b)) for b in self.order]
+        program._counts.append((func, cells, weights, flows, blocks))
+
+    def _elided(self, inst) -> bool:
+        return self.elide and inst in self.interp._proven
+
+    def _count(self, edge) -> List[str]:
+        """Count ``edge`` when it is a chord."""
+        k = self.chord.get(edge)
+        if k is None:
+            return []
+        lines = [f"P{self.fi}[{k}] += 1"]
+        if self.needs_cy and self.beta[k]:
+            lines.append(f"cy += {self.beta[k]}")
+        return lines
 
     # Helpers ------------------------------------------------------------------
 
@@ -285,447 +424,324 @@ class _FunctionCompiler:
             v = value.value
             if isinstance(v, float):
                 # Bind floats as objects: repr round-trips but inf/nan don't.
-                return self.program.bind(v, "K")
+                return self.bind(v, "K")
             return repr(v)
         if isinstance(value, GlobalVariable):
             return repr(self.interp.global_addresses[value])
         if isinstance(value, UndefValue):
             return "0"
-        return f"S[{self.slot[value]}]"
+        return self.local[value]
 
-    def dst(self, inst) -> Optional[str]:
-        index = self.slot.get(inst)
-        return None if index is None else f"S[{index}]"
+    # Per-block code -----------------------------------------------------------
 
-    def edge_index(self, block, target) -> int:
-        self.edges.append((block, target))
-        return len(self.edges) - 1
-
-    # Emission -----------------------------------------------------------------
-
-    def emit(self, lines: List[str]) -> None:
-        fi = self.fi
-        func = self.func
-        for bi, block in enumerate(func.blocks):
-            self.emit_block(lines, bi, block)
-        if self.profile and self.edges:
-            ns = self.program.ns
-            ns[f"PE{fi}"] = [0] * len(self.edges)
-            self.program._edge_flush.append((list(self.edges), ns[f"PE{fi}"]))
-        # Invoker: exact arity, fresh slot list, direct-threaded driver.
-        params = ", ".join(f"_a{i}" for i in range(len(func.arguments)))
-        lines.append(f"def _f{fi}({params}):")
-        lines.append(f"    S = [0] * {len(self.slot)}")
-        for i in range(len(func.arguments)):
-            lines.append(f"    S[{i}] = _a{i}")
-        lines.append("    X = [None]")
-        if self.profile:
-            lines.append(f"    PF{fi}[0] += 1")
-        entry_edge = self.interp._compile_edge(None, func.entry, self.program.bind)
-        lines.extend("    " + line for line in entry_edge)
-        entry_bi = self.block_index[func.entry]
-        lines.append(f"    fn = _f{fi}_b{entry_bi}")
-        lines.append("    while fn is not None:")
-        lines.append("        fn = fn(S, X)")
-        lines.append("    return X[0]")
-        lines.append("")
-
-    def emit_block(self, lines: List[str], bi: int, block) -> None:
-        fi = self.fi
+    def _block_body(self, block) -> List[str]:
+        """The block's code up to its terminator: the limit check at a loop
+        header, the instructions, and a profiled call block's cycle delta."""
         body: List[str] = []
-        instructions = block.instructions
-        # Leading phis are written by predecessors' jump sites; everything
-        # from the first non-phi on executes here.
-        index = 0
-        while index < len(instructions) and isinstance(instructions[index], Phi):
-            index += 1
-        tail = instructions[index:]
-        n_insts = len(tail)
-        has_call = any(isinstance(inst, Call) for inst in tail)
-        cycle_sum = sum(
-            instruction_cycles(resource_class(inst)) for inst in tail
-        )
-
-        if self.profile:
-            body.append(f"PB{fi}[{bi}] += 1")
-            if n_insts:
-                body.append(f"PBI{fi}[{bi}] += {n_insts}")
-        if not instructions:
-            body.append(
-                f"raise InterpreterError({f'block {block.name} is empty'!r})"
-            )
-            self._write(lines, fi, bi, body)
-            return
-        if n_insts:
-            body.append(f"IC[0] += {n_insts}")
-            body.append(
-                "if IC[0] > MX[0]: raise ExecutionLimitExceeded("
-                '"exceeded %d instructions" % MX[1])'
-            )
-        self._emit_tally(body, tail)
-        if self.profile and has_call:
+        tail, term = _tail(block), block.terminator
+        if block in self.heads:
+            body += [f"ic += {len(tail)}", "if ic > mx: LIM()"]
+        if not block.instructions:
+            return body + [_raise(f"block {block.name} is empty")]
+        delta = self.delta.get(block)
+        if delta is not None:
             body.append("_cyin = CY[0]")
-        if cycle_sum:
-            body.append(f"CY[0] += {cycle_sum!r}")
-
-        terminated = False
-        for inst in tail:
-            if isinstance(inst, Branch):
-                self._emit_goto(body, bi, block, inst.target, has_call)
-                terminated = True
-                break
-            if isinstance(inst, CondBranch):
-                body.append(f"if {self.expr(inst.condition)}:")
-                true_exit: List[str] = []
-                self._emit_goto(true_exit, bi, block, inst.true_target, has_call)
-                body.extend("    " + line for line in true_exit)
-                body.append("else:")
-                false_exit: List[str] = []
-                self._emit_goto(false_exit, bi, block, inst.false_target, has_call)
-                body.extend("    " + line for line in false_exit)
-                terminated = True
-                break
-            if isinstance(inst, Return):
-                value = "None" if inst.value is None else self.expr(inst.value)
-                body.append(f"X[0] = {value}")
-                self._emit_block_cycles(body, bi, has_call)
-                body.append("return None")
-                terminated = True
-                break
+        for inst in tail[:-1] if term is not None else tail:
             self.emit_inst(body, inst)
-        if not terminated:
-            self._emit_block_cycles(body, bi, has_call)
-            body.append(
-                f"raise InterpreterError({f'block {block.name} fell through'!r})"
-            )
-        self._write(lines, fi, bi, body)
+        if delta is not None:
+            body.append(f"P{self.fi}[{delta}] += CY[0] - _cyin")
+        if term is None:
+            body.append(_raise(f"block {block.name} fell through"))
+        return body
 
-    def _emit_tally(self, body: List[str], tail) -> None:
-        """Add the block's pre-summed ``_compile_tally`` increments."""
-        if self.interp._tally is None:
-            return
-        sums = [0] * len(self.interp._tally)
-        for inst in tail:
-            for cell, n in enumerate(self.interp._compile_tally(inst)):
-                sums[cell] += n
-        for cell, n in enumerate(sums):
-            if n:
-                body.append(f"T[{cell}] += {n}")
+    def _edge(self, block, target) -> List[str]:
+        """Phi copies, chord count and edge instrumentation of one edge."""
+        lines = self._edges.get((block, target))
+        if lines is None:
+            phis, lines = _phis(target), []
+            if phis:
+                lines.append(
+                    ", ".join(self.local[phi] for phi in phis) + " = "
+                    + ", ".join(self.expr(phi.incoming_for(block)) for phi in phis)
+                )
+            lines += self._count((block, target))
+            lines += self.interp._compile_edge(block, target, self.bind)
+            self._edges[(block, target)] = lines
+        return lines
 
-    def _write(self, lines: List[str], fi: int, bi: int, body: List[str]) -> None:
-        lines.append(f"def _f{fi}_b{bi}(S, X):")
-        for line in body:
-            lines.append("    " + line)
-        lines.append("")
+    def _block(self, block, ctx) -> Tuple[List[str], bool]:
+        """The block's code and exits, and whether control can fall off its
+        end; ``ctx`` None emits dispatch jumps."""
+        lines = list(self.body[block])
+        term = block.terminator
+        if term is None:
+            return lines, False
+        if isinstance(term, Return):
+            lines += self._count((block, _EXIT))
+            if self.needs_cy:
+                lines.append("CY[0] += cy")
+            if self.heads:
+                lines.append("IC[0] += ic")
+            value = "None" if term.value is None else self.expr(term.value)
+            return lines + [f"return {value}"], False
+        targets = list(dict.fromkeys(term.successors))
+        if len(targets) == 1:
+            more, falls = self._jump(block, targets[0], ctx)
+            return lines + more, falls
+        cond = self.expr(term.condition)
+        on_true, true_falls = self._jump(block, term.true_target, ctx)
+        on_false, false_falls = self._jump(block, term.false_target, ctx)
+        if not true_falls:  # the other arm needs no ``else``
+            return lines + [f"if {cond}:", *_indent(on_true), *on_false], false_falls
+        if not false_falls:
+            return lines + [f"if not {cond}:", *_indent(on_false), *on_true], True
+        lines += [f"if {cond}:", *_indent(on_true or ["pass"]),
+                  "else:", *_indent(on_false or ["pass"])]
+        return lines, True
 
-    def _emit_block_cycles(self, body: List[str], bi: int, has_call: bool) -> None:
-        if not self.profile:
-            return
-        block = self.func.blocks[bi]
-        tail_cycles = sum(
-            instruction_cycles(resource_class(inst))
-            for inst in block.instructions
-            if not isinstance(inst, Phi)
+    # Structured emission ------------------------------------------------------
+    #
+    # ``ctx`` is (the block control reaches by falling off the code being
+    # emitted, the innermost loop's header, the block after that loop's
+    # ``while``, the loop depth, [whether that loop breaks]).
+
+    def _jump(self, block, target, ctx) -> Tuple[List[str], bool]:
+        lines = self._edge(block, target)
+        if ctx is None:
+            return lines + [f"_b = {self.rpo[target]}", "continue"], False
+        follow, head, exit_, loops, broke = ctx
+        if target is follow:
+            return lines, True
+        if target is head:
+            return lines + ["continue"], False
+        if target is exit_:
+            broke[0] = True
+            return lines + ["break"], False
+        if self.fpreds[target] == [block] and target not in self.tails:
+            more, falls = self._tree(target, ctx)
+            return lines + more, falls
+        raise _Unstructured
+
+    def _tree(self, block, ctx) -> Tuple[List[str], bool]:
+        """``block``, the blocks only it leads to, and the blocks its code
+        rejoins at; a loop header wraps its loop in a ``while``."""
+        follow, _, _, loops, _ = ctx
+        merges = self.merges.get(block, [])
+        loop = self.loops.loop_for_header(block)
+        if loop is None:
+            return self._sequence(block, merges, ctx)
+        if loops == _MAX_LOOPS:
+            raise _Unstructured
+        after, broke = self.after.get(block, []), [False]
+        body, _ = self._sequence(
+            block, merges,
+            (block, block, after[0] if after else follow, loops + 1, broke),
         )
-        if has_call:
-            body.append(f"PBC{self.fi}[{bi}] += CY[0] - _cyin")
-        else:
-            body.append(f"PBC{self.fi}[{bi}] += {tail_cycles!r}")
+        lines = ["while True:", *_indent(body)]
+        if not after:
+            return lines, broke[0]
+        more, falls = self._sequence(None, after, ctx)
+        return lines + more, falls
 
-    def _emit_goto(
-        self, body: List[str], bi: int, block, target, has_call: bool
-    ) -> None:
-        """Jump to ``target``: edge-specific phi copies, profile epilogue,
-        edge instrumentation, then return the target's block function."""
-        phis = []
-        for inst in target.instructions:
-            if not isinstance(inst, Phi):
-                break
-            phis.append(inst)
-        if len(phis) == 1:
-            phi = phis[0]
-            body.append(
-                f"S[{self.slot[phi]}] = {self.expr(phi.incoming_for(block))}"
-            )
-        elif phis:
-            # Parallel-copy semantics: read every incoming value before
-            # writing any phi slot (phis may reference each other).
-            temps = []
-            for phi in phis:
-                t = self.temp()
-                temps.append(t)
-                body.append(f"{t} = {self.expr(phi.incoming_for(block))}")
-            for phi, t in zip(phis, temps):
-                body.append(f"S[{self.slot[phi]}] = {t}")
-        self._emit_block_cycles(body, bi, has_call)
-        if self.profile:
-            ei = self.edge_index(block, target)
-            body.append(f"PE{self.fi}[{ei}] += 1")
-        body.extend(self.interp._compile_edge(block, target, self.program.bind))
-        body.append(f"return _f{self.fi}_b{self.block_index[target]}")
+    def _sequence(self, block, merges, ctx) -> Tuple[List[str], bool]:
+        """``block`` then each of ``merges``, each falling into the next."""
+        follow, head, exit_, loops, broke = ctx
+        chain = [*merges, follow]
+        lines, falls = [], True
+        if block is not None:
+            lines, falls = self._block(block, (chain[0], head, exit_, loops, broke))
+        for merge, after in zip(merges, chain[1:]):
+            more, falls = self._tree(merge, (after, head, exit_, loops, broke))
+            lines += more
+        return lines, falls
+
+    def _structured(self) -> List[str]:
+        if not self.reducible:
+            raise _Unstructured
+        lines, _ = self._tree(self.func.entry, (None, None, None, 0, [False]))
+        # The body sits one level under the ``def``.
+        if max(len(line) - len(line.lstrip(" ")) for line in lines) // 4 >= _MAX_INDENT:
+            raise _Unstructured
+        return lines
+
+    def _dispatch(self) -> List[str]:
+        lines = [f"_b = {self.rpo[self.func.entry]}", "while True:"]
+        for block in self.order:
+            lines.append(f"    if _b == {self.rpo[block]}:")
+            lines += _indent(_indent(self._block(block, None)[0]))
+        return lines
+
+    def emit(self) -> str:
+        """The function's source: count the entry, set up the limit check,
+        run the entry edge's instrumentation, then the body."""
+        fi, func = self.fi, self.func
+        lines = [f"P{fi}[0] += 1"]
+        if self.needs_cy:
+            lines.append(f"cy = {self.beta[0]}")
+        if self.heads:
+            lines += ["ic = 0", "mx = MX - IC[0]", "if mx < 0: LIM()"]
+        else:
+            lines.append("if IC[0] > MX: LIM()")
+        lines += self.interp._compile_edge(None, func.entry, self.bind)
+        try:
+            body, shape = self._structured(), "structured"
+        except (_Unstructured, RecursionError):
+            body, shape = self._dispatch(), "dispatch"
+        self.program.shapes[func] = shape
+        params = ", ".join(self.local[arg] for arg in func.arguments)
+        return "\n".join([f"def _f{fi}({params}):", *_indent(lines + body), ""])
 
     # Per-instruction code ------------------------------------------------------
 
     def emit_inst(self, body: List[str], inst) -> None:
+        dst = self.local.get(inst)  # None for a void instruction
         if isinstance(inst, BinaryOp):
-            self._emit_binary(body, inst)
-        elif isinstance(inst, Load):
-            self._emit_load(body, inst)
-        elif isinstance(inst, Store):
-            self._emit_store(body, inst)
-            return  # void: no result to instrument
+            self._emit_binary(body, inst, dst)
+        elif isinstance(inst, (Load, Store)):
+            self._emit_access(body, inst, dst)
         elif isinstance(inst, GetElementPtr):
-            self._emit_gep(body, inst)
-        elif isinstance(inst, ICmp):
-            op = _ICMP_OP[inst.predicate]
+            self._emit_gep(body, inst, dst)
+        elif isinstance(inst, (ICmp, FCmp)):
+            op = (_ICMP_OP if isinstance(inst, ICmp) else _FCMP_OP)[inst.predicate]
             lhs, rhs = self.expr(inst.operands[0]), self.expr(inst.operands[1])
-            body.append(f"{self.dst(inst)} = 1 if {lhs} {op} {rhs} else 0")
-        elif isinstance(inst, FCmp):
-            op = _FCMP_OP[inst.predicate]
-            lhs, rhs = self.expr(inst.operands[0]), self.expr(inst.operands[1])
-            body.append(f"{self.dst(inst)} = 1 if {lhs} {op} {rhs} else 0")
+            body.append(f"{dst} = 1 if {lhs} {op} {rhs} else 0")
         elif isinstance(inst, Select):
             cond, a, b = (self.expr(op) for op in inst.operands)
-            body.append(f"{self.dst(inst)} = {a} if {cond} else {b}")
+            body.append(f"{dst} = {a} if {cond} else {b}")
         elif isinstance(inst, Cast):
-            self._emit_cast(body, inst)
+            self._emit_cast(body, inst, dst)
         elif isinstance(inst, UnaryOp):
-            self._emit_unary(body, inst)
+            self._emit_unary(body, inst, dst)
         elif isinstance(inst, Alloca):
-            ty = self.program.bind(inst.allocated_type, "TY")
-            body.append(f"{self.dst(inst)} = ALLOC({ty})")
+            body.append(f"{dst} = ALLOC({self.bind(inst.allocated_type, 'TY')})")
         elif isinstance(inst, Call):
-            self._emit_call(body, inst)
+            callee = inst.callee
+            if callee.is_declaration:
+                body.append(_raise(f"call to undefined function {callee.name}"))
+                return
+            args = ", ".join(self.expr(op) for op in inst.operands)
+            call = f"_f{self.program._func_index[callee]}({args})"
+            body.append(call if dst is None else f"{dst} = {call}")
         else:
-            body.append(
-                f"raise InterpreterError({f'cannot execute {inst.opcode}'!r})"
-            )
+            body.append(_raise(f"cannot execute {inst.opcode}"))
             return
-        dst = self.dst(inst)
         if dst is not None:
             operands = [self.expr(op) for op in inst.operands]
-            body.extend(self.interp._compile_result(
-                inst, dst, operands, self.program.bind
-            ))
+            body.extend(self.interp._compile_result(inst, dst, operands, self.bind))
 
-    def _emit_binary(self, body: List[str], inst) -> None:
-        op = inst.opcode
-        lhs, rhs = self.expr(inst.lhs), self.expr(inst.rhs)
-        dst = self.dst(inst)
-        bits = inst.type.bits
-        if op in ("fadd", "fsub", "fmul", "fdiv"):
-            if op == "fdiv":
-                t = self.temp()
-                body.append(f"{t} = {rhs}")
-                if not (isinstance(inst.rhs, Constant) and inst.rhs.value != 0):
-                    body.append(
-                        f"if {t} == 0: raise InterpreterError("
-                        '"float division by zero")'
-                    )
-                e = f"{lhs} / {t}"
-            else:
-                pyop = {"fadd": "+", "fsub": "-", "fmul": "*"}[op]
-                e = f"{lhs} {pyop} {rhs}"
-            if bits == 32:
-                body.append(f"{dst} = _UPK4(_PK4({e}))[0]")
-            else:
-                body.append(f"{dst} = {e}")
-            return
-        if op in ("add", "sub", "mul", "and", "or", "xor"):
-            pyop = {"add": "+", "sub": "-", "mul": "*", "and": "&",
-                    "or": "|", "xor": "^"}[op]
-            body.append(f"{dst} = {_wrap_expr(f'{lhs} {pyop} {rhs}', bits)}")
-            return
-        if op in ("div", "rem"):
-            fn = "_c_div" if op == "div" else "_c_rem"
-            kind = "division" if op == "div" else "remainder"
-            t = self.temp()
-            body.append(f"{t} = {rhs}")
-            if not (isinstance(inst.rhs, Constant) and inst.rhs.value != 0):
-                body.append(
-                    f"if {t} == 0: raise InterpreterError("
-                    f'"integer {kind} by zero")'
-                )
-            body.append(f"{dst} = {_wrap_expr(f'{fn}({lhs}, {t})', bits)}")
-            return
-        # shl / shr — trap on out-of-range amounts (matches the reference).
-        pyop = "<<" if op == "shl" else ">>"
-        if isinstance(inst.rhs, Constant):
-            amount = inst.rhs.value
-            if 0 <= amount < bits:
-                body.append(f"{dst} = {_wrap_expr(f'{lhs} {pyop} {amount}', bits)}")
-            else:
-                body.append(
-                    "raise InterpreterError("
-                    f"{f'{op} amount {amount} out of range for i{bits}'!r})"
-                )
-            return
+    def _nonzero(self, body: List[str], value, message: str) -> str:
+        """A temp holding divisor ``value``; raises ``message`` on zero."""
         t = self.temp()
-        body.append(f"{t} = {rhs}")
-        body.append(
-            f"if {t} < 0 or {t} >= {bits}: raise InterpreterError("
-            f'"{op} amount %d out of range for i{bits}" % {t})'
-        )
-        body.append(f"{dst} = {_wrap_expr(f'{lhs} {pyop} {t}', bits)}")
-
-    def _emit_access_prologue(self, body: List[str], inst, nbytes: int) -> str:
-        """Address temp + access instrumentation + bounds check/elision
-        accounting."""
-        t = self.temp()
-        body.append(f"{t} = {self.expr(inst.pointer)}")
-        body.extend(self.interp._compile_access(inst, t, self.program.bind))
-        if self.elide and inst in self.interp._proven:
-            body.append("AC[0] += 1")
-        else:
-            body.append("AC[1] += 1")
-            body.append(
-                f"if {t} < 64 or {t} + {nbytes} > {self._mem_size}: "
-                'raise MemoryError_("access at %d (%d bytes) out of range"'
-                f" % ({t}, {nbytes}))"
-            )
+        body.append(f"{t} = {self.expr(value)}")
+        if not (isinstance(value, Constant) and value.value != 0):
+            body.append(f"if {t} == 0: {_raise(message)}")
         return t
 
-    def _emit_load(self, body: List[str], inst) -> None:
-        ty = inst.type
-        dst = self.dst(inst)
-        if isinstance(ty, IntType):
-            nbytes = max(1, (ty.bits + 7) // 8)
-            addr = self._emit_access_prologue(body, inst, nbytes)
-            raw = self.temp()
-            body.append(f'{raw} = _ifb(D[{addr}:{addr} + {nbytes}], "little")')
-            if ty.bits > 1:
-                sign = 1 << (ty.bits - 1)
-                body.append(
-                    f"{dst} = ({raw} & {sign - 1}) - ({raw} & {sign})"
-                )
+    def _emit_binary(self, body: List[str], inst, dst: str) -> None:
+        op, bits = inst.opcode, inst.type.bits
+        lhs, rhs = self.expr(inst.lhs), self.expr(inst.rhs)
+        if op in ("fadd", "fsub", "fmul", "fdiv"):
+            if op == "fdiv":
+                rhs = self._nonzero(body, inst.rhs, "float division by zero")
+            e = f"{lhs} {_PYOP[op]} {rhs}"
+            body.append(f"{dst} = {_round32(e) if bits == 32 else e}")
+            return
+        if op in ("div", "rem"):
+            kind = "division" if op == "div" else "remainder"
+            t = self._nonzero(body, inst.rhs, f"integer {kind} by zero")
+            e = f"_c_{op}({lhs}, {t})"
+            body.append(f"{dst} = {_wrap_expr(e, bits)}")
+            return
+        if op in ("shl", "shr"):  # out-of-range amounts trap, as in the reference
+            amount = inst.rhs.value if isinstance(inst.rhs, Constant) else None
+            if amount is not None and not 0 <= amount < bits:
+                body.append(_raise(f"{op} amount {amount} out of range for i{bits}"))
+                return
+            if amount is None:
+                t = self.temp()
+                body.append(f"{t} = {rhs}")
+                body.append(f"if {t} < 0 or {t} >= {bits}: raise InterpreterError("
+                            f'"{op} amount %d out of range for i{bits}" % {t})')
+                rhs = t
+        body.append(f"{dst} = {_wrap_expr(f'{lhs} {_PYOP[op]} {rhs}', bits)}")
+
+    def _emit_access(self, body: List[str], inst, dst: Optional[str]) -> None:
+        """Address temp, access instrumentation, the bounds check unless
+        the access is elided, then the load or store itself."""
+        ty = inst.type if isinstance(inst, Load) else inst.value.type
+        nbytes = sizeof(ty)
+        t = self.temp()
+        body.append(f"{t} = {self.expr(inst.pointer)}")
+        body.extend(self.interp._compile_access(inst, t, self.bind))
+        if not self._elided(inst):
+            body.append(
+                f"if {t} < 64 or {t} + {nbytes} > {self._mem_size}: raise MemoryError_("
+                f'"access at %d (%d bytes) out of range" % ({t}, {nbytes}))'
+            )
+        if isinstance(inst, Store):
+            value = self.expr(inst.value)
+            if isinstance(ty, FloatType):
+                body.append(f"_PKI{nbytes}(D, {t}, float({value}))")
             else:
-                body.append(f"{dst} = {raw} & 1")
+                body.append(f"D[{t}:{t} + {nbytes}] = (int({value}) & "
+                            f'{(1 << 8 * nbytes) - 1}).to_bytes({nbytes}, "little")')
         elif isinstance(ty, FloatType):
-            nbytes = ty.bits // 8
-            addr = self._emit_access_prologue(body, inst, nbytes)
-            fn = "_UPF4" if ty.bits == 32 else "_UPF8"
-            body.append(f"{dst} = {fn}(D, {addr})[0]")
+            body.append(f"{dst} = _UPF{nbytes}(D, {t})[0]")
         elif isinstance(ty, PointerType):
-            addr = self._emit_access_prologue(body, inst, 8)
-            body.append(f'{dst} = _ifb(D[{addr}:{addr} + 8], "little")')
-        else:  # pragma: no cover - type system forbids other loads
-            body.append(
-                f"raise MemoryError_({f'cannot load type {ty}'!r})"
-            )
+            body.append(f'{dst} = _ifb(D[{t}:{t} + 8], "little")')
+        else:  # sign-extend from ``ty.bits`` (i1 keeps its low bit)
+            raw, sign = self.temp(), 1 << (ty.bits - 1)
+            body.append(f'{raw} = _ifb(D[{t}:{t} + {nbytes}], "little")')
+            body.append(f"{dst} = {raw} & 1" if ty.bits == 1
+                        else f"{dst} = ({raw} & {sign - 1}) - ({raw} & {sign})")
 
-    def _emit_store(self, body: List[str], inst) -> None:
-        ty = inst.value.type
-        value = self.expr(inst.value)
-        if isinstance(ty, IntType):
-            nbytes = max(1, (ty.bits + 7) // 8)
-            addr = self._emit_access_prologue(body, inst, nbytes)
-            mask = (1 << (8 * nbytes)) - 1
-            body.append(
-                f"D[{addr}:{addr} + {nbytes}] = "
-                f'(int({value}) & {mask}).to_bytes({nbytes}, "little")'
-            )
-        elif isinstance(ty, FloatType):
-            nbytes = ty.bits // 8
-            addr = self._emit_access_prologue(body, inst, nbytes)
-            fn = "_PKI4" if ty.bits == 32 else "_PKI8"
-            body.append(f"{fn}(D, {addr}, float({value}))")
-        elif isinstance(ty, PointerType):
-            addr = self._emit_access_prologue(body, inst, 8)
-            mask = (1 << 64) - 1
-            body.append(
-                f"D[{addr}:{addr} + 8] = "
-                f'(int({value}) & {mask}).to_bytes(8, "little")'
-            )
-        else:  # pragma: no cover - type system forbids other stores
-            body.append(
-                f"raise MemoryError_({f'cannot store type {ty}'!r})"
-            )
-
-    def _emit_gep(self, body: List[str], inst) -> None:
-        terms = [self.expr(inst.base)]
-        offset = 0
-        ty = inst.base.type.pointee
+    def _emit_gep(self, body: List[str], inst, dst: str) -> None:
+        terms, offset, ty = [self.expr(inst.base)], 0, inst.base.type.pointee
         for level, index in enumerate(inst.indices):
             if level > 0:
                 if not isinstance(ty, ArrayType):
-                    body.append(
-                        'raise InterpreterError("gep descends into non-array")'
-                    )
+                    body.append(_raise("gep descends into non-array"))
                     return
                 ty = ty.element
             size = sizeof(ty)
             if isinstance(index, Constant):
                 offset += index.value * size
-            elif size == 1:
-                terms.append(self.expr(index))
             else:
-                terms.append(f"{self.expr(index)} * {size}")
+                terms.append(self.expr(index) + (f" * {size}" if size != 1 else ""))
         if offset:
             terms.append(repr(offset))
-        body.append(f"{self.dst(inst)} = {' + '.join(terms)}")
+        body.append(f"{dst} = {' + '.join(terms)}")
 
-    def _emit_cast(self, body: List[str], inst) -> None:
-        op = inst.opcode
+    def _emit_cast(self, body: List[str], inst, dst: str) -> None:
+        op, bits = inst.opcode, inst.type.bits
         value = self.expr(inst.operands[0])
-        dst = self.dst(inst)
-        bits = inst.type.bits
         if op == "sitofp":
             e = f"float({value})"
-            if bits == 32:
-                e = f"_UPK4(_PK4({e}))[0]"
-            body.append(f"{dst} = {e}")
+            body.append(f"{dst} = {_round32(e) if bits == 32 else e}")
         elif op == "fptosi":
             body.append(f"{dst} = {_wrap_expr(f'int({value})', bits)}")
         elif op == "zext":
-            src_mask = (1 << inst.operands[0].type.bits) - 1
             t = self.temp()
             body.append(f"{t} = {value}")
-            body.append(f"if {t} < 0: {t} &= {src_mask}")
+            body.append(f"if {t} < 0: {t} &= {(1 << inst.operands[0].type.bits) - 1}")
             body.append(f"{dst} = {_wrap_expr(t, bits)}")
         elif op in ("sext", "trunc"):
             body.append(f"{dst} = {_wrap_expr(value, bits)}")
-        elif op == "fptrunc":
-            body.append(f"{dst} = _UPK4(_PK4({value}))[0]")
-        else:  # fpext
-            body.append(f"{dst} = {value}")
+        else:  # fptrunc rounds to float32; fpext keeps the value
+            body.append(f"{dst} = {_round32(value) if op == 'fptrunc' else value}")
 
-    def _emit_unary(self, body: List[str], inst) -> None:
-        op = inst.opcode
+    def _emit_unary(self, body: List[str], inst, dst: str) -> None:
+        op, bits = inst.opcode, inst.type.bits
         value = self.expr(inst.operands[0])
-        dst = self.dst(inst)
-        bits = inst.type.bits
         if op == "fneg":
             body.append(f"{dst} = -({value})")
         elif op == "fsqrt":
             t = self.temp()
             body.append(f"{t} = {value}")
-            body.append(
-                f"if {t} < 0: raise InterpreterError("
-                '"fsqrt of a negative value")'
-            )
+            body.append(f"if {t} < 0: {_raise('fsqrt of a negative value')}")
             e = f"_sqrt({t})"
-            if bits == 32:
-                e = f"_UPK4(_PK4({e}))[0]"
-            body.append(f"{dst} = {e}")
+            body.append(f"{dst} = {_round32(e) if bits == 32 else e}")
         elif op == "fabs":
             body.append(f"{dst} = abs({value})")
-        elif op == "neg":
-            body.append(f"{dst} = {_wrap_expr(f'-({value})', bits)}")
-        else:  # not
-            body.append(f"{dst} = {_wrap_expr(f'~({value})', bits)}")
-
-    def _emit_call(self, body: List[str], inst) -> None:
-        callee = inst.callee
-        if callee.is_declaration:
-            body.append(
-                "raise InterpreterError("
-                f"{f'call to undefined function {callee.name}'!r})"
-            )
-            return
-        fi = self.program._func_index[callee]
-        args = ", ".join(self.expr(op) for op in inst.operands)
-        dst = self.dst(inst)
-        if dst is None:
-            body.append(f"_f{fi}({args})")
-        else:
-            body.append(f"{dst} = _f{fi}({args})")
+        else:  # neg / not
+            body.append(f"{dst} = {_wrap_expr(f'{_PYOP[op]}({value})', bits)}")

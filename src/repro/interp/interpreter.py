@@ -108,7 +108,6 @@ class Interpreter:
         self.cycles = 0.0
         self.instructions = 0
         self.global_addresses: Dict[GlobalVariable, int] = {}
-        self._cycle_cache: Dict[type, float] = {}
         # Bounds-check elision: accesses a repro.dataflow.bounds.BoundsAnalysis
         # proved in-bounds skip the per-access memory range check.  The proofs
         # rely on interprocedural argument seeds, so elision is enabled per
@@ -122,7 +121,7 @@ class Interpreter:
         # Subclasses set this to receive _on_block_transition callbacks on
         # the reference engine (the compiled engine emits _compile_edge).
         self._trace_blocks = False
-        # Counter cells the compiled engine bumps per block (_compile_tally).
+        # Counter cells the compiled engine derives (_compile_tally).
         self._tally: Optional[List[int]] = None
         # Lazily built CompiledProgram per elision mode (compiled engine).
         self._programs: Dict[bool, object] = {}
@@ -160,8 +159,10 @@ class Interpreter:
     def _call_function_inner(self, func: Function, args: List):
         self._depth += 1
         try:
-            if self._depth == 1 and self.bounds is not None:
-                self._elide_enabled = self._entry_args_match_seeds(func, args)
+            if self._depth == 1 and self._proven:
+                self._elide_enabled = self._args_in_seeds(
+                    self.bounds.intervals, func, args
+                )
             return self._run_function(func, args)
         finally:
             self._depth -= 1
@@ -191,12 +192,14 @@ class Interpreter:
                     self.checked_accesses - checked0,
                 )
 
-    def _entry_args_match_seeds(self, func: Function, args: List) -> bool:
-        """The bounds proofs assume each function's integer arguments stay
-        inside the seeded call-site ranges.  A top-level entry invoked with
-        out-of-seed arguments (e.g. a kernel driven directly instead of via
-        ``main``) falls back to fully checked execution."""
-        analysis = self.bounds.intervals.for_function(func)
+    @staticmethod
+    def _args_in_seeds(intervals, func: Function, args: List) -> bool:
+        """The static facts (bounds proofs, proven widths, sanitizer claims)
+        assume each function's integer arguments stay inside the seeded
+        call-site ranges.  A top-level entry invoked with out-of-seed
+        arguments (e.g. a kernel driven directly instead of via ``main``)
+        runs without them: fully checked, unnarrowed, unvalidated."""
+        analysis = intervals.for_function(func)
         for formal, actual in zip(func.arguments, args):
             seeded = analysis.arg_intervals.get(formal)
             if seeded is not None and not seeded.contains(actual):
@@ -243,7 +246,7 @@ class Interpreter:
         """
         if self.engine != "compiled":
             return
-        key = self.bounds is not None if elide is None else bool(elide)
+        key = bool(self._proven) if elide is None else bool(elide)
         saved = self._elide_enabled
         self._elide_enabled = key
         try:
@@ -253,12 +256,10 @@ class Interpreter:
 
     # Compile-time instrumentation (compiled engine) ---------------------------
     #
-    # Subclasses that post-process results (NarrowingInterpreter) or observe
-    # accesses/values (SanitizingInterpreter) return source lines here; the
-    # compiled engine splices them into the generated code at the exact
-    # program points where the reference engine's ``_execute`` override and
-    # ``_on_block_transition`` would fire.  ``bind(obj, prefix)`` binds a
-    # Python object into the generated code's namespace and returns its name.
+    # Subclasses return source lines the compiled engine splices in where the
+    # reference engine's ``_execute`` override and ``_on_block_transition``
+    # fire.  ``bind(obj, prefix)`` binds an object into the generated code's
+    # namespace and returns its name.
 
     def _compile_result(self, inst: Instruction, dst: str, operands, bind):
         """Lines run right after ``inst``'s value is stored to ``dst``;
@@ -276,9 +277,8 @@ class Interpreter:
         return []
 
     def _compile_tally(self, inst: Instruction) -> Tuple[int, ...]:
-        """Per-execution increments ``inst`` adds to each ``_tally`` cell.
-        The compiled engine sums them per block and adds the sums once per
-        block execution, the way it counts instructions."""
+        """Per-execution increments ``inst`` adds to each ``_tally`` cell,
+        which the compiled engine derives like its instruction count."""
         return ()
 
     def _run_reference(self, func: Function, args: List):

@@ -78,45 +78,12 @@ class FlatMemory:
         raise MemoryError_(f"cannot store type {ty}")
 
     def load(self, address: int, ty: Type):
-        if isinstance(ty, IntType):
-            nbytes = max(1, (ty.bits + 7) // 8)
-            self._check(address, nbytes)
-            raw = int.from_bytes(self.data[address:address + nbytes], "little")
-            # Sign-extend.
-            sign_bit = 1 << (ty.bits - 1)
-            return (raw & (sign_bit - 1)) - (raw & sign_bit) if ty.bits > 1 else raw & 1
-        if isinstance(ty, FloatType):
-            nbytes = ty.bits // 8
-            self._check(address, nbytes)
-            fmt = "<f" if ty.bits == 32 else "<d"
-            return struct.unpack_from(fmt, self.data, address)[0]
-        if isinstance(ty, PointerType):
-            self._check(address, 8)
-            return int.from_bytes(self.data[address:address + 8], "little")
-        raise MemoryError_(f"cannot load type {ty}")
+        self._check(address, sizeof(ty))
+        return self.load_unchecked(address, ty)
 
     def store(self, address: int, ty: Type, value) -> None:
-        if isinstance(ty, IntType):
-            nbytes = max(1, (ty.bits + 7) // 8)
-            self._check(address, nbytes)
-            mask = (1 << (8 * nbytes)) - 1
-            self.data[address:address + nbytes] = (int(value) & mask).to_bytes(
-                nbytes, "little"
-            )
-            return
-        if isinstance(ty, FloatType):
-            nbytes = ty.bits // 8
-            self._check(address, nbytes)
-            fmt = "<f" if ty.bits == 32 else "<d"
-            struct.pack_into(fmt, self.data, address, float(value))
-            return
-        if isinstance(ty, PointerType):
-            self._check(address, 8)
-            self.data[address:address + 8] = (int(value) & ((1 << 64) - 1)).to_bytes(
-                8, "little"
-            )
-            return
-        raise MemoryError_(f"cannot store type {ty}")
+        self._check(address, sizeof(ty))
+        self.store_unchecked(address, ty, value)
 
     # Bulk helpers used by workload input generators ---------------------------
 

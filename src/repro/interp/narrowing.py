@@ -77,17 +77,9 @@ class NarrowingInterpreter(Interpreter):
     # Entry gating (mirrors elision / sanitizer semantics) --------------------
 
     def call_function(self, func: Function, args: List):
-        if self._depth == 0 and not self._args_in_seeds(func, args):
+        if self._depth == 0 and not self._args_in_seeds(self.intervals, func, args):
             self.narrowing_active = False
         return super().call_function(func, args)
-
-    def _args_in_seeds(self, func: Function, args: List) -> bool:
-        analysis = self.intervals.for_function(func)
-        for formal, actual in zip(func.arguments, args):
-            seeded = analysis.arg_intervals.get(formal)
-            if seeded is not None and not seeded.contains(actual):
-                return False
-        return True
 
     # Narrowed execution ------------------------------------------------------
 

@@ -228,8 +228,9 @@ class SanitizingInterpreter(Interpreter):
         self.intervals = facts.intervals
         self.bounds = facts.bounds
         self.bitwidth = facts.bitwidth
-        # Never elide in sanitize mode: self.bounds stays analysis-only and
-        # the base class keeps _elide_enabled False (we pass bounds=None up).
+        # Never elide in sanitize mode: the base class elides only accesses
+        # in ``_proven``, built from the bounds passed up (None), so
+        # self.bounds stays analysis-only.
 
         #: expected interval per int-typed SSA value, at its definition
         self._expected: Dict = {}
@@ -287,7 +288,7 @@ class SanitizingInterpreter(Interpreter):
         ] = {}
 
         # Compiled-engine plan: the checks every execution of an
-        # instruction makes are counted per block into ``_tally`` (values,
+        # instruction makes are derived per block into ``_tally`` (values,
         # known bits, accesses, bank indices) and settled after each
         # top-level call; ``_tracks`` holds the loops some check reads the
         # iteration of; only bases in a disjointness claim record starts.
@@ -495,7 +496,7 @@ class SanitizingInterpreter(Interpreter):
     def call_function(self, func: Function, args: List):
         if self._depth:
             return super().call_function(func, args)
-        if not self._entry_args_in_seeds(func, args):
+        if not self._args_in_seeds(self.intervals, func, args):
             self._claims_active[0] = False
             self.notes.append(
                 f"entry @{func.name} invoked outside its seeded argument "
@@ -516,14 +517,6 @@ class SanitizingInterpreter(Interpreter):
             self.accesses_checked += tally[2]
             self.bank_checks += tally[3]
         tally[:] = [0] * len(tally)
-
-    def _entry_args_in_seeds(self, func: Function, args: List) -> bool:
-        analysis = self.intervals.for_function(func)
-        for formal, actual in zip(func.arguments, args):
-            seeded = analysis.arg_intervals.get(formal)
-            if seeded is not None and not seeded.contains(actual):
-                return False
-        return True
 
     # Violation plumbing ------------------------------------------------------
 

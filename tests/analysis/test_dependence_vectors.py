@@ -125,7 +125,7 @@ class TestMemdepVectors:
         assert dep.distance == 2
         assert dep.effective_distance == 2
         assert dep.vector is not None and dep.vector.exact
-        entry = dep.vector.level_for(loop)
+        (entry,) = [e for e in dep.vector.entries if e.loop is loop]
         assert entry.direction == "<" and entry.distance == 2
 
     def test_stride_two_same_parity_is_independent(self):
@@ -205,7 +205,8 @@ class TestMemdepVectors:
         loop = access.loop_info.loops[0]
         flows = [d for d in md.loop_carried(loop) if d.kind == "flow"]
         assert flows and flows[0].distance == 1
-        assert flows[0].vector.level_for(loop).direction == "*"
+        (entry,) = [e for e in flows[0].vector.entries if e.loop is loop]
+        assert entry.direction == "*"
 
     def test_loop_carried_is_memoized(self):
         func, access, md = build(SIV, "siv-memo", "kern")

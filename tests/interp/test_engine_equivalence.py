@@ -68,16 +68,144 @@ class TestEngineEquivalence:
         assert_identical(out)
         assert out["compiled"][1].elided_accesses == 0
 
-    @pytest.mark.parametrize("name", ["trisolv", "nw", "fft"])
+    # parser-125k calls from inside loops, so its call blocks' cycles come
+    # from the compiled engine's dynamic deltas.
+    @pytest.mark.parametrize("name", [
+        "trisolv", "nw", "fft", "parser-125k", "zip-test", "floyd-warshall",
+    ])
     def test_profile_counters_identical(self, name):
         out = run_both(name, profile=True)
         assert_identical(out)
-        ref, cmp_ = out["reference"][1].counters, out["compiled"][1].counters
-        assert ref.block_count == cmp_.block_count
-        assert ref.block_instructions == cmp_.block_instructions
-        assert ref.block_cycles == pytest.approx(cmp_.block_cycles)
-        assert ref.edge_count == cmp_.edge_count
-        assert ref.func_entry_count == cmp_.func_entry_count
+        assert_counters_identical(out["reference"][1], out["compiled"][1])
+
+
+def assert_counters_identical(ref, cmp_):
+    ref, cmp_ = ref.counters, cmp_.counters
+    assert ref.block_count == cmp_.block_count
+    assert ref.block_instructions == cmp_.block_instructions
+    assert ref.block_cycles == cmp_.block_cycles
+    assert ref.edge_count == cmp_.edge_count
+    assert ref.func_entry_count == cmp_.func_entry_count
+
+
+def run_module_both(module, args=(), entry="main"):
+    """Profile ``entry`` of ``module`` under both engines and check that
+    they agree on everything; return the compiled program's shapes."""
+    out = {}
+    for engine in ("reference", "compiled"):
+        interp = Interpreter(module, profile=True, engine=engine)
+        out[engine] = (interp.run(entry, list(args)), interp)
+    assert_identical(out)
+    assert_counters_identical(out["reference"][1], out["compiled"][1])
+    (program,) = out["compiled"][1]._programs.values()
+    return {func.name: shape for func, shape in program.shapes.items()}
+
+
+# Two blocks that branch to each other, both entered from ``entry``: a loop
+# with two entries, which no ``while`` can express.
+IRREDUCIBLE = """
+func i32 @main(i32 %n) {
+entry:
+  %c = icmp slt i32 %n, 3
+  condbr %c, left, right
+left:
+  %a = phi i32 [%n, entry], [%b1, right]
+  %a1 = add i32 %a, 1
+  %ca = icmp slt i32 %a1, 20
+  condbr %ca, right, done
+right:
+  %b = phi i32 [%n, entry], [%a1, left]
+  %b1 = add i32 %b, 2
+  %cb = icmp slt i32 %b1, 20
+  condbr %cb, left, done
+done:
+  %r = phi i32 [%a1, left], [%b1, right]
+  ret %r
+}
+"""
+
+
+def loop_nest(depth):
+    """``main(n)``: ``depth`` nested loops of ``n`` trips, the innermost of
+    three, counting its iterations."""
+    heads = "".join(
+        f"for (int i{k} = 0; i{k} < {'3' if k == depth - 1 else 'n'}; i{k}++) "
+        for k in range(depth)
+    )
+    return f"int main(int n) {{ int s = 0; {heads}s = s + i{depth - 1}; return s; }}"
+
+
+def else_if_chain(length):
+    """``main(x)``: an ``else if`` chain of ``length`` tests."""
+    arms = " else ".join(
+        f"if (x == {k}) r = {3 * k + 1};" for k in range(length)
+    )
+    return f"int main(int x) {{ int r = 0; {arms} else r = -1; return r; }}"
+
+
+class TestEmissionShapes:
+    def test_irreducible_function_dispatches(self):
+        module = parse_module(IRREDUCIBLE)
+        for n in (0, 5):
+            assert run_module_both(module, [n]) == {"main": "dispatch"}
+
+    @pytest.mark.parametrize("depth, shape", [
+        (20, "structured"), (21, "dispatch"),
+    ])
+    def test_loop_nest_past_the_nesting_limit_dispatches(self, depth, shape):
+        module = compile_source(loop_nest(depth), "nest")
+        assert run_module_both(module, [1]) == {"main": shape}
+
+    @pytest.mark.parametrize("length, shape", [
+        (30, "structured"), (120, "dispatch"),
+    ])
+    def test_deep_else_if_chain_dispatches(self, length, shape):
+        module = compile_source(else_if_chain(length), "chain")
+        for x in (0, 17, length - 1, length + 5):
+            assert run_module_both(module, [x]) == {"main": shape}
+
+    @pytest.mark.parametrize("name", CROSS_SECTION)
+    def test_registry_programs_are_structured(self, name):
+        workload = get_workload(name)
+        interp = Interpreter(compile_source(workload.source, name), profile=True)
+        interp.precompile()
+        (program,) = interp._programs.values()
+        assert set(program.shapes.values()) == {"structured"}
+
+
+# The instruction limit: a run past it raises, a run within it never does.
+LIMITED = {
+    "call-free loop": (
+        "int main() { int s = 0; for (int i = 0; i < 500; i++) s += i;"
+        " return s; }"
+    ),
+    "recursive chain": (
+        "int f(int n) { if (n == 0) return 0; return f(n - 1) + 2; }"
+        " int main() { return f(60); }"
+    ),
+    "straight-line tail": (
+        "int A[4]; int main() { int s = 0; for (int i = 0; i < 20; i++)"
+        " s += i; A[0] = s; A[1] = s * 3; A[2] = A[0] + A[1];"
+        " A[3] = A[2] - 7; return A[3]; }"
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(LIMITED))
+def test_instruction_limit_is_exact(name):
+    from repro.interp import ExecutionLimitExceeded
+
+    module = compile_source(LIMITED[name], "limit")
+    reference = Interpreter(module, engine="reference")
+    result = reference.run("main")
+    total = reference.instructions
+    at_limit = Interpreter(module, max_instructions=total)
+    assert at_limit.run("main") == result
+    assert at_limit.instructions == total
+    # Past the limit at the last instruction, and midway through the run.
+    for limit in (total - 1, total // 2):
+        with pytest.raises(ExecutionLimitExceeded):
+            Interpreter(module, max_instructions=limit).run("main")
 
 
 #: Sanitizer modes: no injection, then each claim kind injected.
@@ -240,7 +368,7 @@ class TestInstrumentedEquivalence:
         )
         assert not SANITIZER_NAMES.search(compiled_source(Interpreter(module)))
         assert re.search(
-            r"S\[\d+\] = H\d+\(S\[\d+\]\)",
+            r"\b(v\d+) = H\d+\(\1\)",
             compiled_source(NarrowingInterpreter(module)),
         )
 
@@ -394,3 +522,75 @@ def test_random_programs_execute_identically(source):
             dict(interp.counters.edge_count),
         )
     assert runs["reference"] == runs["compiled"], source
+
+
+# Runs that never end: only the checks inside the run can stop them.
+RUNAWAY = {
+    "loop": "int main(int n) { int s = 0; while (n > 0) s += n; return s; }",
+    "loop of calls": (
+        "int g(int n) { int s = 0; for (int i = 0; i < n; i++) s += i;"
+        " return s; } int main(int n) { int t = 0; while (n > 0) t += g(n);"
+        " return t; }"
+    ),
+}
+
+
+@pytest.mark.parametrize("engine", ["reference", "compiled"])
+@pytest.mark.parametrize("name", list(RUNAWAY))
+def test_runaway_run_hits_the_limit(name, engine):
+    from repro.interp import ExecutionLimitExceeded
+
+    module = compile_source(RUNAWAY[name], "runaway")
+    interp = Interpreter(module, max_instructions=20_000, engine=engine)
+    with pytest.raises(ExecutionLimitExceeded):
+        interp.run("main", [50])
+
+
+@st.composite
+def nested_programs(draw, depth=0, loops=0):
+    """Statements nesting ``for``/``while`` loops and ``if``s with
+    ``break``, ``continue``, early ``return`` and calls, over ``int s``;
+    ``s`` only grows, so every loop ends."""
+    statements = []
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        kind = draw(st.sampled_from(
+            ("for", "if", "while", "break", "continue", "return", "call", "set")
+        ))
+        small = draw(st.integers(min_value=0, max_value=5))
+        if kind in ("for", "while", "if") and depth < 3:
+            body = draw(nested_programs(depth + 1, loops + (kind != "if")))
+            if kind == "for":
+                i = f"i{depth}"
+                statements.append(
+                    f"for (int {i} = 0; {i} < {small}; {i}++) {{ s = s + {i}; {body} }}"
+                )
+            elif kind == "while":
+                statements.append(f"while (s < {8 * small}) {{ s = s + 3; {body} }}")
+            else:
+                other = draw(nested_programs(depth + 1, loops))
+                statements.append(
+                    f"if (s % 3 == {small % 3}) {{ {body} }} else {{ {other} }}"
+                )
+        elif kind == "break" and loops:
+            statements.append(f"if (s > {10 * small}) break;")
+        elif kind == "continue" and loops:
+            statements.append(f"if ((s & 3) == {small % 4}) {{ s = s + 1; continue; }}")
+        elif kind == "return":
+            statements.append(f"if (s > {40 * small + 20}) return s + {small};")
+        elif kind == "call":
+            statements.append(f"s = s + f(s % 7);")
+        else:
+            statements.append(f"s = s + {2 * small + 1}; A[s & 7] = s;")
+    return " ".join(statements)
+
+
+@given(nested_programs(), st.booleans(), st.integers(min_value=0, max_value=12))
+@settings(max_examples=30, deadline=None)
+def test_nested_control_flow_executes_identically(body, optimize, n):
+    source = (
+        "int A[8]; int f(int x) { int t = 0; for (int j = 0; j < x; j++)"
+        " { if (j == 3) break; t = t + j; } return t; }"
+        f" int main(int n) {{ int s = n; {body} return s; }}"
+    )
+    module = compile_source(source, "nested", optimize=optimize)
+    run_module_both(module, [n])

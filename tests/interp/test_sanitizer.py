@@ -156,6 +156,13 @@ int main() { return kernel(4); }
         assert interp.notes
         assert interp.values_checked == interp.accesses_checked == 0
 
+    def test_sanitized_run_never_elides(self):
+        """The sanitizer checks every access, so a seed-matching run
+        compiles and caches only the fully checked program."""
+        interp = sanitize("trisolv")
+        assert list(interp._programs) == [False]
+        assert interp.elided_accesses == 0 and interp.checked_accesses > 0
+
 
 class TestBankingClaims:
     """Every claimed-conflict-free banking scheme is validated with
