@@ -120,7 +120,9 @@ class FunctionLowering:
         self.builder = IRBuilder()
         # Braun SSA state.
         self.current_defs: Dict[str, Dict[BasicBlock, Value]] = {}
-        self.sealed_blocks: set = set()
+        #: Each sealed block's predecessors, recorded when it is sealed:
+        #: no edge into a block is added after that.
+        self.sealed_preds: Dict[BasicBlock, List[BasicBlock]] = {}
         self.incomplete_phis: Dict[BasicBlock, Dict[str, Phi]] = {}
         # Scoping.
         self.scopes: List[Dict[str, _Variable]] = [{}]
@@ -165,9 +167,9 @@ class FunctionLowering:
         return self._read_variable_recursive(name, block, ty)
 
     def _read_variable_recursive(self, name: str, block: BasicBlock, ty: Type) -> Value:
-        preds = block.predecessors
+        preds = self.sealed_preds.get(block)
         display = name.split("#")[0]
-        if block not in self.sealed_blocks:
+        if preds is None:
             phi = Phi(ty, display)
             block.insert_front(phi)
             self.incomplete_phis.setdefault(block, {})[name] = phi
@@ -181,12 +183,14 @@ class FunctionLowering:
             phi = Phi(ty, display)
             block.insert_front(phi)
             self.write_variable(name, block, phi)
-            value = self._add_phi_operands(name, phi, block, ty)
+            value = self._add_phi_operands(name, phi, preds, ty)
         self.write_variable(name, block, value)
         return value
 
-    def _add_phi_operands(self, name: str, phi: Phi, block: BasicBlock, ty: Type) -> Value:
-        for pred in block.predecessors:
+    def _add_phi_operands(
+        self, name: str, phi: Phi, preds: List[BasicBlock], ty: Type
+    ) -> Value:
+        for pred in preds:
             phi.add_incoming(self.read_variable(name, pred, ty), pred)
         return self._try_remove_trivial_phi(phi)
 
@@ -213,9 +217,10 @@ class FunctionLowering:
         return same
 
     def seal_block(self, block: BasicBlock) -> None:
+        preds = block.predecessors
         for name, phi in self.incomplete_phis.pop(block, {}).items():
-            self._add_phi_operands(name, phi, block, phi.type)
-        self.sealed_blocks.add(block)
+            self._add_phi_operands(name, phi, preds, phi.type)
+        self.sealed_preds[block] = preds
 
     # ------------------------------------------------------------------- driver
 

@@ -26,13 +26,15 @@ class RegionProfile:
 
     The counters are final once :func:`profile_module` returns (its
     interpreter is gone and nothing else writes them), so entry counts are
-    memoized per region and per loop object.
+    memoized per region and per loop object, and each function's
+    predecessor map (the CFG the counters were taken on) is built once.
     """
 
     def __init__(self, counters: ProfileCounters, total_cycles: float):
         self.counters = counters
         self.total_cycles = total_cycles
         self._entries: Dict[object, int] = {}
+        self._preds: Dict[Function, Dict[BasicBlock, List[BasicBlock]]] = {}
 
     # Block-level ------------------------------------------------------------
 
@@ -82,13 +84,19 @@ class RegionProfile:
         function's entries when ``entry`` is the function entry block."""
         count = self._entries.get(owner)
         if count is None:
-            count = sum(
-                self.edge_count(pred, entry)
-                for pred in entry.predecessors
-                if pred not in owner.blocks
-            )
-            if entry.parent is not None and entry is entry.parent.entry:
-                count += self.function_entries(entry.parent)
+            func = entry.parent
+            count = 0
+            if func is not None:
+                preds = self._preds.get(func)
+                if preds is None:
+                    preds = self._preds[func] = func.predecessor_map()
+                count = sum(
+                    self.edge_count(pred, entry)
+                    for pred in preds[entry]
+                    if pred not in owner.blocks
+                )
+                if entry is func.entry:
+                    count += self.function_entries(func)
             self._entries[owner] = count
         return count
 

@@ -39,6 +39,8 @@ class Instruction(Value):
     """
 
     opcode: str = "?"
+    #: Whether the instruction ends its block (``br``, ``condbr``, ``ret``).
+    is_terminator: bool = False
 
     def __init__(self, ty: Type, operands: Sequence[Value], name: str = ""):
         super().__init__(ty, name)
@@ -76,10 +78,6 @@ class Instruction(Value):
     @property
     def function(self) -> Optional["Function"]:
         return self.parent.parent if self.parent is not None else None
-
-    @property
-    def is_terminator(self) -> bool:
-        return isinstance(self, (Branch, CondBranch, Return))
 
     @property
     def is_memory_access(self) -> bool:
@@ -373,6 +371,7 @@ class Branch(Instruction):
     """Unconditional branch."""
 
     opcode = "br"
+    is_terminator = True
 
     def __init__(self, target: "BasicBlock"):
         super().__init__(VOID, [])
@@ -390,6 +389,7 @@ class CondBranch(Instruction):
     """Two-way conditional branch."""
 
     opcode = "condbr"
+    is_terminator = True
 
     def __init__(self, cond: Value, true_target: "BasicBlock", false_target: "BasicBlock"):
         if not cond.type.is_bool:
@@ -417,6 +417,7 @@ class Return(Instruction):
     """Function return, optionally with a value."""
 
     opcode = "ret"
+    is_terminator = True
 
     def __init__(self, value: Optional[Value] = None):
         super().__init__(VOID, [value] if value is not None else [])

@@ -36,6 +36,16 @@ class TestPipelineSpans:
         names = {span.name for span in tele.walk_spans() if span.depth == 3}
         assert any(name.startswith("opt.pass:") for name in names)
 
+    def test_verification_has_its_own_span(self, traced_run):
+        tele, result = traced_run
+        spans = [s for s in tele.walk_spans() if s.name == "ir.verify"]
+        functions = len(list(result.module.defined_functions()))
+        # Once after lowering, then once per pass that changed the module.
+        assert spans[0].parent.name == "frontend.lower"
+        assert all(s.parent.name == "opt.pipeline" for s in spans[1:])
+        assert len(spans) > 1
+        assert {s.attrs["functions"] for s in spans} == {functions}
+
     def test_interp_compile_nested_under_profile(self, traced_run):
         tele, _ = traced_run
         spans = {span.name: span for span in tele.walk_spans()}
