@@ -14,6 +14,7 @@ For every load/store the analysis resolves
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Optional, Tuple, Union
 
 from ..ir import (
@@ -98,13 +99,14 @@ class AccessInfo:
                 loop = loop.parent
         return loops
 
-    @property
+    @cached_property
     def is_stream(self) -> bool:
         """True when the address sequence is statically computable: a nest
         of affine recurrences whose steps and residual symbolic part are
         invariant in every loop enclosing the access (an AGU can latch them
         once per kernel invocation).  Steps may be symbolic — ``{0,+,n}`` for
-        a linearized ``A[i*n + j]`` is still a stream."""
+        a linearized ``A[i*n + j]`` is still a stream.  Computed once per
+        access."""
         if self.base is None:
             return False
         levels = self.affine_addrec_levels()

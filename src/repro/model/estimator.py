@@ -188,6 +188,16 @@ class AcceleratorModel:
         self._unit_dfgs: Dict[object, DFG] = {}
         self._pipelined_units: Dict[Tuple, Tuple] = {}
         self._sequential_units: Dict[Tuple, Tuple] = {}
+        #: What every config of a region reads and no config changes, built
+        #: on first use: the region's loops and its accesses in block
+        #: order, each access's ``(scratchpad footprint, count per
+        #: invocation)`` by ``(region, inst)``, and each ``(loop, distance
+        #: factor)``'s unroll legality.  The profile and the facts are
+        #: fixed for the model's life, so none of them goes stale.
+        self._region_loops: Dict[Region, List[Loop]] = {}
+        self._region_accesses: Dict[Region, List[AccessInfo]] = {}
+        self._spad_sizes: Dict[Tuple, Tuple[Optional[int], float]] = {}
+        self._unroll_legal: Dict[Tuple, bool] = {}
         #: The module's shared static facts: points-to backs may_alias,
         #: interval windows clamp footprints, bitwidth narrows datapath
         #: operators to their proven widths.
@@ -313,7 +323,7 @@ class AcceleratorModel:
                     # Factor-aware legality: a carried dependence with a
                     # proven distance ≥ factor still admits this unroll
                     # (with dependence proofs off, no carried one does).
-                    if unroll_legal(candidate, ctx.memdep, distance_factor):
+                    if self._legal_unroll(candidate, ctx, distance_factor):
                         if self.profile.trip_count(candidate) >= factor:
                             loop_plans[candidate].unroll = factor
                         break
@@ -507,9 +517,8 @@ class AcceleratorModel:
         in_pipelined = plan_for_loop is not None and plan_for_loop.pipelined
 
         if mode == "full":
-            footprint = self._spad_footprint_bytes(access, region, ctx)
+            footprint, count = self._spad_size(access, region, ctx)
             if footprint is not None and 0 < footprint <= self.max_spad_bytes:
-                count = self._access_count_per_invocation(access, region)
                 elements = max(1, footprint // max(1, access.element_size))
                 if count >= self.beta * elements:
                     partitions = 1
@@ -527,6 +536,20 @@ class AcceleratorModel:
         if in_pipelined and access.is_stream:
             return InterfaceAssignment(inst, InterfaceKind.DECOUPLED)
         return InterfaceAssignment(inst, InterfaceKind.COUPLED)
+
+    def _spad_size(
+        self, access: AccessInfo, region: Region, ctx: FunctionContext
+    ) -> Tuple[Optional[int], float]:
+        """The access's scratchpad footprint in ``region`` and its count
+        per region invocation, computed once per ``(region, access)``."""
+        key = (region, access.inst)
+        size = self._spad_sizes.get(key)
+        if size is None:
+            size = self._spad_sizes[key] = (
+                self._spad_footprint_bytes(access, region, ctx),
+                self._access_count_per_invocation(access, region),
+            )
+        return size
 
     def _spad_footprint_bytes(
         self, access: AccessInfo, region: Region, ctx: FunctionContext
@@ -808,16 +831,35 @@ class AcceleratorModel:
         return [l for l in loops if l.parent not in loop_set]
 
     def _loops_in_region(self, region: Region, ctx: FunctionContext) -> List[Loop]:
-        return [
-            loop for loop in ctx.loop_info.loops if loop.blocks <= region.blocks
-        ]
+        loops = self._region_loops.get(region)
+        if loops is None:
+            loops = self._region_loops[region] = [
+                loop for loop in ctx.loop_info.loops
+                if loop.blocks <= region.blocks
+            ]
+        return loops
 
     def _accesses_in_region(
         self, region: Region, ctx: FunctionContext
     ) -> List[AccessInfo]:
-        return [
-            ctx.access.info(inst)
-            for block in ctx.ordered_blocks(region.blocks)
-            for inst in block.instructions
-            if isinstance(inst, (Load, Store))
-        ]
+        accesses = self._region_accesses.get(region)
+        if accesses is None:
+            accesses = self._region_accesses[region] = [
+                ctx.access.info(inst)
+                for block in ctx.ordered_blocks(region.blocks)
+                for inst in block.instructions
+                if isinstance(inst, (Load, Store))
+            ]
+        return accesses
+
+    def _legal_unroll(
+        self, loop: Loop, ctx: FunctionContext, factor: Optional[int]
+    ) -> bool:
+        """:func:`unroll_legal`, decided once per ``(loop, factor)``."""
+        key = (loop, factor)
+        legal = self._unroll_legal.get(key)
+        if legal is None:
+            legal = self._unroll_legal[key] = unroll_legal(
+                loop, ctx.memdep, factor
+            )
+        return legal
