@@ -2,9 +2,15 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Set, Tuple
+from typing import List, Set, Tuple
 
 from ..ir import BasicBlock, Function
+
+
+#: Every block's predecessors (function order, each once), in one pass.
+predecessor_map = Function.predecessor_map
+#: Blocks reachable from the entry, in reverse post-order.
+reverse_postorder = Function.reverse_postorder
 
 
 def reachable_blocks(func: Function) -> Set[BasicBlock]:
@@ -20,15 +26,6 @@ def reachable_blocks(func: Function) -> Set[BasicBlock]:
     return seen
 
 
-def predecessor_map(func: Function) -> Dict[BasicBlock, List[BasicBlock]]:
-    """Predecessor lists for every block, computed in one pass."""
-    preds: Dict[BasicBlock, List[BasicBlock]] = {b: [] for b in func.blocks}
-    for block in func.blocks:
-        for succ in block.successors:
-            preds[succ].append(block)
-    return preds
-
-
 def edges(func: Function) -> List[Tuple[BasicBlock, BasicBlock]]:
     """All CFG edges as (source, target) pairs."""
     result = []
@@ -36,30 +33,6 @@ def edges(func: Function) -> List[Tuple[BasicBlock, BasicBlock]]:
         for succ in block.successors:
             result.append((block, succ))
     return result
-
-
-def reverse_postorder(func: Function) -> List[BasicBlock]:
-    """Blocks in reverse post-order from the entry (a topological-ish order)."""
-    visited: Set[BasicBlock] = set()
-    postorder: List[BasicBlock] = []
-
-    def visit(block: BasicBlock) -> None:
-        stack: List[Tuple[BasicBlock, int]] = [(block, 0)]
-        visited.add(block)
-        while stack:
-            current, index = stack.pop()
-            succs = current.successors
-            if index < len(succs):
-                stack.append((current, index + 1))
-                succ = succs[index]
-                if succ not in visited:
-                    visited.add(succ)
-                    stack.append((succ, 0))
-            else:
-                postorder.append(current)
-
-    visit(func.entry)
-    return list(reversed(postorder))
 
 
 def exit_blocks(func: Function) -> List[BasicBlock]:
