@@ -56,7 +56,7 @@ class AccessInfo:
         base: Optional[BaseObject],
         offset: SCEV,
         element_size: int,
-        loop_info: Optional[LoopInfo] = None,
+        loop_info: LoopInfo,
     ):
         self.inst = inst
         self.base = base
@@ -92,7 +92,7 @@ class AccessInfo:
     def enclosing_loops(self) -> List[Loop]:
         """The loops around the access, innermost-first."""
         loops: List[Loop] = []
-        if self.loop_info is not None and self.inst.parent is not None:
+        if self.inst.parent is not None:
             loop = self.loop_info.innermost_loop(self.inst.parent)
             while loop is not None:
                 loops.append(loop)
@@ -307,9 +307,9 @@ def _walk_type_sizes(pointee) -> List[int]:
 class AccessPatternAnalysis:
     """Per-function resolution of all memory accesses."""
 
-    def __init__(self, func: Function, loop_info: Optional[LoopInfo] = None):
+    def __init__(self, func: Function):
         self.func = func
-        self.loop_info = loop_info or LoopInfo(func)
+        self.loop_info = LoopInfo.of(func)
         self.scev = ScalarEvolution(self.loop_info)
         self._info: Dict[Instruction, AccessInfo] = {}
         for inst in func.instructions():

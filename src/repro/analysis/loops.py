@@ -146,15 +146,36 @@ def _increment_amount(value: Value, phi: Phi) -> Optional[int]:
 
 
 class LoopInfo:
-    """All natural loops of a function, organized as a forest."""
+    """All natural loops of a function, organized as a forest, with the
+    forward dominator tree it was built from.
 
-    def __init__(self, func: Function, domtree: Optional[DominatorTree] = None):
+    Obtain it with :meth:`of`, which every pass and analysis shares.
+    """
+
+    def __init__(self, func: Function):
         self.func = func
-        self.domtree = domtree or dominator_tree(func)
+        self.domtree: DominatorTree = dominator_tree(func)
         self.loops: List[Loop] = []
         self._loop_of_header: Dict[BasicBlock, Loop] = {}
         self._innermost: Dict[BasicBlock, Loop] = {}
         self._build()
+
+    @classmethod
+    def of(cls, func: Function) -> "LoopInfo":
+        """The forest of ``func`` as its CFG is now: the memoized one while
+        every block and its successor tuple are unchanged, a fresh one
+        otherwise.  An edit that only moves or rewrites instructions (a
+        hoist, a promotion) keeps the forest; one that adds, removes,
+        reorders or retargets a block rebuilds it, so no pass has to
+        announce its CFG edits.  The memo lives on the function and dies
+        with it."""
+        key = tuple((block, tuple(block.successors)) for block in func.blocks)
+        memo = getattr(func, "_loop_info", None)
+        if memo is not None and memo[0] == key:
+            return memo[1]
+        info = cls(func)
+        func._loop_info = (key, info)
+        return info
 
     def _build(self) -> None:
         preds_of = predecessor_map(self.func)

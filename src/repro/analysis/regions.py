@@ -22,7 +22,7 @@ from typing import Dict, FrozenSet, List, Optional, Set
 
 from ..ir import BasicBlock, Function
 from .cfg import predecessor_map
-from .dominators import dominator_tree, postdominator_tree
+from .dominators import postdominator_tree
 from .loops import LoopInfo
 
 
@@ -118,7 +118,7 @@ def find_sese_regions(func: Function) -> List[Region]:
     first, then verified structurally.  Duplicate block sets keep the pair
     with the smallest exit distance (they are the same region).
     """
-    domtree = dominator_tree(func)
+    domtree = LoopInfo.of(func).domtree
     postdom = postdominator_tree(func)
     preds_of = predecessor_map(func)
 
@@ -185,7 +185,6 @@ class ProgramStructureTree:
         ]
         self.top_level: List[Region] = []
         self._nest()
-        self.loop_info = LoopInfo(func)
 
     def _nest(self) -> None:
         # Parent of each ctrl-flow region = smallest strictly containing region.

@@ -462,8 +462,8 @@ class ReuseAnalysis:
     def _always_executes(self, loop: Loop, info: AccessInfo) -> bool:
         """True when the access runs on every iteration: its block
         dominates every latch, so no back edge skips it."""
-        domtree = getattr(self.resolver.loop_info, "domtree", None)
-        if domtree is None or not loop.latches:
+        domtree = self.resolver.loop_info.domtree
+        if not loop.latches:
             return False
         block = info.inst.parent
         return all(domtree.dominates(block, latch) for latch in loop.latches)

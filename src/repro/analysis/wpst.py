@@ -95,9 +95,6 @@ class WPST:
     def ctrl_flow_vertices(self) -> List[WPSTNode]:
         return [n for n in self.region_vertices() if n.kind == "ctrl-flow"]
 
-    def bb_vertices(self) -> List[WPSTNode]:
-        return [n for n in self.region_vertices() if n.kind == "bb"]
-
     def dump(self) -> str:
         """Indented textual rendering of the whole tree."""
         lines: List[str] = []

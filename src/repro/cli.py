@@ -608,8 +608,9 @@ def _cmd_lint(args) -> int:
                 try:
                     rules.append(get_rule(code))
                 except KeyError as exc:
-                    print(f"error: {exc}", file=sys.stderr)
-                    return 2
+                    _fail(exc.args[0])
+            if not rules:
+                _fail("no rule codes given")
         for index, found in enumerate(rules):
             if index:
                 print()

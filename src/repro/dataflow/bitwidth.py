@@ -52,7 +52,6 @@ from ..ir import (
     UnaryOp,
     Value,
 )
-from ..analysis.loops import LoopInfo
 from .framework import EnvDataflow, FactEnv
 from .interval import Interval, IntervalAnalysis, ModuleIntervalAnalysis
 
@@ -333,13 +332,8 @@ class KnownBitsAnalysis(EnvDataflow):
     refined with the interval analysis' final range at the definition.
     """
 
-    def __init__(
-        self,
-        func: Function,
-        intervals: IntervalAnalysis,
-        loop_info: Optional[LoopInfo] = None,
-    ):
-        super().__init__(func, loop_info or intervals.loop_info)
+    def __init__(self, func: Function, intervals: IntervalAnalysis):
+        super().__init__(func)
         self.intervals = intervals
         #: Per instruction, the bits its final interval pins; the interval
         #: solve is done, so each is computed once, not once per visit.

@@ -58,9 +58,9 @@ class ForwardDataflow:
     #: Bounded narrowing sweeps after convergence (0 disables).
     narrow_passes: int = 2
 
-    def __init__(self, func: Function, loop_info: Optional[LoopInfo] = None):
+    def __init__(self, func: Function):
         self.func = func
-        self.loop_info = loop_info or LoopInfo(func)
+        self.loop_info = LoopInfo.of(func)
         self.rpo: List[BasicBlock] = reverse_postorder(func)
         self.rpo_index: Dict[BasicBlock, int] = {
             b: i for i, b in enumerate(self.rpo)
@@ -246,8 +246,8 @@ class EnvDataflow(ForwardDataflow):
     methods return an operand itself when the result equals it.
     """
 
-    def __init__(self, func: Function, loop_info: Optional[LoopInfo] = None):
-        super().__init__(func, loop_info)
+    def __init__(self, func: Function):
+        super().__init__(func)
         self._edge_plans: Dict[Tuple[BasicBlock, BasicBlock], Tuple] = {}
 
     # Lattice hooks ----------------------------------------------------------

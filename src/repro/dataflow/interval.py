@@ -39,7 +39,7 @@ from ..ir import (
     Value,
 )
 from ..analysis.callgraph import CallGraph
-from ..analysis.loops import Loop, LoopInfo
+from ..analysis.loops import Loop
 from .framework import EnvDataflow, FactEnv
 
 
@@ -298,10 +298,9 @@ class IntervalAnalysis(EnvDataflow):
     def __init__(
         self,
         func: Function,
-        loop_info: Optional[LoopInfo] = None,
         arg_intervals: Optional[Dict[Argument, Interval]] = None,
     ):
-        super().__init__(func, loop_info)
+        super().__init__(func)
         self.arg_intervals = dict(arg_intervals or {})
         self._thresholds = self._collect_thresholds()
         self._loop_defs = self._collect_loop_defs()

@@ -57,7 +57,6 @@ class LintContext:
         self._facts: Optional[ModuleFacts] = None
         self._access: Dict[Function, AccessPatternAnalysis] = {}
         self._memdep: Dict[Function, MemoryDependenceAnalysis] = {}
-        self._loops: Dict[Function, LoopInfo] = {}
         self._callgraph: Optional[CallGraph] = None
 
     @property
@@ -77,13 +76,7 @@ class LintContext:
         return self._memdep[func]
 
     def loop_info(self, func: Function) -> LoopInfo:
-        if func not in self._loops:
-            access = self.access(func)
-            if hasattr(access, "loop_info"):
-                self._loops[func] = access.loop_info
-            else:
-                self._loops[func] = LoopInfo(func)
-        return self._loops[func]
+        return LoopInfo.of(func)
 
     @property
     def callgraph(self) -> CallGraph:

@@ -163,9 +163,6 @@ class DFG:
     def memory_nodes(self) -> List[DFGNode]:
         return [n for n in self.nodes if n.is_memory]
 
-    def compute_nodes(self) -> List[DFGNode]:
-        return [n for n in self.nodes if not n.is_memory]
-
     def topological_order(self) -> List[DFGNode]:
         indegree = {node: len(node.all_preds()) for node in self.nodes}
         ready = [node for node in self.nodes if indegree[node] == 0]

@@ -305,7 +305,7 @@ class _FunctionCompiler:
         blocks in reverse postorder."""
         self.order = reverse_postorder(self.func)
         rpo = self.rpo = {block: i for i, block in enumerate(self.order)}
-        self.loops = LoopInfo(self.func)
+        self.loops = LoopInfo.of(self.func)
         domtree = self.loops.domtree
         preds = predecessor_map(self.func)
         self.heads = set()  # targets of retreating edges: the limit checks

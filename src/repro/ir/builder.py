@@ -90,9 +90,6 @@ class IRBuilder:
     def rem(self, lhs: Value, rhs: Value, name: str = "") -> BinaryOp:
         return self._binop("rem", lhs, rhs, name)
 
-    def and_(self, lhs: Value, rhs: Value, name: str = "") -> BinaryOp:
-        return self._binop("and", lhs, rhs, name)
-
     def xor(self, lhs: Value, rhs: Value, name: str = "") -> BinaryOp:
         return self._binop("xor", lhs, rhs, name)
 

@@ -128,10 +128,6 @@ class BinaryOp(Instruction):
     def rhs(self) -> Value:
         return self.operands[1]
 
-    @property
-    def is_commutative(self) -> bool:
-        return self.opcode in ("add", "mul", "and", "or", "xor", "fadd", "fmul")
-
 
 class UnaryOp(Instruction):
     """Unary operation: ``fneg``/``fsqrt``/``fabs`` on floats, ``neg``/``not``

@@ -5,7 +5,6 @@ from __future__ import annotations
 from typing import Dict
 
 from .function import Function
-from .instructions import Instruction
 from .module import Module
 
 
@@ -45,11 +44,3 @@ def print_module(module: Module) -> str:
         else:
             parts.append(print_function(func))
     return "\n\n".join(parts)
-
-
-def instruction_signature(inst: Instruction) -> str:
-    """A short opcode-level signature used in reports and merge diagnostics."""
-    extra = ""
-    if hasattr(inst, "predicate"):
-        extra = f".{inst.predicate}"
-    return f"{inst.opcode}{extra}({len(inst.operands)})"

@@ -9,7 +9,7 @@ accelerator model rely on heavily.
 from __future__ import annotations
 
 import itertools
-from typing import TYPE_CHECKING, Iterable, List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
 from .types import FloatType, IntType, PointerType, Type
 
@@ -117,20 +117,6 @@ class GlobalVariable(Value):
     @property
     def ref(self) -> str:
         return f"@{self.name}"
-
-
-def ensure_distinct_names(values: Iterable[Value], prefix: str = "v") -> None:
-    """Rename values so all names in ``values`` are unique (printer helper)."""
-    seen = set()
-    for value in values:
-        base = value.name
-        name = base
-        counter = 0
-        while name in seen:
-            counter += 1
-            name = f"{base}.{counter}"
-        value.name = name
-        seen.add(name)
 
 
 def constant_fold_binary(op: str, lhs: Constant, rhs: Constant) -> Optional[Constant]:

@@ -60,7 +60,7 @@ def hoist_invariants(func: Function) -> int:
     changed = True
     while changed:
         changed = False
-        info = LoopInfo(func)
+        info = LoopInfo.of(func)
         # Outermost-first: anything hoisted out of an inner loop can then
         # leave the outer loop on the next fixed-point round.
         for loop in sorted(info.loops, key=lambda l: l.depth):

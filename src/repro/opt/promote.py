@@ -30,7 +30,6 @@ from __future__ import annotations
 from typing import List, Optional, Tuple
 
 from ..analysis.access_patterns import AccessInfo, AccessPatternAnalysis
-from ..analysis.dominators import dominator_tree
 from ..analysis.loops import Loop
 from ..analysis.scalar_evolution import SCEVConstant, scev_sub
 from ..ir import (
@@ -73,7 +72,7 @@ def promote_accumulators_module(module: Module) -> int:
 def _promote_one(func: Function) -> bool:
     access = AccessPatternAnalysis(func)
     loop_info = access.loop_info
-    domtree = dominator_tree(func)
+    domtree = loop_info.domtree
     # Innermost-first so inner promotions enable nothing illegal outside.
     for loop in sorted(loop_info.loops, key=lambda l: -l.depth):
         candidate = _find_candidate(loop, access, domtree)

@@ -57,7 +57,8 @@ class TestNovia:
         for node in wpst.ctrl_flow_vertices():
             assert model.candidates(node) == []
         bb_estimates = [
-            est for node in wpst.bb_vertices() for est in model.candidates(node)
+            est for node in wpst.region_vertices() if node.kind == "bb"
+            for est in model.candidates(node)
         ]
         assert bb_estimates  # the hot body block yields a CFU
 
@@ -66,7 +67,7 @@ class TestNovia:
         profile = profile_module(module)
         wpst = WPST(module)
         model = NoviaModel(module, profile)
-        for node in wpst.bb_vertices():
+        for node in (n for n in wpst.region_vertices() if n.kind == "bb"):
             for est in model.candidates(node):
                 assert est.interface_counts == {}
 

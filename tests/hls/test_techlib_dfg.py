@@ -130,4 +130,3 @@ class TestDFG:
     def test_memory_and_compute_partitions(self):
         dfg = block_dfg(self.SRC, "f", "entry")
         assert len(dfg.memory_nodes()) == 4
-        assert set(dfg.memory_nodes()).isdisjoint(dfg.compute_nodes())

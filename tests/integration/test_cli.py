@@ -154,8 +154,18 @@ class TestLintExplain:
         assert "footprint" in capsys.readouterr().out
 
     def test_explain_unknown_code_exits_two(self, capsys):
-        assert main(["lint", "--explain", "ZZ999"]) == 2
-        assert "ZZ999" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(["lint", "--explain", "ZZ999"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: unknown rule 'ZZ999'")
+        assert err.count("\n") == 1
+
+    def test_explain_without_codes_exits_two(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["lint", "--explain", ","])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == "error: no rule codes given\n"
 
     def test_explain_comma_list(self, capsys):
         assert main(["lint", "--explain", "IR007,IR009"]) == 0
@@ -164,7 +174,9 @@ class TestLintExplain:
         assert "provable-truncation" in out
 
     def test_explain_comma_list_with_unknown_exits_two(self, capsys):
-        assert main(["lint", "--explain", "IR007,ZZ999"]) == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["lint", "--explain", "IR007,ZZ999"])
+        assert exc.value.code == 2
         assert "ZZ999" in capsys.readouterr().err
 
     def test_explain_all_dumps_catalog(self, capsys):

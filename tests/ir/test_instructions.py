@@ -57,12 +57,6 @@ class TestBinaryOp:
         with pytest.raises(ValueError):
             BinaryOp("bogus", Constant(I32, 1), Constant(I32, 2))
 
-    def test_commutativity_flags(self):
-        add = BinaryOp("add", Constant(I32, 1), Constant(I32, 2))
-        sub = BinaryOp("sub", Constant(I32, 1), Constant(I32, 2))
-        assert add.is_commutative
-        assert not sub.is_commutative
-
 
 class TestUnaryOp:
     def test_fsqrt_requires_float(self):

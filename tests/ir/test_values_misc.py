@@ -12,8 +12,7 @@ from repro.ir import (
     PointerType,
     UndefValue,
 )
-from repro.ir.printer import instruction_signature
-from repro.ir.values import constant_fold_binary, ensure_distinct_names
+from repro.ir.values import constant_fold_binary
 
 
 class TestConstants:
@@ -69,13 +68,6 @@ class TestConstantFolding:
 
 
 class TestNaming:
-    def test_ensure_distinct_names(self):
-        values = [Constant(I32, 0) for _ in range(3)]
-        for value in values:
-            value.name = "x"
-        ensure_distinct_names(values)
-        assert len({v.name for v in values}) == 3
-
     def test_global_ref_uses_at(self):
         var = GlobalVariable(I32, "counter")
         assert var.ref == "@counter"
@@ -83,13 +75,3 @@ class TestNaming:
 
     def test_undef_ref(self):
         assert UndefValue(I32).ref == "undef"
-
-
-class TestInstructionSignature:
-    def test_signatures(self):
-        from repro.ir import BinaryOp, ICmp
-
-        add = BinaryOp("add", Constant(I32, 1), Constant(I32, 2))
-        assert instruction_signature(add) == "add(2)"
-        cmp = ICmp("slt", Constant(I32, 1), Constant(I32, 2))
-        assert instruction_signature(cmp) == "icmp.slt(2)"
