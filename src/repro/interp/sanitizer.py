@@ -914,8 +914,16 @@ class SanitizingInterpreter(Interpreter):
                           f"{bind(report, 'KB')}({dst})")
         narrowing = self._narrowing_operands(inst)
         if narrowing:
+            # ``demanded_truncate`` leaves a value unchanged exactly when it
+            # lies in ``[-H, H)``, ``H`` half the demanded width's range, so
+            # the check runs only when some operand leaves its range.
+            tests = []
+            for index, op_demand, _ in narrowing:
+                half = 1 << (op_demand.bit_length() - 1)
+                tests.append(f"not {-half} <= {operands[index]} < {half}")
             check = partial(self._check_narrowed, inst, narrowing)
-            checks.append(f"{bind(check, 'DM')}({dst}, {', '.join(operands)})")
+            checks.append(f"if {' or '.join(tests)}: "
+                          f"{bind(check, 'DM')}({dst}, {', '.join(operands)})")
         return self._guarded(checks, bind)
 
     def _guarded(self, lines: List[str], bind) -> List[str]:

@@ -301,7 +301,9 @@ class AcceleratorMerger:
 
     def _too_few(self, pairs: int, a: MergedUnit, b: MergedUnit) -> bool:
         """Whether ``pairs`` matched ops are under ``min_match_fraction``
-        of the smaller unit."""
+        of the smaller unit; never when that fraction is 0 (Cayman's)."""
+        if not self.min_match_fraction:
+            return False
         smaller = min(len(a.index), len(b.index))
         return pairs / max(1, smaller) < self.min_match_fraction
 

@@ -42,10 +42,11 @@ def random_unit(draw):
 def narrowed_unit(draw):
     """A random unit whose nodes carry random proven widths."""
     dfg = draw(random_unit())
+    widths = {}
     for node in dfg.nodes:
         if draw(st.booleans()):
-            node.width = draw(st.integers(1, 64))
-    return dfg
+            widths[node.inst] = draw(st.integers(1, 64))
+    return DFG.from_blocks([dfg.nodes[0].inst.parent], widths=widths)
 
 
 def match_dfgs(dfg_a, dfg_b):
