@@ -1075,6 +1075,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     from .frontend import FrontendError
+    from .interp import ExecutionLimitExceeded, InterpreterError, MemoryError_
 
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -1087,6 +1088,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 0
     except FrontendError as exc:
         _fail(f"invalid mini-C program: {exc}")
+    except (InterpreterError, MemoryError_, ExecutionLimitExceeded) as exc:
+        _fail(f"the program faulted at run time: {exc}")
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

@@ -99,6 +99,7 @@ class DFG:
     def __init__(self, nodes: List[DFGNode]):
         self.nodes = nodes
         self._order: Optional[List[DFGNode]] = None
+        self._memory: Optional[List[DFGNode]] = None
 
     @classmethod
     def from_blocks(
@@ -163,7 +164,11 @@ class DFG:
     # Queries ---------------------------------------------------------------------
 
     def memory_nodes(self) -> List[DFGNode]:
-        return [n for n in self.nodes if n.is_memory]
+        """The load and store nodes in node order; the same list on every
+        call."""
+        if self._memory is None:
+            self._memory = [n for n in self.nodes if n.is_memory]
+        return self._memory
 
     def topological_order(self) -> List[DFGNode]:
         """A topological order of the nodes; the same list on every call."""

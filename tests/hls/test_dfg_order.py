@@ -175,11 +175,10 @@ def assert_node_attributes(dfg, built_width):
         assert node.is_memory == isinstance(node.inst, (Load, Store))
 
 
-@pytest.mark.parametrize("name", ["atax", "gramschmidt", "cjpeg"])
-def test_every_constructor_sets_node_attributes(name, monkeypatch):
-    """Nodes from ``from_blocks`` (with proven widths), ``replicate``,
-    ``_OpIndex.to_dfg`` and Novia's ``compute_subdfg`` all carry their
-    instruction's resource class, width and memory flag."""
+def build_every_dfg(name, monkeypatch):
+    """Run Cayman (merged units' DFGs included) and Novia on workload
+    ``name``; return each DFG built, filed by the constructor that built
+    it, and the width each node was built with."""
     built = {}
     built_width = {}
     init, node_init = DFG.__init__, DFGNode.__init__
@@ -201,6 +200,16 @@ def test_every_constructor_sets_node_attributes(name, monkeypatch):
         for unit in merged.units:
             unit.dfg
     Novia().run(workload.source, entry=workload.entry, name=name)
+    monkeypatch.undo()
+    return built, built_width
+
+
+@pytest.mark.parametrize("name", ["atax", "gramschmidt", "cjpeg"])
+def test_every_constructor_sets_node_attributes(name, monkeypatch):
+    """Nodes from ``from_blocks`` (with proven widths), ``replicate``,
+    ``_OpIndex.to_dfg`` and Novia's ``compute_subdfg`` all carry their
+    instruction's resource class, width and memory flag."""
+    built, built_width = build_every_dfg(name, monkeypatch)
     assert {"from_blocks", "replicate", "to_dfg", "compute_subdfg"} <= set(
         built)
     for dfgs in built.values():
@@ -208,6 +217,20 @@ def test_every_constructor_sets_node_attributes(name, monkeypatch):
             assert_node_attributes(dfg, built_width)
     assert any(built_width[node] is not None
                for dfg in built["from_blocks"] for node in dfg.nodes)
+
+
+def test_memory_nodes_are_listed_once(monkeypatch):
+    """A DFG lists its memory nodes once: every call returns the same
+    list, equal to a fresh scan of the nodes, whichever constructor built
+    the DFG."""
+    built, _ = build_every_dfg("gramschmidt", monkeypatch)
+    for constructor in ("from_blocks", "replicate", "to_dfg"):
+        assert built[constructor], constructor
+        for dfg in built[constructor]:
+            nodes = dfg.memory_nodes()
+            assert dfg.memory_nodes() is nodes
+            assert nodes == [node for node in dfg.nodes if node.is_memory]
+    assert any(dfg.memory_nodes() for dfg in built["to_dfg"])
 
 
 def test_replicas_keep_a_proven_width():

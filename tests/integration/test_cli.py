@@ -273,6 +273,62 @@ class TestExecCommand:
         assert "invalid choice: 'restrict'" in capsys.readouterr().err
 
 
+#: Programs that fault at run time, and the message each fault gives.
+FAULTING = {
+    "division": ("int A[4];\nint main() { return 1 / A[0]; }\n",
+                 "integer division by zero"),
+    "out-of-range": ("int A[4];\n"
+                     "int main() { int i = 10000000; return A[i]; }\n",
+                     "out of range"),
+    "limit": ("int main() {\n  int s = 0;\n"
+              "  for (int i = 0; i < 1000000; i++) s += i;\n"
+              "  return s;\n}\n",
+              "exceeded 10000 instructions"),
+}
+
+
+class TestRuntimeFaults:
+    """A program that faults at run time exits 2 with one ``error:`` line
+    on every command that executes it, not with a traceback."""
+
+    @pytest.fixture()
+    def small_budget(self, monkeypatch):
+        """Every interpreter gets a 10,000-instruction budget."""
+        from repro.interp import Interpreter
+
+        init = Interpreter.__init__
+
+        def capped(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            self.max_instructions = 10_000
+
+        monkeypatch.setattr(Interpreter, "__init__", capped)
+
+    @pytest.mark.parametrize("command", [
+        ["exec"], ["exec", "--engine", "reference"],
+        ["exec", "--sanitize"], ["exec", "--sanitize", "--engine", "reference"],
+        ["run"], ["lint"],
+    ], ids=" ".join)
+    @pytest.mark.parametrize("fault", sorted(FAULTING))
+    def test_fault_exits_two_with_one_line(
+        self, tmp_path, capsys, small_budget, command, fault
+    ):
+        source, message = FAULTING[fault]
+        path = tmp_path / f"{fault}.c"
+        path.write_text(source)
+        with pytest.raises(SystemExit) as exc:
+            main([*command, str(path)])
+        assert exc.value.code == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
+        assert message in lines[0]
+
+    def test_injected_claim_still_exits_one(self, capsys):
+        assert main(["exec", "--workload", "wave-lag", "--sanitize",
+                     "--inject-unsound", "dependence"]) == 1
+        assert "VIOLATION:" in capsys.readouterr().out
+
+
 class TestDepsCommand:
     def test_workload_table(self, capsys):
         assert main(["deps", "--workload", "wave-lag"]) == 0
