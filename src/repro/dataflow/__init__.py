@@ -1,7 +1,8 @@
 """Dataflow analyses over the repro IR (paper §III-B soundness layer).
 
-* :mod:`~repro.dataflow.framework` — generic forward worklist solver with
-  loop-header widening and bounded narrowing;
+* :mod:`~repro.dataflow.framework` — the map-lattice forward worklist
+  solver (one fact per SSA value, plain ``dict`` states) with loop-header
+  widening and bounded narrowing, shared by intervals and known bits;
 * :mod:`~repro.dataflow.interval` — per-SSA-value integer ranges with
   branch refinement and interprocedural argument seeding;
 * :mod:`~repro.dataflow.pointsto` — Andersen-style may-point-to sets and
@@ -12,10 +13,10 @@
   widths driving datapath narrowing, FU merging and the width lint rules.
 """
 
-from .framework import ForwardDataflow
+from .framework import EnvDataflow
 from .interval import Interval, IntervalAnalysis, ModuleIntervalAnalysis
 from .pointsto import AllocSite, PointsToAnalysis
-from .bounds import AccessWindow, BoundsAnalysis, ProvenAccess
+from .bounds import AccessWindow, BoundsAnalysis
 from .bitwidth import (
     BitwidthAnalysis,
     DemandedBitsAnalysis,
@@ -26,7 +27,7 @@ from .bitwidth import (
 )
 
 __all__ = [
-    "ForwardDataflow",
+    "EnvDataflow",
     "Interval",
     "IntervalAnalysis",
     "ModuleIntervalAnalysis",
@@ -34,7 +35,6 @@ __all__ = [
     "PointsToAnalysis",
     "AccessWindow",
     "BoundsAnalysis",
-    "ProvenAccess",
     "BitwidthAnalysis",
     "DemandedBitsAnalysis",
     "KnownBits",

@@ -5,7 +5,7 @@ bits an operator actually needs — the classic HLS bitwidth-minimization
 pass (Calyx and HIR treat per-operator width as a first-class IR property
 for the same reason):
 
-* **Known bits** (forward, a :class:`~repro.dataflow.framework.ForwardDataflow`
+* **Known bits** (forward, a :class:`~repro.dataflow.framework.EnvDataflow`
   client): per value a :class:`KnownBits` triple of known-zero / known-one
   masks over the value's *unsigned* two's-complement representation.
   Transfer functions mirror the reference interpreter exactly (wrapping
@@ -52,7 +52,7 @@ from ..ir import (
     UnaryOp,
     Value,
 )
-from .framework import EnvDataflow, FactEnv
+from .framework import EnvDataflow
 from .interval import Interval, IntervalAnalysis, ModuleIntervalAnalysis
 
 
@@ -339,18 +339,6 @@ class KnownBitsAnalysis(EnvDataflow):
         #: solve is done, so each is computed once, not once per visit.
         self._interval_bits: Dict[Instruction, KnownBits] = {}
         self.solve()
-        self._known: Dict[Value, KnownBits] = {}
-        for block in self.rpo:
-            env = self.out_states.get(block)
-            if env is None:
-                continue
-            for inst in block.instructions:
-                found = env.values.get(inst)
-                if found is not None:
-                    self._known[inst] = found
-        for arg in func.arguments:
-            if arg.type.is_int:
-                self._known[arg] = self._argument_bits(arg)
 
     # Evaluation -------------------------------------------------------------
 
@@ -363,11 +351,11 @@ class KnownBitsAnalysis(EnvDataflow):
     def top(self, value: Value) -> KnownBits:
         return KnownBits.top(value.type.bits)
 
-    def fact_of(self, value: Value, env: FactEnv) -> KnownBits:
+    def fact_of(self, value: Value, env: Dict) -> KnownBits:
         bits = value.type.bits
         if isinstance(value, Constant):
             return KnownBits.constant(int(value.value), bits)
-        found = env.values.get(value)
+        found = env.get(value)
         if found is not None:
             return found
         if isinstance(value, Argument):
@@ -375,7 +363,7 @@ class KnownBitsAnalysis(EnvDataflow):
         return KnownBits.top(bits)
 
     def transfer_inst(
-        self, inst: Instruction, env: FactEnv
+        self, inst: Instruction, env: Dict
     ) -> Optional[KnownBits]:
         if not inst.type.is_int:
             return None
@@ -457,7 +445,7 @@ class KnownBitsAnalysis(EnvDataflow):
             return cond.operands[0], cond.operands[1]
         return None
 
-    def refine_edge(self, refinement, env: FactEnv) -> Dict[Value, KnownBits]:
+    def refine_edge(self, refinement, env: Dict) -> Dict[Value, KnownBits]:
         lhs_v, rhs_v = refinement
         meet = self.fact_of(lhs_v, env).refine(self.fact_of(rhs_v, env))
         overlay: Dict[Value, KnownBits] = {}
@@ -472,9 +460,14 @@ class KnownBitsAnalysis(EnvDataflow):
     def known_of(self, value: Value) -> KnownBits:
         if isinstance(value, Constant):
             return KnownBits.constant(int(value.value), value.type.bits)
-        found = self._known.get(value)
-        if found is not None:
-            return found
+        if isinstance(value, Instruction):
+            # The fact at the definition: its block's final out-state.
+            env = self.out_states.get(value.parent)
+            found = env.get(value) if env else None
+            if found is not None:
+                return found
+        elif isinstance(value, Argument):
+            return self._argument_bits(value)
         return KnownBits.top(value.type.bits)
 
 

@@ -87,10 +87,6 @@ class AccessWindow:
         )
 
 
-#: Backwards-compatible alias: entries of :attr:`BoundsAnalysis.proven`.
-ProvenAccess = AccessWindow
-
-
 class BoundsAnalysis:
     """Module-wide classification of memory accesses into proven/unproven,
     over the module's interval analysis ``intervals``."""
@@ -141,9 +137,6 @@ class BoundsAnalysis:
         return AccessWindow(inst, current, offset, access_size, root_size)
 
     # Reporting ---------------------------------------------------------------
-
-    def is_proven(self, inst: Instruction) -> bool:
-        return inst in self.proven
 
     def out_of_bounds(self) -> List[AccessWindow]:
         """Accesses whose window is *definitely* outside the root object

@@ -2,9 +2,10 @@
 
 Per-SSA-value integer ranges computed by forward dataflow with loop-header
 widening and branch-condition refinement: after ``condbr (icmp slt %i, %n)``
-the true edge knows ``%i < %n`` and tightens both operands.  Widening jumps
-straight to the type's representable range, which doubles as ⊤ — the
-interpreter wraps to two's complement, so a value of ``iN`` always lies in
+the true edge knows ``%i < %n`` and tightens both operands.  Widening moves
+a growing bound to the nearest threshold: a program constant or a type
+bound.  The type's representable range doubles as ⊤ — the interpreter wraps
+to two's complement, so a value of ``iN`` always lies in
 ``[-2^(N-1), 2^(N-1)-1]`` and every derived fact stays sound.
 
 A module-level driver (:class:`ModuleIntervalAnalysis`) runs functions in
@@ -40,7 +41,11 @@ from ..ir import (
 )
 from ..analysis.callgraph import CallGraph
 from ..analysis.loops import Loop
-from .framework import EnvDataflow, FactEnv
+from .framework import EnvDataflow
+
+
+#: The facts of a block the solver never reached (read only).
+_NO_FACTS: Dict = {}
 
 
 class Interval:
@@ -128,20 +133,6 @@ class Interval:
             return BOTTOM
         if lo == self.lo and hi == self.hi:
             return self
-        return Interval(lo, hi)
-
-    def widen(self, newer: "Interval") -> "Interval":
-        """Classic interval widening: bounds that moved jump to ∞."""
-        if self.is_bottom:
-            return newer
-        if newer.is_bottom:
-            return self
-        lo = self.lo
-        if newer.lo is None or (lo is not None and newer.lo < lo):
-            lo = None
-        hi = self.hi
-        if newer.hi is None or (hi is not None and newer.hi > hi):
-            hi = None
         return Interval(lo, hi)
 
     # Exact (unwrapped) arithmetic -------------------------------------------
@@ -384,32 +375,32 @@ class IntervalAnalysis(EnvDataflow):
 
     # Lattice ----------------------------------------------------------------
 
-    def widen(self, old: FactEnv, new: FactEnv, block=None) -> FactEnv:
-        loop_defs = self._loop_defs.get(block) if block is not None else None
+    def widen(self, old: Dict, new: Dict, block: BasicBlock) -> Dict:
+        loop_defs = self._loop_defs[block]
         values: Dict[Value, Interval] = {}
-        for key, newer in new.values.items():
-            older = old.values.get(key)
+        for key, newer in new.items():
+            older = old.get(key)
             if older is None or older is newer:
                 values[key] = newer
-            elif loop_defs is not None and key not in loop_defs:
+            elif key not in loop_defs:
                 # The loop headed at ``block`` cannot grow this value's
                 # range; plain join keeps enclosing-branch refinements.
                 values[key] = newer
             else:
                 values[key] = self._widen_interval(older, newer)
-        return FactEnv(values)
+        return values
 
     # Evaluation -------------------------------------------------------------
 
     def top(self, value: Value) -> Interval:
         return Interval.of_type(value.type.bits)
 
-    def fact_of(self, value: Value, env: FactEnv) -> Interval:
+    def fact_of(self, value: Value, env: Dict) -> Interval:
         if isinstance(value, Constant):
             if value.type.is_int or value.type.is_bool:
                 return Interval.constant(int(value.value))
             return Interval.top()
-        found = env.values.get(value)
+        found = env.get(value)
         if found is not None:
             return found
         if isinstance(value, Argument):
@@ -424,7 +415,7 @@ class IntervalAnalysis(EnvDataflow):
         return Interval.top()
 
     def transfer_inst(
-        self, inst: Instruction, env: FactEnv
+        self, inst: Instruction, env: Dict
     ) -> Optional[Interval]:
         if not inst.type.is_int:
             return None
@@ -517,7 +508,7 @@ class IntervalAnalysis(EnvDataflow):
         pred_name = cond.predicate if taken else _NEGATE[cond.predicate]
         return pred_name, cond.operands[0], cond.operands[1]
 
-    def refine_edge(self, refinement, env: FactEnv) -> Dict[Value, Interval]:
+    def refine_edge(self, refinement, env: Dict) -> Dict[Value, Interval]:
         pred_name, lhs_v, rhs_v = refinement
         lhs, rhs = _refine_pair(
             pred_name, self.fact_of(lhs_v, env), self.fact_of(rhs_v, env)
@@ -539,13 +530,13 @@ class IntervalAnalysis(EnvDataflow):
                 return Interval.constant(int(value.value))
             return Interval.top()
         if block is not None:
-            env = self.in_states.get(block)
-            if env is not None and value in env.values:
-                return env.values[value]
-        if isinstance(value, Instruction) and value.parent is not None:
-            env = self.out_states.get(value.parent)
-            if env is not None and value in env.values:
-                return env.values[value]
+            found = self.in_states.get(block, _NO_FACTS).get(value)
+            if found is not None:
+                return found
+        if isinstance(value, Instruction):
+            found = self.out_states.get(value.parent, _NO_FACTS).get(value)
+            if found is not None:
+                return found
         if isinstance(value, Argument):
             seeded = self.arg_intervals.get(value)
             if seeded is not None:
@@ -563,9 +554,6 @@ class IntervalAnalysis(EnvDataflow):
             return self.interval_of(value)
         if isinstance(value, Instruction) and value.parent is block:
             return self.interval_of(value)
-        env = self.in_states.get(block)
-        if env is not None and value in env.values:
-            return env.values[value]
         return self.interval_of(value, block)
 
     def exact_result(self, inst: Instruction) -> Optional[Interval]:
@@ -597,9 +585,7 @@ class IntervalAnalysis(EnvDataflow):
         interval = None
         for succ in loop.header.successors:
             if succ in loop.blocks:
-                env = self.in_states.get(succ)
-                if env is not None and phi in env.values:
-                    interval = env.values[phi]
+                interval = self.in_states.get(succ, _NO_FACTS).get(phi)
                 break
         if interval is None:
             interval = self.interval_of(phi, loop.header)

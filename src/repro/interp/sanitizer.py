@@ -185,7 +185,11 @@ class SanitizingInterpreter(Interpreter):
         self._claimed_bits: Dict[Instruction, KnownBits] = {}
         #: claimed demanded mask per int-typed value (insts and args)
         self._demanded_mask: Dict = {}
-        #: loops containing each block, innermost last
+        #: loops containing each block, in ``LoopInfo`` discovery order
+        #: (the layout position of each loop's first latch), not by
+        #: nesting: an inner loop whose latch comes first is listed before
+        #: its outer loop, as in jacobi-2d.  Both engines check dependence
+        #: conflicts level by level in this order, so violations follow it.
         self._loops_of_block: Dict = {}
         #: loop header → Loop
         self._header_loops: Dict = {}

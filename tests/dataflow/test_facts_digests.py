@@ -55,7 +55,7 @@ def _env(env):
         return None
     return sorted(
         [value.name, _interval(interval)]
-        for value, interval in env.values.items()
+        for value, interval in env.items()
     )
 
 

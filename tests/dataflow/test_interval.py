@@ -21,10 +21,6 @@ class TestIntervalAlgebra:
     def test_mul_corners(self):
         assert Interval(-2, 3).mul(Interval(-5, 7)) == Interval(-15, 21)
 
-    def test_widen_drops_moving_bound(self):
-        assert Interval(0, 10).widen(Interval(0, 11)) == Interval(0, None)
-        assert Interval(0, 10).widen(Interval(-1, 10)) == Interval(None, 10)
-
     def test_contains_and_subset(self):
         assert Interval(0, None).contains(7)
         assert not Interval(0, None).contains(-1)

@@ -18,7 +18,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.dataflow import Interval, IntervalAnalysis, KnownBits
-from repro.dataflow.framework import FactEnv
 from repro.dataflow.interval import BOTTOM
 from repro.frontend import compile_source
 
@@ -197,7 +196,7 @@ def _as_items(values):
 @given(env_pairs())
 def test_shared_join_equals_keyed_join(analysis, pair):
     a, b = pair
-    joined = analysis.join(FactEnv(dict(a)), FactEnv(dict(b))).values
+    joined = analysis.join(dict(a), dict(b))
     assert _as_items(joined) == _as_items(keyed_join(a, b))
 
 
@@ -212,6 +211,6 @@ def test_overlay_merge_equals_copy_then_join(analysis, edges):
         edge.update(overlay)
         expected = edge if expected is None else keyed_join(expected, edge)
     merged = analysis.merge_edges(
-        [(FactEnv(dict(out)), dict(overlay)) for out, overlay in edges]
-    ).values
+        [(dict(out), dict(overlay)) for out, overlay in edges]
+    )
     assert _as_items(merged) == _as_items(expected)
