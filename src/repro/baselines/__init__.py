@@ -1,11 +1,9 @@
 """Reimplemented state-of-the-art baselines: NOVIA [21] and QsCores [23]."""
 
-from .common import BaselineResult
 from .novia import Novia, NoviaModel, compute_subdfg
 from .qscores import QsCores, QsCoresModel
 
 __all__ = [
-    "BaselineResult",
     "Novia", "NoviaModel", "compute_subdfg",
     "QsCores", "QsCoresModel",
 ]

@@ -17,23 +17,19 @@ cluster in the low-area/low-speedup corner of Fig. 6.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Union
+from typing import Dict, List
 
-from ..analysis.wpst import WPST, WPSTNode
-from ..frontend.lowering import compile_source
+from ..analysis.wpst import WPSTNode
+from ..framework import Cayman
 from ..hls.dfg import DFG, DFGNode
 from ..hls.scheduling import schedule_dfg
 from ..hls.datapath import sequential_datapath_area
-from ..hls.techlib import CVA6_TILE_AREA_UM2, DEFAULT_TECHLIB, TechLibrary
+from ..hls.techlib import DEFAULT_TECHLIB, TechLibrary
 from ..interp.cpu_model import CPU_CYCLES, CPU_FREQ_HZ
-from ..interp.profiler import RegionProfile, profile_module
+from ..interp.profiler import RegionProfile
 from ..ir import Module
-from ..merging.merge_driver import AcceleratorMerger, MergedSolution
 from ..model.config import AcceleratorConfig, AcceleratorEstimate
 from ..model.interfaces import InterfacePlan
-from ..selection.knapsack import CandidateSelector
-from ..selection.pruning import PruneHeuristic
-from .common import BaselineResult
 
 #: Resource classes a scalar-only CFU cannot absorb.
 _EXCLUDED_RESOURCES = frozenset(
@@ -129,8 +125,9 @@ class NoviaModel:
         return [estimate]
 
 
-class Novia:
-    """End-to-end NOVIA baseline flow."""
+class Novia(Cayman):
+    """NOVIA baseline flow: Cayman's pipeline with one inline CFU per hot
+    basic block, merging only DFGs that at least half match."""
 
     MIN_MATCH_FRACTION = 0.5
 
@@ -141,37 +138,8 @@ class Novia:
         prune_threshold: float = 0.001,
         area_cap_ratio: float = 2.0,
     ):
-        self.techlib = techlib
-        self.alpha = alpha
-        self.prune_threshold = prune_threshold
-        self.area_cap_ratio = area_cap_ratio
+        super().__init__(techlib, alpha=alpha, prune_threshold=prune_threshold,
+                         area_cap_ratio=area_cap_ratio)
 
-    def run(
-        self,
-        program: Union[str, Module],
-        entry: str = "main",
-        args: Optional[List] = None,
-        setup: Optional[Callable] = None,
-        name: str = "app",
-    ) -> BaselineResult:
-        module = (
-            compile_source(program, name) if isinstance(program, str) else program
-        )
-        profile = profile_module(module, entry=entry, args=args, setup=setup)
-        wpst = WPST(module, entry_function=entry)
-        model = NoviaModel(module, profile, techlib=self.techlib)
-        selector = CandidateSelector(
-            wpst,
-            model,
-            prune=PruneHeuristic(profile, self.prune_threshold),
-            alpha=self.alpha,
-            area_cap=self.area_cap_ratio * CVA6_TILE_AREA_UM2,
-        )
-        front = selector.run()
-        merger = AcceleratorMerger(
-            self.techlib, min_match_fraction=self.MIN_MATCH_FRACTION
-        )
-        merged: List[MergedSolution] = [
-            merger.merge(solution) for solution in front if not solution.is_empty
-        ]
-        return BaselineResult(name="novia", profile=profile, merged=merged)
+    def build_model(self, module: Module, profile: RegionProfile) -> NoviaModel:
+        return NoviaModel(module, profile, techlib=self.techlib)

@@ -16,18 +16,9 @@ selection is greedier) and therefore a conservative comparison.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Union
-
-from ..analysis.wpst import WPST
-from ..frontend.lowering import compile_source
-from ..hls.techlib import CVA6_TILE_AREA_UM2, DEFAULT_TECHLIB, TechLibrary
-from ..interp.profiler import profile_module
-from ..ir import Module
-from ..merging.merge_driver import AcceleratorMerger, MergedSolution
+from ..framework import Cayman
+from ..hls.techlib import DEFAULT_TECHLIB, TechLibrary
 from ..model.estimator import AcceleratorModel
-from ..selection.knapsack import CandidateSelector
-from ..selection.pruning import PruneHeuristic
-from .common import BaselineResult
 
 
 class QsCoresModel(AcceleratorModel):
@@ -41,8 +32,8 @@ class QsCoresModel(AcceleratorModel):
         super().__init__(module, profile, techlib=techlib, **kwargs)
 
 
-class QsCores:
-    """End-to-end QsCores baseline flow."""
+class QsCores(Cayman):
+    """QsCores baseline flow: Cayman's pipeline with the restricted model."""
 
     #: Only regions whose datapaths are ≥90% identical may share hardware.
     MIN_MATCH_FRACTION = 0.9
@@ -54,37 +45,8 @@ class QsCores:
         prune_threshold: float = 0.001,
         area_cap_ratio: float = 2.0,
     ):
-        self.techlib = techlib
-        self.alpha = alpha
-        self.prune_threshold = prune_threshold
-        self.area_cap_ratio = area_cap_ratio
+        super().__init__(techlib, alpha=alpha, prune_threshold=prune_threshold,
+                         area_cap_ratio=area_cap_ratio)
 
-    def run(
-        self,
-        program: Union[str, Module],
-        entry: str = "main",
-        args: Optional[List] = None,
-        setup: Optional[Callable] = None,
-        name: str = "app",
-    ) -> BaselineResult:
-        module = (
-            compile_source(program, name) if isinstance(program, str) else program
-        )
-        profile = profile_module(module, entry=entry, args=args, setup=setup)
-        wpst = WPST(module, entry_function=entry)
-        model = QsCoresModel(module, profile, techlib=self.techlib)
-        selector = CandidateSelector(
-            wpst,
-            model,
-            prune=PruneHeuristic(profile, self.prune_threshold),
-            alpha=self.alpha,
-            area_cap=self.area_cap_ratio * CVA6_TILE_AREA_UM2,
-        )
-        front = selector.run()
-        merger = AcceleratorMerger(
-            self.techlib, min_match_fraction=self.MIN_MATCH_FRACTION
-        )
-        merged: List[MergedSolution] = [
-            merger.merge(solution) for solution in front if not solution.is_empty
-        ]
-        return BaselineResult(name="qscores", profile=profile, merged=merged)
+    def build_model(self, module, profile) -> QsCoresModel:
+        return QsCoresModel(module, profile, techlib=self.techlib)

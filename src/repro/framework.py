@@ -101,7 +101,21 @@ class Cayman:
     ``beta`` the scratchpad count/footprint threshold, ``prune_threshold``
     the hotspot cutoff, and ``coupled_only`` the Fig. 6 ablation that
     restricts every access to the coupled interface.
+
+    A run has two halves.  The front half (compile, profile, wPST) depends
+    only on the program.  The back half (model, selection, merging,
+    optional lint) is where flows differ, through two per-flow hooks:
+    :meth:`build_model` builds the model that prices each region, and
+    :attr:`MIN_MATCH_FRACTION` sets how much of two units must match for
+    the merger to share them.  The NOVIA and QsCores baselines
+    (:mod:`repro.baselines`) override both; :meth:`run_back` runs a flow's
+    back half on another run's front half.
     """
+
+    #: Smallest fraction of the smaller unit's ops that must match for two
+    #: units to share hardware (the merger's ``min_match_fraction``); 0
+    #: lets any match merge.
+    MIN_MATCH_FRACTION = 0.0
 
     def __init__(
         self,
@@ -127,6 +141,17 @@ class Cayman:
         self.lint = lint
         self.telemetry = telemetry
 
+    def build_model(self, module: Module, profile: RegionProfile):
+        """The model that prices this flow's candidate regions."""
+        return AcceleratorModel(
+            module,
+            profile,
+            techlib=self.techlib,
+            beta=self.beta,
+            unroll_factors=self.unroll_factors,
+            coupled_only=self.coupled_only,
+        )
+
     def run(
         self,
         program: Union[str, Module],
@@ -136,36 +161,8 @@ class Cayman:
         name: str = "app",
     ) -> CaymanResult:
         """Run the full flow on a mini-C source string or an IR module."""
-        tele = self.telemetry if self.telemetry is not None else current_telemetry()
-        if not tele.enabled:
-            # Stage spans are the source of ``stage_seconds``, so the run
-            # always records into a real context — a run-local one when no
-            # ambient telemetry is installed.
-            tele = Telemetry()
-        with use_telemetry(tele):
-            return self._run_instrumented(
-                tele, program, entry=entry, args=args, setup=setup, name=name
-            )
 
-    def _run_instrumented(
-        self,
-        tele: Telemetry,
-        program: Union[str, Module],
-        entry: str,
-        args: Optional[List],
-        setup: Optional[Callable],
-        name: str,
-    ) -> CaymanResult:
-        stage_spans: Dict[str, "object"] = {}
-
-        def stage(stage_name: str):
-            span = tele.span(f"stage:{stage_name}")
-            stage_spans[stage_name] = span
-            return span
-
-        with tele.span("cayman.run", workload=name, entry=entry,
-                       coupled_only=self.coupled_only) as root:
-            started = time.perf_counter()
+        def front_half(stage):
             with stage("compile"):
                 module = (
                     compile_source(program, name)
@@ -175,16 +172,51 @@ class Cayman:
                 profile = profile_module(
                     module, entry=entry, args=args, setup=setup
                 )
+            return module, profile, None
+
+        return self._run(front_half, entry, name)
+
+    def run_back(
+        self,
+        module: Module,
+        profile: RegionProfile,
+        wpst: WPST,
+        name: str = "app",
+    ) -> CaymanResult:
+        """Run only the back half (model, selection, merging, optional
+        lint) on another run's module, profile and wPST, which it reads and
+        does not change."""
+        return self._run(
+            lambda stage: (module, profile, wpst), wpst.entry_function, name
+        )
+
+    def _run(self, front_half, entry: str, name: str) -> CaymanResult:
+        """``front_half(stage)`` opens the front half's stages and returns
+        ``(module, profile, wpst)``; a ``None`` wPST is built in the
+        analysis stage."""
+        tele = self.telemetry if self.telemetry is not None else current_telemetry()
+        if not tele.enabled:
+            # Stage spans are the source of ``stage_seconds``, so the run
+            # always records into a real context — a run-local one when no
+            # ambient telemetry is installed.
+            tele = Telemetry()
+        stage_spans: Dict[str, "object"] = {}
+
+        def stage(stage_name: str):
+            span = tele.span(f"stage:{stage_name}")
+            stage_spans[stage_name] = span
+            return span
+
+        with use_telemetry(tele), tele.span(
+            "cayman.run", workload=name, entry=entry,
+            coupled_only=self.coupled_only,
+        ) as root:
+            started = time.perf_counter()
+            module, profile, wpst = front_half(stage)
             with stage("analysis"):
-                wpst = WPST(module, entry_function=entry)
-                model = AcceleratorModel(
-                    module,
-                    profile,
-                    techlib=self.techlib,
-                    beta=self.beta,
-                    unroll_factors=self.unroll_factors,
-                    coupled_only=self.coupled_only,
-                )
+                if wpst is None:
+                    wpst = WPST(module, entry_function=entry)
+                model = self.build_model(module, profile)
             with stage("selection"):
                 selector = CandidateSelector(
                     wpst,
@@ -195,7 +227,9 @@ class Cayman:
                 )
                 front = selector.run()
             with stage("merging") as merging_span:
-                merger = AcceleratorMerger(self.techlib)
+                merger = AcceleratorMerger(
+                    self.techlib, min_match_fraction=self.MIN_MATCH_FRACTION
+                )
                 merged: List[MergedSolution] = []
                 for solution in front:
                     if solution.is_empty:

@@ -13,6 +13,7 @@ from typing import List
 
 from ..baselines.novia import _EXCLUDED_RESOURCES
 from ..baselines.qscores import QsCoresModel
+from ..ir import Module
 from ..model.estimator import AcceleratorModel
 from .formats import render_table
 
@@ -78,10 +79,10 @@ def capability_matrix() -> List[Capability]:
 
 
 def _qscores_pipelines() -> bool:
-    import inspect
-
-    source = inspect.getsource(QsCoresModel.__init__)
-    return 'kwargs.setdefault("pipeline_innermost", False)' not in source
+    """Whether the QsCores model pipelines or unrolls loops, read from one
+    built on an empty module (its facts are lazy, so no analysis runs)."""
+    model = QsCoresModel(Module(), profile=None)
+    return model.pipeline_innermost or max(model.unroll_factors) > 1
 
 
 def render_table1() -> str:

@@ -138,10 +138,13 @@ def test_lazy_merger_equals_eager_on_tied_pools(solution, fraction, steps):
 @pytest.mark.parametrize("baseline", [Novia, QsCores], ids=["novia", "qscores"])
 @pytest.mark.parametrize("name", ["atax", "gramschmidt", "doitgen"])
 def test_lazy_merger_equals_eager_in_baselines(baseline, name, monkeypatch):
-    """The baselines merge with ``min_match_fraction > 0``."""
-    module = __import__(baseline.__module__, fromlist=["AcceleratorMerger"])
+    """The baselines merge with ``min_match_fraction > 0``, through the
+    merger the shared pipeline in :mod:`repro.framework` builds."""
+    import repro.framework as framework
+
+    assert baseline.MIN_MATCH_FRACTION > 0
     lazy = _run(name, baseline())
-    monkeypatch.setattr(module, "AcceleratorMerger", EagerMerger)
+    monkeypatch.setattr(framework, "AcceleratorMerger", EagerMerger)
     eager = _run(name, baseline())
     assert [outcome(m) for m in lazy.merged] == \
         [outcome(m) for m in eager.merged]

@@ -5,6 +5,8 @@ import os
 
 import pytest
 
+from repro.baselines import Novia, QsCores
+from repro.framework import Cayman
 from repro.reporting import bench
 from repro.reporting.bench import (
     BenchCache,
@@ -23,6 +25,8 @@ from repro.reporting.bench import (
 )
 from repro.reporting.figure6 import generate_figure6
 from repro.reporting.table2 import generate_table2
+from repro.telemetry import Telemetry
+from repro.workloads import get_workload
 
 NAMES = ["trisolv", "bicg"]
 
@@ -333,3 +337,72 @@ class TestTelemetrySection:
         other["telemetry"] = {"workloads": {}, "merged": {
             "counters": {}, "timings": {}}, "cache": {}}
         assert compare_reports(payload, other) == []
+
+
+#: Workloads whose shared-front comparison is checked against standalone
+#: flow runs: three PolyBench kernels and one MediaBench application.
+SHARED_FRONT = ["trisolv", "bicg", "atax", "epic"]
+
+
+def _standalone_flows(params):
+    """The four flows as standalone runners, built independently of
+    :func:`run_comparison`."""
+    return {
+        "cayman": Cayman(alpha=params.alpha, beta=params.beta,
+                         prune_threshold=params.prune_threshold),
+        "coupled_only": Cayman(alpha=params.alpha, beta=params.beta,
+                               prune_threshold=params.prune_threshold,
+                               coupled_only=True),
+        "novia": Novia(alpha=params.alpha,
+                       prune_threshold=params.prune_threshold),
+        "qscores": QsCores(alpha=params.alpha,
+                           prune_threshold=params.prune_threshold),
+    }
+
+
+class TestSharedFront:
+    """``run_comparison`` compiles and profiles a workload once and runs
+    the other flows' back halves on the cayman flow's front half; that
+    sharing must change no result."""
+
+    @pytest.mark.parametrize("name", SHARED_FRONT)
+    def test_each_flow_equals_its_standalone_run(self, params, name):
+        workload = get_workload(name)
+        shared, _ = run_comparison(name, params)
+        for flow, runner in _standalone_flows(params).items():
+            alone = runner.run(workload.source, entry=workload.entry,
+                               name=name)
+            result = shared[flow]
+            assert result.module is shared["cayman"].module
+            for budget in params.budgets:
+                assert (result.speedup_under_budget(budget)
+                        == alone.speedup_under_budget(budget)), (flow, budget)
+            assert result.pareto_points() == alone.pareto_points(), flow
+            assert (result.best_under_budget(0.65).saving_pct
+                    == alone.best_under_budget(0.65).saving_pct), flow
+            if flow in ("cayman", "coupled_only"):
+                assert result.selector.stats() == alone.selector.stats()
+
+    def test_one_compile_and_profile_per_comparison(self, params):
+        name = "atax"
+        workload = get_workload(name)
+        compared = Telemetry()
+        run_comparison(name, params, telemetry=compared)
+        counters = compared.snapshot()["counters"]
+        assert counters["interp.runs"] == 1
+        assert counters["interp.compiles"] == 1
+        lone = Telemetry()
+        Cayman(telemetry=lone).run(workload.source, entry=workload.entry,
+                                   name=name)
+        assert (counters["dataflow.solves"]
+                == lone.snapshot()["counters"]["dataflow.solves"])
+
+    def test_back_half_stages_cover_its_run(self, params):
+        name = "trisolv"
+        front = Cayman().run(get_workload(name).source, name=name)
+        for runner in _standalone_flows(params).values():
+            back = runner.run_back(front.module, front.profile, front.wpst,
+                                   name=name)
+            assert set(back.stage_seconds) == {
+                "analysis", "selection", "merging"}
+            assert back.wpst is front.wpst
