@@ -43,8 +43,8 @@ def main(argv=None):
         names = None  # all
 
     def progress(name, status):
-        if status == "run":
-            print(f"  running {name}...", file=sys.stderr, flush=True)
+        if status == "done":
+            print(f"  ran {name}", file=sys.stderr, flush=True)
 
     started = time.perf_counter()
     rows = generate_table2(names, progress=progress)

@@ -54,7 +54,6 @@ from .dependence import (
     LevelEntry,
     PairTestResult,
 )
-from .dot import cfg_to_dot, dfg_to_dot, wpst_to_dot
 from .memdep import Dependence, MemoryDependenceAnalysis
 
 __all__ = [
@@ -74,6 +73,5 @@ __all__ = [
     "GroupAccess", "GroupProbe", "SchemeVerdict", "probe_function",
     "DependenceTester", "DependenceVector",
     "LatticeSet", "LevelEntry", "PairTestResult",
-    "cfg_to_dot", "dfg_to_dot", "wpst_to_dot",
     "Dependence", "MemoryDependenceAnalysis",
 ]

@@ -164,8 +164,9 @@ def _cmd_table2(args) -> int:
     _check_workloads(args.benchmarks)
 
     def progress(name: str, status: str) -> None:
-        if not args.quiet and status != "done":
-            print(f"  {name}...", file=sys.stderr, flush=True)
+        if not args.quiet:
+            print(f"  {name}: {'cache hit' if status == 'hit' else 'ran'}",
+                  file=sys.stderr, flush=True)
 
     rows = generate_table2(
         args.benchmarks or None, engine=_engine(args), progress=progress,
@@ -679,11 +680,9 @@ def _cmd_bench(args) -> int:
 
     from .reporting.bench import (
         FlowParams,
-        ablation_stats,
         build_report,
         compare_reports,
         default_tag,
-        interp_elision_stats,
         load_report,
         write_report,
     )
@@ -718,31 +717,20 @@ def _cmd_bench(args) -> int:
     engine = _engine(args, params)
 
     def progress(name: str, status: str) -> None:
-        if not args.quiet and status in ("hit", "run"):
-            print(f"  {name}: {'cache hit' if status == 'hit' else 'running'}",
+        if not args.quiet:
+            print(f"  {name}: {'cache hit' if status == 'hit' else 'ran'}",
                   file=sys.stderr, flush=True)
 
+    # The probes run on a bounded prefix to keep full-suite runs fast.
     started = time.perf_counter()
-    records = engine.evaluate(names, jobs=args.jobs, progress=progress)
+    interp_count = 0 if args.no_interp_bench else args.interp_bench_count
+    records = engine.evaluate(names, jobs=args.jobs, progress=progress,
+                              ablation_count=args.ablation_count,
+                              interp_bench_count=interp_count)
     wall = time.perf_counter() - started
 
-    # The probes run on a bounded prefix to keep full-suite runs fast.
-    sections = {}
-    if not args.no_interp_bench:
-        # Before/after interpreter throughput with bounds-check elision.
-        sections["interp_elision"] = interp_elision_stats(
-            names[: args.interp_bench_count]
-        )
-    if args.ablation_count > 0:
-        # Each proof priced without and with it by the estimator.
-        sections.update(
-            ablation_stats(names[: args.ablation_count], cache=engine.cache)
-        )
-
     tag = args.tag or default_tag(params)
-    payload = build_report(
-        records, engine, tag=tag, wall_seconds=wall, sections=sections,
-    )
+    payload = build_report(records, engine, tag=tag, wall_seconds=wall)
     path = write_report(payload, directory=args.output_dir)
 
     top_budget = max(params.budgets)
@@ -751,7 +739,7 @@ def _cmd_bench(args) -> int:
         speedup = record.speedup("cayman", top_budget)
         print(f"{record.suite:14} {record.name:28} {marker:6} "
               f"cayman@{top_budget:.0%} {speedup:8.2f}x")
-    for name, stat in sections.get("interp_elision", {}).items():
+    for name, stat in payload.get("interp_elision", {}).items():
         before = stat["baseline_inst_per_s"]
         after = stat["elided_inst_per_s"]
         gain = (after / before - 1.0) * 100.0 if before else 0.0
@@ -763,9 +751,9 @@ def _cmd_bench(args) -> int:
               f"proven), compiled engine "
               f"{stat['engine_speedup']:.1f}x over reference")
     for section, line in _ABLATION_LINES.items():
-        for name, stat in sections.get(section, {}).items():
+        for name, stat in payload.get(section, {}).items():
             print(line.format(name=name, **stat))
-    narrowing = sections.get("area_narrowing", {}).values()
+    narrowing = payload.get("area_narrowing", {}).values()
     total_type = sum(s["type_area_um2"] for s in narrowing)
     total_proven = sum(s["proven_area_um2"] for s in narrowing)
     if total_type:

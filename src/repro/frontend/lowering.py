@@ -750,6 +750,7 @@ def compile_source(source: str, name: str = "module", optimize: bool = True) -> 
     from ..telemetry import current as current_telemetry
 
     tele = current_telemetry()
+    tele.count("frontend.compiles")
     with tele.span("frontend.parse"):
         program = parse(source)
     with tele.span("frontend.lower"):

@@ -30,7 +30,7 @@ from .instructions import (
     Store,
     UnaryOp,
 )
-from .types import BOOL, F32, F64, I32, I64, Type
+from .types import I32, Type
 from .values import Constant, Value
 
 
@@ -53,22 +53,6 @@ class IRBuilder:
     @staticmethod
     def const_i32(value: int) -> Constant:
         return Constant(I32, value)
-
-    @staticmethod
-    def const_i64(value: int) -> Constant:
-        return Constant(I64, value)
-
-    @staticmethod
-    def const_f32(value: float) -> Constant:
-        return Constant(F32, value)
-
-    @staticmethod
-    def const_f64(value: float) -> Constant:
-        return Constant(F64, value)
-
-    @staticmethod
-    def const_bool(value: bool) -> Constant:
-        return Constant(BOOL, 1 if value else 0)
 
     # Arithmetic -------------------------------------------------------------------
 

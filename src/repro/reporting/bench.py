@@ -8,15 +8,19 @@ per-stage wall times.  ``repro bench``, ``table2`` and ``fig6`` all read
 records from :meth:`EvaluationEngine.evaluate`; no report keeps the flows'
 full results.
 
+Each workload is one task (:func:`_evaluate`): it compiles the workload
+once, and that module serves the cache keys, the flows, the proof-ablation
+sections and the interpreter elision probe.
+
 Records are memoized at two levels:
 
 * in-process, per engine;
 * on disk, content-keyed — the cache key hashes the workload name, the
-  optimized IR of its module, the flow parameters (α, β, prune threshold,
-  budgets), and :data:`~repro.model.estimator.ESTIMATOR_VERSION` — so re-runs
-  and CI only pay for what actually changed.
+  optimized IR of the task's module, the flow parameters (α, β, prune
+  threshold, budgets), and :data:`~repro.model.estimator.ESTIMATOR_VERSION`
+  — so re-runs and CI only pay for what actually changed.
 
-Cache misses can be fanned out across a ``concurrent.futures`` process pool
+Tasks can be fanned out across a ``concurrent.futures`` process pool
 (``--jobs N``); results are deterministic, so parallel runs are
 bit-for-bit identical to serial ones (modulo wall times, which are reported
 but never part of the cached identity or determinism comparisons).
@@ -32,7 +36,7 @@ import tempfile
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from itertools import repeat
 from typing import (
     Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple,
@@ -46,7 +50,7 @@ from ..baselines.novia import Novia
 from ..baselines.qscores import QsCores
 from ..framework import Cayman, CaymanResult
 from ..frontend.lowering import compile_source
-from ..ir import Load, Store
+from ..ir import Load, Module, Store, print_module
 from ..model import (
     AcceleratorModel, InterfaceAssignment, InterfaceKind, InterfacePlan,
     LoopPlan,
@@ -83,27 +87,24 @@ class FlowParams:
     budgets: Tuple[float, ...] = DEFAULT_BUDGETS
 
     def as_dict(self) -> Dict:
-        return {
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "prune_threshold": self.prune_threshold,
-            "budgets": list(self.budgets),
-        }
+        return dict(asdict(self), budgets=list(self.budgets))
 
 
 def run_comparison(
     name: str,
+    module: Module,
     params: FlowParams,
     telemetry: Optional[Telemetry] = None,
 ) -> Tuple[Dict[str, CaymanResult], Dict[str, float]]:
-    """Run the paper's four flows on one workload: ``(results, seconds)``,
-    each keyed by flow name in reporting order (``cayman``,
-    ``coupled_only``, ``novia``, ``qscores``), ``seconds`` holding the wall
-    time measured around each flow run.
+    """Run the paper's four flows on workload ``name``'s compiled
+    ``module``: ``(results, seconds)``, each keyed by flow name in
+    reporting order (``cayman``, ``coupled_only``, ``novia``,
+    ``qscores``), ``seconds`` holding the wall time measured around each
+    flow run.
 
-    The ``cayman`` flow runs whole; the other three run only their back
-    halves (:meth:`Cayman.run_back`) on its module, profile and wPST, so
-    the workload is compiled and profiled once.
+    The ``cayman`` flow profiles the module and runs whole; the other
+    three run only their back halves (:meth:`Cayman.run_back`) on its
+    module, profile and wPST, so the workload is profiled once.
 
     ``telemetry`` (when given) is installed as the ambient sink for the
     whole comparison, so every flow's counters land in one per-workload
@@ -137,7 +138,7 @@ def run_comparison(
             with tele.span(f"bench.flow:{flow}", workload=name):
                 if flow == "cayman":
                     results[flow] = runner.run(
-                        workload.source, entry=workload.entry, name=name
+                        module, entry=workload.entry, name=name
                     )
                 else:
                     front = results["cayman"]
@@ -170,18 +171,17 @@ def _canonicalize_ir(text: str) -> str:
     return _AUTO_VALUE_NAME.sub(substitute, text)
 
 
-def module_ir_hash(name: str) -> str:
-    """SHA-256 of the workload's optimized, name-canonicalized IR text."""
-    from ..ir.printer import print_module
-
-    workload = get_workload(name)
-    module = compile_source(workload.source, name)
+def module_ir_hash(module: Module) -> str:
+    """SHA-256 of ``module``'s name-canonicalized IR text."""
     text = _canonicalize_ir(print_module(module))
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def cache_key(name: str, params: FlowParams, ir_hash: Optional[str] = None) -> str:
-    """Content key of one workload evaluation.
+def cache_key(name: str, params: Optional[FlowParams], ir_hash: str) -> str:
+    """Content key of one workload evaluation, from ``ir_hash``, the
+    :func:`module_ir_hash` of its optimized module.  Without ``params`` it
+    keys the workload's proof-ablation sections, which read the IR and the
+    estimator but not the flow parameters.
 
     Any change to the workload's optimized IR, the flow parameters, the
     estimator version, or the record schema produces a different key.
@@ -189,24 +189,10 @@ def cache_key(name: str, params: FlowParams, ir_hash: Optional[str] = None) -> s
     payload = {
         "schema": CACHE_SCHEMA_VERSION,
         "workload": name,
-        "ir": ir_hash if ir_hash is not None else module_ir_hash(name),
-        "params": params.as_dict(),
+        "ir": ir_hash,
         "estimator_version": ESTIMATOR_VERSION,
-    }
-    blob = json.dumps(payload, sort_keys=True).encode("utf-8")
-    return hashlib.sha256(blob).hexdigest()
-
-
-def ablation_key(name: str) -> str:
-    """Content key of one workload's proof-ablation sections: they read
-    the workload's optimized IR and the estimator, not the flow
-    parameters."""
-    payload = {
-        "schema": CACHE_SCHEMA_VERSION,
-        "kind": "ablation",
-        "workload": name,
-        "ir": module_ir_hash(name),
-        "estimator_version": ESTIMATOR_VERSION,
+        **({"kind": "ablation"} if params is None
+           else {"params": params.as_dict()}),
     }
     blob = json.dumps(payload, sort_keys=True).encode("utf-8")
     return hashlib.sha256(blob).hexdigest()
@@ -266,32 +252,11 @@ class WorkloadRecord:
         return self.flows[flow]["speedups"][_budget_key(budget)]
 
     def to_dict(self) -> Dict:
-        return {
-            "schema": CACHE_SCHEMA_VERSION,
-            "name": self.name,
-            "suite": self.suite,
-            "key": self.key,
-            "estimator_version": self.estimator_version,
-            "flows": self.flows,
-            "table2": self.table2,
-            "selector_stats": self.selector_stats,
-            "stage_seconds": self.stage_seconds,
-            "runtime_seconds": self.runtime_seconds,
-        }
+        return {"schema": CACHE_SCHEMA_VERSION, **asdict(self)}
 
     @classmethod
     def from_dict(cls, payload: Dict) -> "WorkloadRecord":
-        return cls(
-            name=payload["name"],
-            suite=payload["suite"],
-            key=payload["key"],
-            estimator_version=payload["estimator_version"],
-            flows=payload["flows"],
-            table2=payload["table2"],
-            selector_stats=payload["selector_stats"],
-            stage_seconds=payload["stage_seconds"],
-            runtime_seconds=payload["runtime_seconds"],
-        )
+        return cls(**{f.name: payload[f.name] for f in fields(cls)})
 
 
 # Persistent cache ---------------------------------------------------------------
@@ -305,8 +270,9 @@ def _hit_rate(hits: int, misses: int) -> float:
 
 class BenchCache:
     """Content-keyed on-disk store of :class:`WorkloadRecord` JSON blobs,
-    and of each workload's proof-ablation sections. Only records count
-    into the hit statistics."""
+    and of each workload's proof-ablation sections.  Reads count nothing,
+    so pool workers may read and write it; the engine tallies each record
+    lookup into the hit statistics (:meth:`count`)."""
 
     def __init__(self, directory: str = DEFAULT_CACHE_DIR):
         self.directory = directory
@@ -317,16 +283,15 @@ class BenchCache:
         return os.path.join(self.directory, f"{key}.json")
 
     def get(self, key: str) -> Optional[WorkloadRecord]:
-        record = self._load(key)
-        if record is None:
-            self.misses += 1
-        else:
-            self.hits += 1
-        return record
-
-    def _load(self, key: str) -> Optional[WorkloadRecord]:
         payload = self._read(key)
         return None if payload is None else WorkloadRecord.from_dict(payload)
+
+    def count(self, hit: bool) -> None:
+        """Tally one record lookup."""
+        if hit:
+            self.hits += 1
+        else:
+            self.misses += 1
 
     def _read(self, key: str) -> Optional[Dict]:
         try:
@@ -341,7 +306,7 @@ class BenchCache:
         return payload
 
     def get_ablation(self, key: str) -> Optional[Dict[str, Dict]]:
-        """Section → stats of the workload :func:`ablation_key` names."""
+        """Section → stats stored under a params-free :func:`cache_key`."""
         payload = self._read(key)
         return None if payload is None else payload.get("ablation")
 
@@ -386,23 +351,71 @@ class BenchCache:
             raise
 
 
-# One workload's evaluation (module-level so the process pool pickles it) -----
+# One workload's task (module-level so the process pool pickles it) ------------
 
 
 def _evaluate(
-    name: str, params: FlowParams, key: str
-) -> Tuple[WorkloadRecord, Dict]:
-    """Run one workload's four flows and reduce them to its record:
-    ``(record, telemetry snapshot)``.
+    task: Tuple[str, bool, bool],
+    params: FlowParams,
+    cache: Optional[BenchCache],
+) -> Tuple[WorkloadRecord, Optional[Dict], Dict[str, Dict]]:
+    """The only path from a workload name to what the reports read.
+
+    ``task`` is ``(name, ablate, probe_interp)``; the result is
+    ``(record, snapshot, sections)``.  The task compiles the workload once
+    and keys its record and its ablation sections by that module's IR,
+    hashed before any flow touches it.  A record that ``cache`` does not
+    hold is computed by the four flows on the module; ``snapshot`` is None
+    when the cache held it.  When ``ablate``, the proof-ablation sections,
+    unless ``cache`` holds them, are priced on the same module, so they
+    share the flows' :class:`ModuleFacts`; when ``probe_interp``, the
+    elision probe runs on it too.  ``sections`` maps each probe section to
+    this workload's entry.
 
     Serial runs call this in-process and pool workers call it in a child,
     each against a fresh :class:`Telemetry`, so merged counters are
     bit-identical whatever ``jobs`` is (identical additions in identical
-    order).
+    order).  The snapshot covers the compile and the flows; the probes
+    run outside it.
     """
+    name, ablate, probe_interp = task
+    workload = get_workload(name)
     tele = Telemetry()
-    results, seconds = run_comparison(name, params, telemetry=tele)
-    snapshot = tele.snapshot()
+    started = time.perf_counter()
+    with use_telemetry(tele):
+        module = compile_source(workload.source, name)
+    compile_seconds = time.perf_counter() - started
+    ir_hash = module_ir_hash(module)
+    key = cache_key(name, params, ir_hash)
+    record = cache.get(key) if cache is not None else None
+    snapshot = None
+    if record is None:
+        results, seconds = run_comparison(
+            name, module, params, telemetry=tele
+        )
+        snapshot = tele.snapshot()
+        record = _reduce(name, key, params, results, seconds, compile_seconds)
+        if cache is not None:
+            cache.put(record)
+    sections: Dict[str, Dict] = {}
+    if ablate:
+        key = cache_key(name, None, ir_hash)
+        ablation = cache.get_ablation(key) if cache is not None else None
+        if ablation is None:
+            ablation = ablation_sections(module)
+            if cache is not None:
+                cache.put_ablation(key, ablation)
+        sections.update(ablation)
+    if probe_interp:
+        sections["interp_elision"] = elision_stats(module, workload.entry)
+    return record, snapshot, sections
+
+
+def _reduce(name: str, key: str, params: FlowParams, results: Dict,
+            seconds: Dict, compile_seconds: float) -> WorkloadRecord:
+    """One workload's flow ``results`` reduced to its record.  The cayman
+    flow ran on a compiled module, so the task's compile replaces its
+    empty compile stage."""
     cayman = results["cayman"]
     flows = {
         flow: {
@@ -414,10 +427,10 @@ def _evaluate(
         }
         for flow, result in results.items()
     }
-    stage_seconds = dict(cayman.stage_seconds)
+    stage_seconds = dict(cayman.stage_seconds, compile=compile_seconds)
     for flow, flow_seconds in seconds.items():
         stage_seconds[f"flow_{flow}"] = flow_seconds
-    record = WorkloadRecord(
+    return WorkloadRecord(
         name=name,
         suite=get_workload(name).suite,
         key=key,
@@ -431,9 +444,11 @@ def _evaluate(
             for flow in ("cayman", "coupled_only")
         },
         stage_seconds=stage_seconds,
-        runtime_seconds=cayman.runtime_seconds,
+        runtime_seconds=(
+            cayman.runtime_seconds - cayman.stage_seconds["compile"]
+            + compile_seconds
+        ),
     )
-    return record, snapshot
 
 
 # The engine ---------------------------------------------------------------------
@@ -454,72 +469,72 @@ class EvaluationEngine:
         self.params = params or FlowParams()
         self.cache = cache
         self._records: Dict[str, WorkloadRecord] = {}
-        self._keys: Dict[str, str] = {}
         self.hits = 0
         self.misses = 0
         self.hit_names: set = set()
         #: name → deterministic ``Telemetry.snapshot()`` of the workload's
         #: evaluation (absent for cache hits, which never execute the flows).
         self.telemetry_snapshots: Dict[str, Dict] = {}
-
-    def key_for(self, name: str) -> str:
-        if name not in self._keys:
-            self._keys[name] = cache_key(name, self.params)
-        return self._keys[name]
-
-    def cached_record(self, name: str) -> Optional[WorkloadRecord]:
-        """The workload's record if it is already known, else ``None``."""
-        if name in self._records:
-            return self._records[name]
-        if self.cache is not None:
-            record = self.cache.get(self.key_for(name))
-            if record is not None:
-                self._records[name] = record
-                return record
-        return None
+        #: Probe section → workload → entry, for the probes that ran.
+        self.sections: Dict[str, Dict[str, Dict]] = {}
 
     def evaluate(
         self,
         names: Sequence[str],
         jobs: int = 1,
         progress: Optional[Callable[[str, str], None]] = None,
+        ablation_count: int = 0,
+        interp_bench_count: int = 0,
     ) -> List[WorkloadRecord]:
-        """Evaluate many workloads, fanning cache misses across a pool.
+        """Evaluate many workloads, one task each, fanned across a pool.
 
-        ``progress`` (if given) is called with ``(name, status)`` where
-        status is ``"hit"``, ``"run"``, or ``"done"``.  Results come back in
-        input order and are identical whether ``jobs`` is 1 or N.
+        The first ``ablation_count`` workloads also get the proof-ablation
+        sections and the first ``interp_bench_count`` the elision probe,
+        both kept in :attr:`sections`.  A workload whose record this engine
+        already holds is served from memory unless it is probed; every
+        other workload runs its task.  ``progress`` (if given) is called
+        with ``(name, status)`` as each workload's record arrives: ``"hit"``
+        when it was served from memory or disk, ``"done"`` when its flows
+        ran.  Results come back in input order and are identical whether
+        ``jobs`` is 1 or N.
         """
         records: Dict[str, WorkloadRecord] = {}
-        missing: List[str] = []
-        for name in names:
-            cached = self.cached_record(name)
-            if cached is None:
-                missing.append(name)
+        tasks = []
+        for index, name in enumerate(names):
+            task = (name, index < ablation_count, index < interp_bench_count)
+            if name in self._records and not any(task[1:]):
+                records[name] = self._records[name]
+                self._hit(name, progress)
             else:
-                self.hits += 1
-                self.hit_names.add(name)
-                records[name] = cached
-            if progress:
-                progress(name, "run" if cached is None else "hit")
-        self.misses += len(missing)
-        keys = [self.key_for(name) for name in missing]
-        parallel = jobs > 1 and len(missing) > 1
+                tasks.append(task)
+        parallel = jobs > 1 and len(tasks) > 1
         with ProcessPoolExecutor(jobs) if parallel else nullcontext() as pool:
             run = pool.map if parallel else map
-            evaluated = run(_evaluate, missing, repeat(self.params), keys)
-            for name, (record, snapshot) in zip(missing, evaluated):
-                self.telemetry_snapshots[name] = snapshot
-                self._remember(record)
-                records[name] = record
-                if progress:
-                    progress(name, "done")
+            outcomes = run(
+                _evaluate, tasks, repeat(self.params), repeat(self.cache)
+            )
+            for (name, *_), (record, snapshot, sections) in zip(
+                tasks, outcomes
+            ):
+                for section, entry in sections.items():
+                    self.sections.setdefault(section, {})[name] = entry
+                self._records[name] = records[name] = record
+                if self.cache is not None:
+                    self.cache.count(snapshot is None)
+                if snapshot is None:
+                    self._hit(name, progress)
+                else:
+                    self.misses += 1
+                    self.telemetry_snapshots[name] = snapshot
+                    if progress:
+                        progress(name, "done")
         return [records[name] for name in names]
 
-    def _remember(self, record: WorkloadRecord) -> None:
-        self._records[record.name] = record
-        if self.cache is not None:
-            self.cache.put(record)
+    def _hit(self, name: str, progress) -> None:
+        self.hits += 1
+        self.hit_names.add(name)
+        if progress:
+            progress(name, "hit")
 
     def cache_stats(self) -> Dict:
         stats = {
@@ -556,10 +571,11 @@ class EvaluationEngine:
 # Interpreter-throughput probe ---------------------------------------------------
 
 
-def interp_elision_stats(names: Sequence[str]) -> Dict[str, Dict]:
-    """Interpreter throughput: bounds-check elision and engine comparison.
+def elision_stats(module: Module, entry: str) -> Dict:
+    """Interpreter throughput on ``module``: bounds-check elision and
+    engine comparison.
 
-    Runs each workload under the compiled engine twice — all accesses
+    Runs ``entry`` under the compiled engine twice — all accesses
     checked, then with statically proven accesses elided — and once more
     per engine (reference vs compiled, both elided) so the compile-once
     engine's gain is tracked per PR.  Compiled-engine timings exclude the
@@ -570,48 +586,43 @@ def interp_elision_stats(names: Sequence[str]) -> Dict[str, Dict]:
     """
     from ..interp.interpreter import Interpreter
 
-    stats: Dict[str, Dict] = {}
-    for name in names:
-        workload = get_workload(name)
-        module = compile_source(workload.source, workload.name)
-        bounds = ModuleFacts.of(module).bounds
+    bounds = ModuleFacts.of(module).bounds
 
-        def throughput(bounds_arg, engine="compiled"):
-            interp = Interpreter(module, bounds=bounds_arg, engine=engine)
-            interp.precompile()
-            started = time.perf_counter()
-            interp.run(workload.entry)
-            seconds = max(1e-9, time.perf_counter() - started)
-            return interp.instructions / seconds, interp
+    def throughput(bounds_arg, engine="compiled"):
+        interp = Interpreter(module, bounds=bounds_arg, engine=engine)
+        interp.precompile()
+        started = time.perf_counter()
+        interp.run(entry)
+        seconds = max(1e-9, time.perf_counter() - started)
+        return interp.instructions / seconds, interp
 
-        # Best of three alternating runs: single-shot timings on a busy
-        # host are noisier than the few-percent effect being measured.
-        baseline_rate = elided_rate = reference_rate = 0.0
-        for _ in range(3):
-            rate, _interp = throughput(None)
-            baseline_rate = max(baseline_rate, rate)
-            rate, elided = throughput(bounds)
-            elided_rate = max(elided_rate, rate)
-        # The reference engine is an order of magnitude slower; one run is
-        # enough for the speedup headline and keeps full-suite probes fast.
-        reference_rate, _interp = throughput(bounds, engine="reference")
+    # Best of three alternating runs: single-shot timings on a busy host
+    # are noisier than the few-percent effect being measured.
+    baseline_rate = elided_rate = 0.0
+    for _ in range(3):
+        rate, _interp = throughput(None)
+        baseline_rate = max(baseline_rate, rate)
+        rate, elided = throughput(bounds)
+        elided_rate = max(elided_rate, rate)
+    # The reference engine is an order of magnitude slower; one run is
+    # enough for the speedup headline and keeps full-suite probes fast.
+    reference_rate, _interp = throughput(bounds, engine="reference")
 
-        proven, total = bounds.module_coverage()
-        stats[name] = {
-            "instructions": elided.instructions,
-            "proven_accesses": proven,
-            "total_accesses": total,
-            "elided": elided.elided_accesses,
-            "checked": elided.checked_accesses,
-            "baseline_inst_per_s": baseline_rate,
-            "elided_inst_per_s": elided_rate,
-            "reference_inst_per_s": reference_rate,
-            "compiled_inst_per_s": elided_rate,
-            "engine_speedup": (
-                elided_rate / reference_rate if reference_rate else 0.0
-            ),
-        }
-    return stats
+    proven, total = bounds.module_coverage()
+    return {
+        "instructions": elided.instructions,
+        "proven_accesses": proven,
+        "total_accesses": total,
+        "elided": elided.elided_accesses,
+        "checked": elided.checked_accesses,
+        "baseline_inst_per_s": baseline_rate,
+        "elided_inst_per_s": elided_rate,
+        "reference_inst_per_s": reference_rate,
+        "compiled_inst_per_s": elided_rate,
+        "engine_speedup": (
+            elided_rate / reference_rate if reference_rate else 0.0
+        ),
+    }
 
 
 # Proof ablations ----------------------------------------------------------------
@@ -896,32 +907,11 @@ def _ablate(ablation: _Ablation, models, contexts) -> Dict:
     }
 
 
-def ablation_stats(
-    names: Sequence[str], cache: Optional[BenchCache] = None
-) -> Dict[str, Dict[str, Dict]]:
-    """Every proof-ablation section over ``names``: section → workload →
-    stats.  A workload's sections are served from ``cache`` when it holds
-    them under :func:`ablation_key`, and stored there when computed."""
-    stats: Dict[str, Dict[str, Dict]] = {s: {} for s in ABLATION_SECTIONS}
-    for name in names:
-        key = sections = None
-        if cache is not None:
-            key = ablation_key(name)
-            sections = cache.get_ablation(key)
-        if sections is None:
-            sections = _ablate_workload(name)
-            if cache is not None:
-                cache.put_ablation(key, sections)
-        for section, entry in sections.items():
-            stats[section][name] = entry
-    return stats
-
-
-def _ablate_workload(name: str) -> Dict[str, Dict]:
-    """Section → stats of one workload.  It is compiled and analysed once,
-    and every section shares the model that holds every proof."""
-    workload = get_workload(name)
-    module = compile_source(workload.source, workload.name)
+def ablation_sections(module: Module) -> Dict[str, Dict]:
+    """Section → stats of one compiled module.  Every section shares the
+    model that holds every proof, and every model shares the module's
+    :class:`ModuleFacts`, so a module the flows have analysed is not
+    analysed again."""
     full = AcceleratorModel(module, profile=None)
     contexts = [full.context(f) for f in module.defined_functions()]
     sections = {}
@@ -940,14 +930,12 @@ def build_report(
     engine: EvaluationEngine,
     tag: str,
     wall_seconds: float,
-    sections: Optional[Dict[str, Dict[str, Dict]]] = None,
-    telemetry: Optional[Dict] = None,
 ) -> Dict:
     """The machine-readable bench payload (see docs/benchmarking.md).
 
-    ``sections`` holds the probe sections that ran (``interp_elision`` and
-    the :data:`ABLATION_SECTIONS`), each by name; a probe that did not run
-    is absent from the report."""
+    It carries ``engine``'s probe sections that ran (``interp_elision``
+    and the :data:`ABLATION_SECTIONS`), each by name; a probe that did
+    not run is absent from the report."""
     payload = {
         "schema_version": BENCH_SCHEMA_VERSION,
         "tag": tag,
@@ -963,10 +951,8 @@ def build_report(
             for record in records
         },
     }
-    payload.update(sections or {})
-    if telemetry is None:
-        telemetry = engine.telemetry_section([r.name for r in records])
-    payload["telemetry"] = telemetry
+    payload.update(engine.sections)
+    payload["telemetry"] = engine.telemetry_section([r.name for r in records])
     return payload
 
 
@@ -980,8 +966,20 @@ def write_report(payload: Dict, directory: str = ".") -> str:
 
 
 def load_report(path: str) -> Dict:
+    """The report at ``path``; a ``ValueError`` unless it is JSON shaped
+    like a report: an object whose ``workloads`` and compared sections
+    are objects of objects."""
     with open(path) as handle:
-        return json.load(handle)
+        payload = json.load(handle)
+    tables = [payload.get(section, {})
+              for section in ("workloads", *_COMPARED_SECTIONS)
+              ] if isinstance(payload, dict) else [None]
+    if not all(isinstance(table, dict) and all(
+            isinstance(entry, dict) for entry in table.values())
+            for table in tables):
+        raise ValueError("not a bench report (want an object whose "
+                         "workloads and sections are objects of objects)")
+    return payload
 
 
 #: Probe sections compared by :func:`compare_reports`: section → the

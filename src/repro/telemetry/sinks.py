@@ -53,9 +53,6 @@ class InMemorySink(Sink):
     def flush(self, telemetry) -> None:
         self.snapshot = telemetry.snapshot()
 
-    def span_names(self) -> List[str]:
-        return [span.name for span in self.spans]
-
 
 class JsonlSink(Sink):
     """One JSON object per line: span events as they finish, then metrics.

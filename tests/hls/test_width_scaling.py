@@ -21,6 +21,7 @@ from repro.hls.techlib import (
 from repro.ir import (
     ArrayType,
     Cast,
+    Constant,
     F32,
     I8,
     I32,
@@ -113,7 +114,7 @@ def build_mixed_width_function():
     flag = b.icmp("sgt", i, IRBuilder.const_i32(3), "flag")
     widened = b.cast("zext", flag, I32, "widened")
     total = b.add(wide, widened, "total")
-    y = b.fadd(x, IRBuilder.const_f32(1.0), "y")
+    y = b.fadd(x, Constant(F32, 1.0), "y")
     arr = b.alloca(ArrayType(F32, 8), "arr")
     slot = b.gep(arr, [IRBuilder.const_i32(0), IRBuilder.const_i32(0)], "slot")
     b.store(y, slot)

@@ -769,6 +769,20 @@ class TestBenchInput:
         argv = ["trisolv", "--compare-to", missing]
         assert self._exit_status(argv, tmp_path, capsys) == 2
 
+    @pytest.mark.parametrize("report", [
+        [], {"workloads": []}, {"workloads": {"trisolv": 1}},
+        {"workloads": {}, "pipeline_ii": {"trisolv": []}},
+    ])
+    def test_misshapen_compare_to_exits_two(
+        self, tmp_path, tmp_path_factory, capsys, report
+    ):
+        import json
+
+        path = tmp_path_factory.mktemp("reports") / "BENCH_bad.json"
+        path.write_text(json.dumps(report))
+        argv = ["trisolv", "--compare-to", str(path)]
+        assert self._exit_status(argv, tmp_path, capsys) == 2
+
     def test_ablation_count_bounds_and_skips_the_sections(self, tmp_path):
         import json
 

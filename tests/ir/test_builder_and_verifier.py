@@ -7,7 +7,9 @@ from repro.ir import (
     BOOL,
     Constant,
     F32,
+    F64,
     I32,
+    I64,
     IRBuilder,
     Module,
     Phi,
@@ -64,9 +66,9 @@ class TestBuilder:
         assert b1.name != b2.name
 
     def test_constants(self):
-        assert IRBuilder.const_bool(True).value == 1
-        assert IRBuilder.const_i64(5).type.bits == 64
-        assert IRBuilder.const_f64(2.5).value == 2.5
+        assert Constant(BOOL, True).value == 1
+        assert Constant(I64, 5).type.bits == 64
+        assert Constant(F64, 2.5).value == 2.5
 
 
 class TestModule:

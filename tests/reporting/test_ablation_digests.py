@@ -2,8 +2,8 @@
 
 ``ablation_digests.json`` next to this file records, for every registered
 workload, the sha256 of the canonical JSON (``sort_keys=True``) of each
-section ``ablation_stats`` produces for it (``area_narrowing``,
-``pipeline_ii``, ``spad_banking``, ``reuse_buffers``).  Any change to what
+section ``ablation_sections`` produces for its compiled module
+(``area_narrowing``, ``pipeline_ii``, ``spad_banking``, ``reuse_buffers``).  Any change to what
 those sections report changes a digest and fails this test.  A refactor of
 the ablation driver must leave every digest unchanged.
 
@@ -22,8 +22,10 @@ import json
 import os
 
 from repro.ir import values
-from repro.reporting.bench import ABLATION_SECTIONS, ablation_stats
+from repro.reporting.bench import ABLATION_SECTIONS
 from repro.workloads import workload_names
+
+from .sections import ablation_stats
 
 TABLE = os.path.join(os.path.dirname(__file__), "ablation_digests.json")
 

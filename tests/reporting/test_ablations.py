@@ -12,10 +12,11 @@ from repro.reporting.bench import (
     ABLATION_SECTIONS,
     EvaluationEngine,
     FlowParams,
-    ablation_stats,
     build_report,
     compare_reports,
 )
+
+from .sections import ablation_stats
 
 NAMES = ["trisolv", "stride2-collider"]
 
@@ -34,10 +35,9 @@ def sections():
 
 
 def report_with(sections=None):
-    return build_report(
-        [], engine=EvaluationEngine(FlowParams()), tag="t",
-        wall_seconds=0.0, sections=sections,
-    )
+    engine = EvaluationEngine(FlowParams())
+    engine.sections.update(sections or {})
+    return build_report([], engine=engine, tag="t", wall_seconds=0.0)
 
 
 def test_every_section_has_a_drift_field():

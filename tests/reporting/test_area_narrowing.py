@@ -9,7 +9,7 @@ wiring is tested for every section in ``test_ablations.py``).
 
 import pytest
 
-from repro.reporting.bench import ablation_stats
+from .sections import ablation_stats
 
 # trisolv/bicg/mvt are PolyBench, nw is MachSuite.
 NARROWING_NAMES = ["trisolv", "bicg", "mvt", "nw"]

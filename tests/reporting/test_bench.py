@@ -5,8 +5,11 @@ import os
 
 import pytest
 
+from repro import framework
 from repro.baselines import Novia, QsCores
 from repro.framework import Cayman
+from repro.frontend import compile_source
+from repro.model import AcceleratorModel
 from repro.reporting import bench
 from repro.reporting.bench import (
     BenchCache,
@@ -25,10 +28,20 @@ from repro.reporting.bench import (
 )
 from repro.reporting.figure6 import generate_figure6
 from repro.reporting.table2 import generate_table2
-from repro.telemetry import Telemetry
+from repro.telemetry import Telemetry, use as use_telemetry
 from repro.workloads import get_workload
 
 NAMES = ["trisolv", "bicg"]
+
+
+def compiled(name):
+    """A fresh compile of workload ``name``."""
+    return compile_source(get_workload(name).source, name)
+
+
+def record_key(name, params):
+    """The record key the engine derives for ``name``."""
+    return cache_key(name, params, module_ir_hash(compiled(name)))
 
 
 @pytest.fixture(scope="module")
@@ -45,17 +58,22 @@ def serial_records(params):
 @pytest.fixture(scope="module")
 def fresh_results(params):
     """Each workload's four flow results, run outside any engine."""
-    return {name: run_comparison(name, params)[0] for name in NAMES}
+    return {
+        name: run_comparison(name, compiled(name), params)[0]
+        for name in NAMES
+    }
 
 
 class TestCacheKey:
     def test_ir_hash_stable_within_process(self):
         # Regression: raw prints embed a process-global value-name counter,
         # so an un-canonicalized hash changed on every recompute.
-        assert module_ir_hash("trisolv") == module_ir_hash("trisolv")
+        assert module_ir_hash(compiled("trisolv")) == module_ir_hash(
+            compiled("trisolv")
+        )
 
     def test_key_depends_on_params(self, params):
-        ir = module_ir_hash("trisolv")
+        ir = module_ir_hash(compiled("trisolv"))
         base = cache_key("trisolv", params, ir_hash=ir)
         assert base == cache_key("trisolv", params, ir_hash=ir)
         assert base != cache_key(
@@ -174,10 +192,12 @@ class TestPersistentCache:
     def test_corrupt_entry_is_a_miss(self, tmp_path, params):
         cache_dir = tmp_path / "cache"
         cache_dir.mkdir()
-        engine = EvaluationEngine(params, cache=BenchCache(str(cache_dir)))
-        key = engine.key_for("trisolv")
+        key = record_key("trisolv", params)
         (cache_dir / f"{key}.json").write_text("{ not json")
-        assert engine.cached_record("trisolv") is None
+        engine = EvaluationEngine(params, cache=BenchCache(str(cache_dir)))
+        [record] = engine.evaluate(["trisolv"])
+        assert record.key == key
+        assert engine.misses == 1 and engine.cache.misses == 1
 
     def test_estimator_version_mismatch_is_a_miss(self, tmp_path, params):
         cache_dir = str(tmp_path / "cache")
@@ -188,7 +208,9 @@ class TestPersistentCache:
         with open(path, "w") as handle:
             json.dump(stale, handle)
         fresh = EvaluationEngine(params, cache=BenchCache(cache_dir))
-        assert fresh.cached_record("trisolv") is None
+        [again] = fresh.evaluate(["trisolv"])
+        assert fresh.misses == 1 and fresh.cache.misses == 1
+        assert again.estimator_version == record.estimator_version
 
 
 class TestParallelDeterminism:
@@ -246,8 +268,9 @@ class TestReports:
         stat = {"instructions": 10, "proven_accesses": 1,
                 "total_accesses": 2, "elided": 3, "checked": 4,
                 "elided_inst_per_s": 1.0e6}
-        left = build_report([], EvaluationEngine(params), "t", 1.0,
-                            sections={"interp_elision": {"w": stat}})
+        engine = EvaluationEngine(params)
+        engine.sections["interp_elision"] = {"w": stat}
+        left = build_report([], engine, "t", 1.0)
         right = json.loads(json.dumps(left))
         right["interp_elision"]["w"]["elided_inst_per_s"] = 2.0e6
         assert compare_reports(left, right) == []
@@ -280,6 +303,9 @@ class TestBenchCacheStats:
         warm = BenchCache(cache_dir)
         assert warm.get(record.key) is not None
         assert warm.get("0" * 64) is None
+        # Reads count nothing; the engine tallies each record lookup.
+        assert warm.hits == 0 and warm.misses == 0
+        EvaluationEngine(params, cache=warm).evaluate(["trisolv", "bicg"])
         assert warm.hits == 1 and warm.misses == 1
         assert warm.hit_rate() == 0.5
         assert warm.stats()["directory"] == cache_dir
@@ -368,7 +394,7 @@ class TestSharedFront:
     @pytest.mark.parametrize("name", SHARED_FRONT)
     def test_each_flow_equals_its_standalone_run(self, params, name):
         workload = get_workload(name)
-        shared, _ = run_comparison(name, params)
+        shared, _ = run_comparison(name, compiled(name), params)
         for flow, runner in _standalone_flows(params).items():
             alone = runner.run(workload.source, entry=workload.entry,
                                name=name)
@@ -387,8 +413,11 @@ class TestSharedFront:
         name = "atax"
         workload = get_workload(name)
         compared = Telemetry()
-        run_comparison(name, params, telemetry=compared)
+        with use_telemetry(compared):
+            module = compiled(name)
+        run_comparison(name, module, params, telemetry=compared)
         counters = compared.snapshot()["counters"]
+        assert counters["frontend.compiles"] == 1
         assert counters["interp.runs"] == 1
         assert counters["interp.compiles"] == 1
         lone = Telemetry()
@@ -406,3 +435,71 @@ class TestSharedFront:
             assert set(back.stage_seconds) == {
                 "analysis", "selection", "merging"}
             assert back.wpst is front.wpst
+
+
+class TestOneTaskPerWorkload:
+    """One task per workload compiles it once, and that module serves the
+    keys, the flows, the ablation sections and the elision probe."""
+
+    def test_one_compile_and_shared_facts_cold_and_warm(
+        self, tmp_path, params, monkeypatch
+    ):
+        compiles = []
+
+        def counting_compile(source, name="module", optimize=True):
+            compiles.append(name)
+            return compile_source(source, name, optimize)
+
+        # The task compiles through the bench module; a flow handed a
+        # source string would compile through the framework module.
+        monkeypatch.setattr(bench, "compile_source", counting_compile)
+        monkeypatch.setattr(framework, "compile_source", counting_compile)
+        comparisons = []
+
+        def recording_comparison(*args, **kwargs):
+            results = run_comparison(*args, **kwargs)
+            comparisons.append(results[0])
+            return results
+
+        monkeypatch.setattr(bench, "run_comparison", recording_comparison)
+        ablation_models = []
+
+        class RecordingModel(AcceleratorModel):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                ablation_models.append(self)
+
+        monkeypatch.setattr(bench, "AcceleratorModel", RecordingModel)
+
+        def evaluate():
+            engine = EvaluationEngine(
+                params, cache=BenchCache(str(tmp_path / "cache"))
+            )
+            engine.evaluate(NAMES, ablation_count=len(NAMES),
+                            interp_bench_count=len(NAMES))
+            assert sorted(engine.sections) == sorted(
+                ("interp_elision", *bench.ABLATION_SECTIONS)
+            )
+            for section in engine.sections.values():
+                assert list(section) == NAMES
+            return engine
+
+        cold = evaluate()
+        assert sorted(compiles) == sorted(NAMES)
+        assert cold.misses == len(NAMES)
+        assert len(comparisons) == len(NAMES)
+        for results in comparisons:
+            cayman = results["cayman"]
+            priced = [model for model in ablation_models
+                      if model.module is cayman.module]
+            # One model holding every proof, one per ablated proof.
+            assert len(priced) == 1 + len(bench.ABLATIONS)
+            for model in priced:
+                assert model.facts is cayman.selector.model.facts
+
+        compiles.clear()
+        comparisons.clear()
+        warm = evaluate()
+        assert sorted(compiles) == sorted(NAMES)
+        assert comparisons == []
+        assert warm.hits == len(NAMES) and warm.telemetry_snapshots == {}

@@ -5,7 +5,7 @@ tested for every section in ``test_ablations.py``)."""
 
 import pytest
 
-from repro.reporting.bench import ablation_stats
+from .sections import ablation_stats
 
 IMPROVED = [
     "seidel-1d", "conv-dilated", "iir-interleaved", "fwd-store-load",

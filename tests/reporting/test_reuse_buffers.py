@@ -7,7 +7,7 @@ import json
 
 import pytest
 
-from repro.reporting.bench import ablation_stats
+from .sections import ablation_stats
 
 NAMES = ["stencil-reuse-3", "fwd-store-load", "reuse-breaker", "trisolv"]
 

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from repro.reporting.bench import ablation_stats
+from .sections import ablation_stats
 
 NAMES = ["stride2-collider", "bank-transpose", "trisolv"]
 

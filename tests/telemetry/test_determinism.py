@@ -56,6 +56,7 @@ class TestPipelineSpans:
     def test_layer_counters_present(self, traced_run):
         tele, _ = traced_run
         counters = tele.snapshot()["counters"]
+        assert counters["frontend.compiles"] == 1
         assert counters["dataflow.solves"] > 0
         assert counters["dataflow.worklist_iterations"] > 0
         assert any(k.startswith("dependence.tier.") for k in counters)

@@ -31,7 +31,7 @@ class TestInMemorySink:
             with tele.span("inner"):
                 pass
         # Children finish before their parents.
-        assert sink.span_names() == ["inner", "outer"]
+        assert [span.name for span in sink.spans] == ["inner", "outer"]
 
     def test_flush_captures_snapshot(self):
         sink = InMemorySink()
